@@ -201,6 +201,35 @@ void BM_NetworkRoundSinglePlaneNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundSinglePlaneNarrow)->Arg(1000)->Arg(10000);
 
+// Quiet rounds: 1% of nodes send, and every node folds its inbox only when
+// its mail summary (in.any()) says something arrived — the shape of
+// defective refine's sparse announce and intent rounds. Items are nodes
+// visited, so the row tracks the per-node floor of a near-silent round
+// rather than per-message throughput.
+void BM_NetworkRoundSparse(benchmark::State& state) {
+  Rng rng(3);
+  const Graph g = gen::random_regular(
+      static_cast<NodeId>(state.range(0)), 8, rng);
+  SyncNetwork net(g, nullptr, "network", 1,
+                  SlotPlan{SlotFormat::kNarrow, 1});
+  std::vector<std::int64_t> acc(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (auto _ : state) {
+    net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+      if (in.any()) {
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          if (!in[i].empty()) acc[static_cast<std::size_t>(v)] += in[i].at(0);
+        }
+      }
+      if (v % 100 == 0) {
+        for (auto&& m : out) m.assign({v});
+      }
+    });
+  }
+  benchmark::DoNotOptimize(acc.data());
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_NetworkRoundSparse)->Arg(1000)->Arg(10000);
+
 // BM_NetworkRoundFast with an installed (never-tripping) CancelToken: the
 // cost of the relaxed aborted() load the barrier pays per round when a
 // token is present. Compare against BM_NetworkRoundFast for the delta.

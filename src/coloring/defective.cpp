@@ -168,9 +168,12 @@ DefectiveResult refine_message_passing(const Graph& g,
   std::vector<char> dirty(static_cast<std::size_t>(n), 1);
 
   // Move v to its min-conflict color against the neighbor-color cache.
+  // The counts live in per-worker scratch: node programs run on every shard,
+  // and a per-call vector would put the heap on the round path.
   auto move_to_least_conflict = [&](NodeId v) {
     const auto nb = g.neighbors(v);
-    std::vector<int> count(static_cast<std::size_t>(num_colors), 0);
+    thread_local std::vector<int> count;
+    count.assign(static_cast<std::size_t>(num_colors), 0);
     for (std::size_t i = 0; i < nb.size(); ++i) {
       ++count[static_cast<std::size_t>(nbr_color[net.slot(v, i)])];
     }
@@ -216,17 +219,23 @@ DefectiveResult refine_message_passing(const Graph& g,
         }
       });
       // Round B: fold announced changes into the caches; this class's
-      // over-threshold members broadcast an intent to move.
+      // over-threshold members broadcast an intent to move. Announcements
+      // are sparse once colors settle, so the fold runs only for nodes with
+      // mail, and only the acting class counts its defect.
       net.round_fast([&](NodeId v, const auto& in, auto&& out) {
-        int defect = 0;
-        const Color mine = res.colors[static_cast<std::size_t>(v)];
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          if (!in[i].empty()) {
-            nbr_color[net.slot(v, i)] = static_cast<Color>(in[i].at(0));
+        if (in.any()) {
+          for (std::size_t i = 0; i < in.size(); ++i) {
+            if (!in[i].empty()) {
+              nbr_color[net.slot(v, i)] = static_cast<Color>(in[i].at(0));
+            }
           }
-          if (nbr_color[net.slot(v, i)] == mine) ++defect;
         }
         if (classes[static_cast<std::size_t>(v)] != cls) return;
+        const Color mine = res.colors[static_cast<std::size_t>(v)];
+        int defect = 0;
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          if (nbr_color[net.slot(v, i)] == mine) ++defect;
+        }
         if (defect > move_threshold) {
           intent[static_cast<std::size_t>(v)] = 1;
           for (auto&& m : out) m.assign({1});

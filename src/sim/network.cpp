@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -85,6 +86,9 @@ void SyncNetwork::bind_plan() {
     if (mode_ == PlaneMode::kDouble) nbuf_b_.resize(slots);
   }
   point_planes();
+  // Both mail halves; surviving tags are stale (at most the last write
+  // epoch, below every future read epoch), like surviving slots.
+  mail_.resize(2 * static_cast<std::size_t>(topo_->num_nodes()));
 
   const int num_shards = topo_->num_shards();
   if (static_cast<int>(shards_.size()) != num_shards) {
@@ -224,7 +228,11 @@ void SyncNetwork::begin_round() {
 // every slot written this round (epoch 0 is never a write epoch, so the
 // slots read as stale/empty and lazily reset on their next use), drop the
 // per-shard audit/touched state, and rewind the epoch. The inbox buffer is
-// untouched, so the previous round's delivery is still readable.
+// untouched, so the previous round's delivery is still readable. The mail
+// tags the round stamped are zeroed with one sweep of its half, dense mark
+// included (error path only): its write epoch is reused by the re-executed
+// round — or, after reset(), becomes a read epoch — and must not report
+// phantom mail.
 void SyncNetwork::abort_round() {
   bool touched_any = false;
   for (Shard& sh : shards_) {
@@ -241,6 +249,10 @@ void SyncNetwork::abort_round() {
     }
     sh.touched.clear();
     sh.audit.reset();
+  }
+  if (touched_any) {
+    std::fill_n(mail_half(epoch_), topo_->num_nodes(), 0u);
+    mail_dense_[epoch_ & 1u] = 0;
   }
   --epoch_;
   // On a single plane the slots just un-stamped WERE last round's delivered
@@ -267,6 +279,29 @@ void SyncNetwork::finish_round() {
   out_is_a_ = !out_is_a_;
   ++rounds_;
   if (counter_.has_value()) counter_->charge(1);
+}
+
+// The graph's adjacency shares the plan's CSR slot indexing, so a
+// sender-side slot s goes to adj[s].neighbor; in a single plane's odd rounds
+// the touched slot is the receiver's own and its peer is the sender-side
+// slot. Shards sending to one receiver store the same value concurrently, so
+// the store is a relaxed atomic: race-free, and a plain mov on x86.
+void SyncNetwork::stamp_mail(const std::vector<std::uint32_t>& touched,
+                             std::size_t shard_nodes, bool out_peer) {
+  if (touched.empty()) return;  // also keeps a 0-node graph off neighbors(0)
+  const std::uint32_t epoch = epoch_;
+  if (touched.size() > shard_nodes) {
+    std::atomic_ref<std::uint32_t>(mail_dense_[epoch & 1u])
+        .store(epoch, std::memory_order_relaxed);
+    return;
+  }
+  const Incidence* adj = g_->neighbors(0).data();
+  std::uint32_t* mail_w = mail_half(epoch);
+  for (const std::uint32_t s : touched) {
+    const NodeId to = adj[out_peer ? peer_slot_[s] : s].neighbor;
+    std::atomic_ref<std::uint32_t>(mail_w[static_cast<std::size_t>(to)])
+        .store(epoch, std::memory_order_relaxed);
+  }
 }
 
 NodeId SyncNetwork::node_of_slot(std::size_t slot) const {

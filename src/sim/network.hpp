@@ -74,6 +74,10 @@ inline constexpr std::uint32_t kNoHazardEpoch = 0xffffffffu;
 /// read-after-write hazard throws instead of returning the node's own
 /// message; on double planes hazard_ is kNoHazardEpoch and the check is one
 /// never-taken compare on the stale path only.
+///
+/// any() is the node's O(1) mail summary (docs/ARCHITECTURE.md "Mail
+/// summary"): false guarantees every entry reads empty this round, so a
+/// program may skip its inbox scan; true means some neighbor may have sent.
 template <bool kDirect>
 class BasicInbox {
  public:
@@ -84,6 +88,7 @@ class BasicInbox {
   const Message& operator[](std::size_t i) const;  // defined after SyncNetwork
 
   std::size_t size() const { return n_; }
+  bool any() const { return any_; }
 
   class const_iterator {
    public:
@@ -112,9 +117,9 @@ class BasicInbox {
   friend class SyncNetwork;
   BasicInbox(const Message* buf, const std::uint32_t* map, std::size_t n,
              std::uint32_t epoch, std::uint32_t hazard, const SyncNetwork* net,
-             NodeId v)
+             NodeId v, bool any)
       : buf_(buf), map_(map), n_(n), epoch_(epoch), hazard_(hazard),
-        net_(net), v_(v) {}
+        net_(net), v_(v), any_(any) {}
 
   const Message* buf_;        // plane base + round base slot
   const std::uint32_t* map_;  // peer permutation slice / iota map
@@ -123,6 +128,7 @@ class BasicInbox {
   std::uint32_t hazard_ = kNoHazardEpoch;  // write epoch on a single plane
   const SyncNetwork* net_ = nullptr;       // hazard error context
   NodeId v_ = 0;
+  bool any_ = true;  // mail summary; conservative outside round boxes
 };
 
 /// The erased-program inbox: data-driven map addressing, one compiled body
@@ -237,11 +243,12 @@ class NarrowView {
 /// Narrow-plane counterpart of Inbox: entry i is what g.neighbors(v)[i] sent
 /// last round, empty when its epoch tag is stale. operator[] returns a view
 /// BY VALUE (a NarrowSlot has no Message to reference); `const auto&` at
-/// call sites binds either form.
+/// call sites binds either form. any() is the mail summary, as on Inbox.
 class NarrowInbox {
  public:
   NarrowView operator[](std::size_t i) const;  // defined after SyncNetwork
   std::size_t size() const { return n_; }
+  bool any() const { return any_; }
 
   class const_iterator {
    public:
@@ -269,9 +276,9 @@ class NarrowInbox {
   NarrowInbox(const SyncNetwork* net, const NarrowSlot* buf,
               const std::uint32_t* map, std::size_t n, std::uint32_t epoch,
               std::uint32_t base = 0, std::uint32_t hazard = kNoHazardEpoch,
-              NodeId v = 0)
+              NodeId v = 0, bool any = true)
       : net_(net), buf_(buf), map_(map), n_(n), epoch_(epoch), base_(base),
-        hazard_(hazard), v_(v) {}
+        hazard_(hazard), v_(v), any_(any) {}
 
   const SyncNetwork* net_;    // resolves slab spills of wide payloads
   const NarrowSlot* buf_;     // plane base + round base slot
@@ -281,6 +288,7 @@ class NarrowInbox {
   std::uint32_t base_ = 0;  // global-index reconstruction (spill path only)
   std::uint32_t hazard_ = kNoHazardEpoch;  // write epoch on a single plane
   NodeId v_ = 0;
+  bool any_ = true;  // mail summary; conservative for drain boxes
 };
 
 /// Write proxy for one narrow outbox slot (returned BY VALUE by
@@ -567,10 +575,10 @@ class SyncNetwork {
   /// Heap bytes of this run state: the message buffer planes that exist
   /// (whichever format is active — the other's vectors stay at capacity 0;
   /// a single-plane state never sizes its `b` plane, so it counts exactly
-  /// one), per-shard spill arenas and touched lists. Excludes the shared plan
-  /// (NetworkTopology::memory_bytes) and the graph (Graph::memory_bytes) —
-  /// the three together are the per-node budget docs/ARCHITECTURE.md
-  /// "Graph storage & scale" tracks.
+  /// one), the mail tags, per-shard spill arenas and touched lists. Excludes
+  /// the shared plan (NetworkTopology::memory_bytes) and the graph
+  /// (Graph::memory_bytes) — the three together are the per-node budget
+  /// docs/ARCHITECTURE.md "Graph storage & scale" tracks.
   std::size_t memory_bytes() const {
     std::size_t bytes =
         (buf_a_.capacity() + buf_b_.capacity()) * sizeof(Message) +
@@ -580,6 +588,7 @@ class SyncNetwork {
       bytes += sh.touched.capacity() * sizeof(std::uint32_t);
     }
     bytes += shard_slot_begin_.capacity() * sizeof(std::size_t);
+    bytes += mail_.capacity() * sizeof(std::uint32_t);
     return bytes;
   }
 
@@ -667,6 +676,7 @@ class SyncNetwork {
     Shard& sh = shards_[static_cast<std::size_t>(shard)];
     const std::uint32_t write_epoch = epoch_;
     const std::uint32_t read_epoch = epoch_ - 1;
+    const NodeId vbegin = shard_begin_[static_cast<std::size_t>(shard)];
     const NodeId vend = shard_begin_[static_cast<std::size_t>(shard) + 1];
     constexpr bool kWidePlane = std::is_same_v<Slot, Message>;
     MessageSlab* write_slab = out_is_a_ ? &sh.slab_a : &sh.slab_b;
@@ -679,10 +689,15 @@ class SyncNetwork {
     constexpr bool in_direct = kMode == ShardMode::kSingleEven;
     constexpr bool out_peer = kMode == ShardMode::kSingleOdd;
     const std::uint32_t hazard = single ? write_epoch : kNoHazardEpoch;
-    for (NodeId v = shard_begin_[static_cast<std::size_t>(shard)]; v < vend;
-         ++v) {
+    // Mail summary: inboxes read last round's half of the tags (or its
+    // dense-round mark); this round's half is stamped by stamp_mail below.
+    const std::uint32_t* mail_r = mail_half(read_epoch);
+    const bool dense = mail_dense_[read_epoch & 1u] == read_epoch;
+    for (NodeId v = vbegin; v < vend; ++v) {
       const std::size_t lo = offsets_[static_cast<std::size_t>(v)];
       const std::size_t deg = offsets_[static_cast<std::size_t>(v) + 1] - lo;
+      const bool any =
+          dense || mail_r[static_cast<std::size_t>(v)] == read_epoch;
       // Box addressing is always buf[map[i]] with the round's base slot
       // folded into buf; the compile-time mode only picks each box's
       // (base, map) pair — the node's first slot with the L1-resident iota
@@ -703,14 +718,14 @@ class SyncNetwork {
         using OutT = BasicOutbox<!out_peer>;
         if constexpr (std::is_invocable_v<F&, NodeId, const InT&, OutT&>) {
           const InT in(in_ + in_base, in_map, deg, read_epoch, hazard, this,
-                       v);
+                       v, any);
           OutT out(out_ + out_base, out_map, deg, write_epoch,
                    static_cast<std::uint32_t>(out_base), &sh.touched,
                    write_slab);
           fn(v, in, out);
         } else {
           const Inbox in(in_ + in_base, in_map, deg, read_epoch, hazard, this,
-                         v);
+                         v, any);
           Outbox out(out_ + out_base, out_map, deg, write_epoch,
                      static_cast<std::uint32_t>(out_base), &sh.touched,
                      write_slab);
@@ -718,7 +733,8 @@ class SyncNetwork {
         }
       } else {
         const NarrowInbox in(this, nin_ + in_base, in_map, deg, read_epoch,
-                             static_cast<std::uint32_t>(in_base), hazard, v);
+                             static_cast<std::uint32_t>(in_base), hazard, v,
+                             any);
         NarrowOutbox out(nout_ + out_base, out_map,
                          static_cast<std::uint32_t>(out_base), write_slab,
                          this, v, deg, write_epoch, &sh.touched,
@@ -755,12 +771,27 @@ class SyncNetwork {
         }
       }
     }
+    stamp_mail(sh.touched, static_cast<std::size_t>(vend - vbegin), out_peer);
   }
+
+  /// Record this shard's sends in the mail summary: stamp the receiver of
+  /// every touched slot in this round's half of the tags, or — when the
+  /// shard sent more messages than it has nodes — mark the whole round
+  /// dense instead. Out of line on purpose: inlined into run_shard_impl,
+  /// the atomic store made the compiler reload round state around it and
+  /// cost all-send rounds ~2x; here it is a four-instruction loop.
+  void stamp_mail(const std::vector<std::uint32_t>& touched,
+                  std::size_t shard_nodes, bool out_peer);
 
   /// Owning node of a global slot index (binary search over the CSR
   /// offsets). Error-path only — never on the hot path.
   NodeId node_of_slot(std::size_t slot) const;
 
+  /// The mail-tag half a round with write (or read) epoch `epoch` uses.
+  std::uint32_t* mail_half(std::uint32_t epoch) {
+    return mail_.data() +
+           (epoch & 1u) * static_cast<std::size_t>(topo_->num_nodes());
+  }
   struct Shard {
     MessageSlab slab_a, slab_b;  // spill arenas for buf_a_ / buf_b_ slots
     std::vector<std::uint32_t> touched;
@@ -783,8 +814,24 @@ class SyncNetwork {
   // Write epoch of the round in progress. Monotonic across reset()/rebind()
   // (never rewound past construction), so stale slot tags from earlier runs
   // can never equal a future read epoch. uint32 wrap would take 4G rounds on
-  // one run state; regarded as unreachable.
+  // one run state; regarded as unreachable. The mail tags and dense marks
+  // below share this epoch domain: any wrap renormalization that zeroes slot
+  // tags must zero them too.
   std::uint32_t epoch_ = 0;
+  // Mail summary: two parity halves of per-node epoch tags (2 × num_nodes).
+  // Half (e & 1) holds "some neighbor sent to v in the round writing e"; a
+  // round writes one half while its inboxes read the other, so no sender
+  // overwrites a tag its receiver has yet to read — in either plane mode.
+  // Stale tags read as no mail exactly like stale slots, so reset()/rebind()
+  // need no sweep. Conservative: a slot touched and then cleared still
+  // stamps its receiver.
+  std::vector<std::uint32_t> mail_;
+  // Dense-round mark per half: mail_dense_[e & 1] == e means some shard of
+  // the round writing e sent more messages than it has nodes and skipped
+  // its per-message stamps, so every inbox of the next round reports mail.
+  // A round that dense leaves few receivers quiet, and the stamps would be
+  // pure overhead on the all-send path.
+  std::uint32_t mail_dense_[2] = {0, 0};
 
   // Exactly one plane pair is sized, per format_; the other stays at
   // capacity 0. Keeping both as plain members (rather than templating the

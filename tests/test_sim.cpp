@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "coloring/linial.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sim/ledger.hpp"
 #include "sim/message.hpp"
@@ -528,6 +531,225 @@ TEST(Network, DrainBeforeAnyRoundSeesOnlyEmpty) {
     for (const Message& m : in) EXPECT_TRUE(m.empty());
   });
   EXPECT_EQ(net.rounds_executed(), 0);
+}
+
+// --- Mail summary (Inbox/NarrowInbox::any()) -------------------------------
+
+// What node `u` does on edge `e` in round `r` of a scripted sparse history:
+// 0 nothing, 1 one field, 2 a multi-field payload (slab spill on either
+// plane), 3 write then clear() (the slot is touched but reads empty). About
+// 6% of edge directions act per round, so most nodes get no mail — and no
+// shard sends more messages than it has nodes, which keeps every round below
+// the dense mark and any() exact.
+int mail_action(std::uint64_t seed, int r, NodeId u, EdgeId e) {
+  std::uint64_t x = seed ^ (static_cast<std::uint64_t>(r) << 40) ^
+                    (static_cast<std::uint64_t>(u) << 20) ^
+                    static_cast<std::uint64_t>(e);
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  const std::uint64_t roll = x % 100;
+  return roll < 3 ? 1 : roll < 5 ? 2 : roll < 6 ? 3 : 0;
+}
+
+constexpr std::size_t kSpillFields = 6;  // past both inline capacities
+
+// One scripted round: every node first audits its inbox against round r - 1
+// of the script (any() must equal "some neighbor touched my slot", and a
+// quiet node must read every entry empty), then acts per round r. Counts
+// violations per node — each node writes only its own counter.
+void mail_round(SyncNetwork& net, const Graph& g, std::uint64_t seed, int r,
+                std::vector<int>* bad, std::int64_t* quiet) {
+  std::vector<char> quiet_v(static_cast<std::size_t>(g.num_nodes()), 0);
+  net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+    const auto nb = g.neighbors(v);
+    int& b = (*bad)[static_cast<std::size_t>(v)];
+    bool touched = false;
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      const int a = r == 0 ? 0 : mail_action(seed, r - 1, nb[i].neighbor,
+                                             nb[i].edge);
+      touched = touched || a != 0;
+      const std::size_t want = a == 1 ? 1 : a == 2 ? kSpillFields : 0;
+      if (in[i].size() != want) ++b;
+      if (want > 0 && in[i].at(want - 1) != nb[i].neighbor) ++b;
+      if (!in.any() && !in[i].empty()) ++b;  // soundness
+    }
+    if (in.any() != touched) ++b;
+    quiet_v[static_cast<std::size_t>(v)] = in.any() ? 0 : 1;
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      const int a = mail_action(seed, r, v, nb[i].edge);
+      if (a == 0) continue;
+      auto&& m = out[i];
+      if (a == 1) m.assign({v});
+      if (a == 2) {
+        for (std::size_t k = 0; k < kSpillFields; ++k) m.push(v);
+      }
+      if (a == 3) {
+        m.assign({v});
+        m.clear();
+      }
+    }
+  });
+  *quiet += std::count(quiet_v.begin(), quiet_v.end(), 1);
+}
+
+std::vector<SlotPlan> mail_plans() {
+  std::vector<SlotPlan> plans;
+  for (const SlotFormat f : {SlotFormat::kWide, SlotFormat::kNarrow}) {
+    for (const PlaneMode m : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+      plans.push_back({f, static_cast<int>(kSpillFields), m});
+    }
+  }
+  return plans;
+}
+
+TEST(MailSummary, SoundUnderRandomSparseSends) {
+  Rng rng(51);
+  const Graph g = gen::random_regular(300, 8, rng);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      SyncNetwork net(g, nullptr, "mail", threads, plan);
+      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+      std::int64_t quiet = 0;
+      // Seven rounds: both epoch parities and both single-plane parities
+      // several times over, starting from the fresh state.
+      for (int r = 0; r < 7; ++r) mail_round(net, g, 7, r, &bad, &quiet);
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+          << "format " << static_cast<int>(plan.format) << " mode "
+          << static_cast<int>(plan.mode) << " threads " << threads;
+      // The summary must actually gate work, not read `true` everywhere.
+      EXPECT_GT(quiet, 2 * g.num_nodes());
+    }
+  }
+}
+
+TEST(MailSummary, FirstRoundAfterResetAndRebindIsQuiet) {
+  Rng rng(52);
+  const Graph small = gen::random_regular(40, 4, rng);
+  const Graph large = gen::random_regular(120, 6, rng);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 4}) {
+      SyncNetwork net(small, nullptr, "mail", threads, plan);
+      std::vector<int> bad(static_cast<std::size_t>(large.num_nodes()), 0);
+      std::int64_t quiet = 0;
+      for (int r = 0; r < 3; ++r) mail_round(net, small, 9, r, &bad, &quiet);
+      net.reset();
+      // Script round 0 expects an empty inbox everywhere.
+      for (int r = 0; r < 3; ++r) mail_round(net, small, 11, r, &bad, &quiet);
+      net.rebind(large, NetworkTopology::plan(large, threads), nullptr,
+                 "mail", plan);
+      for (int r = 0; r < 3; ++r) mail_round(net, large, 13, r, &bad, &quiet);
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes());
+    }
+  }
+}
+
+TEST(MailSummary, AbortedRoundLeavesNoPhantomMail) {
+  Rng rng(53);
+  const Graph g = gen::random_regular(120, 6, rng);
+  for (const SlotFormat f : {SlotFormat::kWide, SlotFormat::kNarrow}) {
+    for (const int threads : {1, 2, 4}) {
+      // Double planes only: a mid-round abort poisons a single plane.
+      SyncNetwork net(g, nullptr, "mail", threads,
+                      SlotPlan{f, static_cast<int>(kSpillFields)});
+      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+      std::int64_t quiet = 0;
+      mail_round(net, g, 17, 0, &bad, &quiet);
+      // Every node writes every slot, then half the nodes throw.
+      EXPECT_THROW(net.round_fast([&](NodeId v, const auto&, auto&& out) {
+                     for (auto&& m : out) m.assign({-1});
+                     DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
+                   }),
+                   CheckError);
+      // Re-executing the script's round 1 reuses the aborted write epoch:
+      // its inboxes still see round 0, and round 2 sees only round 1's
+      // sparse sends, not the aborted all-send.
+      for (int r = 1; r < 3; ++r) mail_round(net, g, 17, r, &bad, &quiet);
+      // After an abort and a reset the first round reads quiet too.
+      EXPECT_THROW(net.round_fast([&](NodeId v, const auto&, auto&& out) {
+                     for (auto&& m : out) m.assign({-1});
+                     DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
+                   }),
+                   CheckError);
+      net.reset();
+      for (int r = 0; r < 2; ++r) mail_round(net, g, 19, r, &bad, &quiet);
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes());
+    }
+  }
+}
+
+TEST(MailSummary, DenseRoundReportsMailEverywhereThenClears) {
+  // A shard that sends more messages than it has nodes marks the round
+  // dense instead of stamping receivers: the next round reports mail at
+  // every node (sound, if imprecise), and the round after that is exact
+  // again.
+  Rng rng(54);
+  const Graph g = gen::random_regular(120, 6, rng);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      SyncNetwork net(g, nullptr, "mail", threads, plan);
+      std::vector<char> any(static_cast<std::size_t>(g.num_nodes()), 0);
+      const auto record = [&](bool send_all) {
+        net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+          any[static_cast<std::size_t>(v)] = in.any() ? 1 : 0;
+          if (send_all) {
+            for (auto&& m : out) m.assign({v});
+          }
+        });
+      };
+      record(true);
+      record(false);
+      EXPECT_EQ(std::count(any.begin(), any.end(), 1), g.num_nodes());
+      record(false);
+      EXPECT_EQ(std::count(any.begin(), any.end(), 0), g.num_nodes());
+    }
+  }
+}
+
+TEST(MailSummary, IsolatedNodesAndEmptyGraph) {
+  // Isolated nodes never receive, so they always read quiet.
+  GraphBuilder b(6);
+  b.add_edge(1, 2);
+  const Graph g = std::move(b).build();
+  for (const SlotPlan& plan : mail_plans()) {
+    SyncNetwork net(g, nullptr, "mail", 2, plan);
+    for (int r = 0; r < 3; ++r) {
+      std::vector<char> any(6, 0);
+      net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+        any[static_cast<std::size_t>(v)] = in.any() ? 1 : 0;
+        for (auto&& m : out) m.assign({v});
+      });
+      EXPECT_EQ(any, (std::vector<char>{0, r > 0, r > 0, 0, 0, 0}));
+    }
+  }
+  const Graph empty = gen::empty(0);
+  for (const SlotPlan& plan : mail_plans()) {
+    SyncNetwork net(empty, nullptr, "mail", 1, plan);
+    int calls = 0;
+    net.round_fast([&](NodeId, const auto&, auto&&) { ++calls; });
+    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(net.rounds_executed(), 1);
+  }
+}
+
+TEST(MailSummary, DrainBoxesAreConservative) {
+  const Graph g = gen::path(3);
+  SyncNetwork net(g);
+  net.round_fast([](NodeId, const auto&, auto&&) {});
+  int quiet = 0;
+  net.drain_fast([&](NodeId, const Inbox& in) { quiet += in.any() ? 0 : 1; });
+  EXPECT_EQ(quiet, 0);
+}
+
+TEST(MailSummary, MemoryBytesCountsTags) {
+  const Graph g = gen::cycle(100);
+  SyncNetwork net(g, nullptr, "mail", 1,
+                  SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle});
+  // Two 4 B tags per node on top of the 16 B/slot plane (2 slots/node).
+  EXPECT_GE(net.memory_bytes(),
+            100 * (2 * sizeof(NarrowSlot) + 2 * sizeof(std::uint32_t)));
 }
 
 }  // namespace
