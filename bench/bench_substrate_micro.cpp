@@ -230,6 +230,40 @@ void BM_NetworkRoundSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundSparse)->Arg(1000)->Arg(10000);
 
+// BM_NetworkRoundSparse's traffic through active rounds: the 1% of senders
+// are woken, and the substrate visits only them and last round's receivers
+// (round_fast(prog, wake)), so a round costs O(senders · degree), not O(n).
+// Items stay n per round, as in Sparse, so the two rows compare directly.
+void BM_NetworkRoundActive(benchmark::State& state) {
+  Rng rng(3);
+  const Graph g = gen::random_regular(
+      static_cast<NodeId>(state.range(0)), 8, rng);
+  SyncNetwork net(g, nullptr, "network", 1,
+                  SlotPlan{SlotFormat::kNarrow, 1});
+  std::vector<std::int64_t> acc(static_cast<std::size_t>(g.num_nodes()), 0);
+  std::vector<NodeId> senders;
+  for (NodeId v = 0; v < g.num_nodes(); v += 100) senders.push_back(v);
+  for (auto _ : state) {
+    net.round_fast(
+        [&](NodeId v, const auto& in, auto&& out) {
+          if (in.any()) {
+            for (std::size_t i = 0; i < in.size(); ++i) {
+              if (!in[i].empty()) {
+                acc[static_cast<std::size_t>(v)] += in[i].at(0);
+              }
+            }
+          }
+          if (v % 100 == 0) {
+            for (auto&& m : out) m.assign({v});
+          }
+        },
+        senders);
+  }
+  benchmark::DoNotOptimize(acc.data());
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_NetworkRoundActive)->Arg(1000)->Arg(10000);
+
 // BM_NetworkRoundFast with an installed (never-tripping) CancelToken: the
 // cost of the relaxed aborted() load the barrier pays per round when a
 // token is present. Compare against BM_NetworkRoundFast for the delta.
@@ -250,7 +284,10 @@ void BM_NetworkRoundCancelToken(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundCancelToken)->Arg(1000)->Arg(10000);
 
-// Parallel round engine; Args are {n, threads}.
+// Parallel round engine; Args are {n, threads}. Wall time: the main thread
+// sleeps in the pool barrier, so its CPU time would overstate items/s.
+// The engine_threads counter tells compare_benches.py this row is
+// multi-threaded.
 void BM_NetworkRoundParallel(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
@@ -262,11 +299,13 @@ void BM_NetworkRoundParallel(benchmark::State& state) {
     });
   }
   state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
+  state.counters["engine_threads"] = static_cast<double>(state.range(1));
 }
 BENCHMARK(BM_NetworkRoundParallel)
     ->Args({10000, 2})
     ->Args({10000, 4})
-    ->Args({10000, 8});
+    ->Args({10000, 8})
+    ->UseRealTime();
 
 // Wide payloads: exercises the slab-arena spill path (> kInlineFields).
 void BM_NetworkRoundSpill(benchmark::State& state) {
@@ -291,7 +330,8 @@ BENCHMARK(BM_NetworkRoundSpill)->Arg(1000)->Arg(10000);
 // Defective refine on the message-passing substrate (Args are
 // {n, threads}); with the dirty-flag announce, off-variant comparisons live
 // in BM_DefectiveRefineFullBroadcast. items = audited rounds x slot-plane
-// size.
+// size. Multi-threaded rows (here and in the solver rows below) report wall
+// time and carry an engine_threads counter.
 void BM_DefectiveRefine(benchmark::State& state) {
   Rng rng(7);
   const Graph g = gen::random_regular(
@@ -307,8 +347,10 @@ void BM_DefectiveRefine(benchmark::State& state) {
     benchmark::DoNotOptimize(r.max_defect);
   }
   state.SetItemsProcessed(state.iterations() * rounds * 2 * g.num_edges());
+  state.counters["engine_threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_DefectiveRefine)->Args({1000, 1})->Args({1000, 2});
+BENCHMARK(BM_DefectiveRefine)->Args({1000, 1});
+BENCHMARK(BM_DefectiveRefine)->Args({1000, 2})->UseRealTime();
 
 // Same instance with the dirty-flag announce disabled (every node
 // re-broadcasts its color in every announce round): isolates the win of
@@ -354,8 +396,10 @@ void BM_TokenDropping(benchmark::State& state) {
     benchmark::DoNotOptimize(r.tokens_moved);
   }
   state.SetItemsProcessed(state.iterations() * rounds * g.num_arcs());
+  state.counters["engine_threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_TokenDropping)->Args({100, 1})->Args({100, 2});
+BENCHMARK(BM_TokenDropping)->Args({100, 1});
+BENCHMARK(BM_TokenDropping)->Args({100, 2})->UseRealTime();
 
 // Balanced orientation (§5) as node programs: two substrate rounds per
 // phase plus the embedded token dropping games on their own DiNetworks
@@ -377,8 +421,10 @@ void BM_BalancedOrientation(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rounds * 2 *
                           bg.graph.num_edges());
+  state.counters["engine_threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_BalancedOrientation)->Args({256, 1})->Args({256, 2});
+BENCHMARK(BM_BalancedOrientation)->Args({256, 1});
+BENCHMARK(BM_BalancedOrientation)->Args({256, 2})->UseRealTime();
 
 // Same instance with the network arena disabled: every phase rebuilds its
 // game DiNetwork (and the solver its SyncNetwork) from scratch. Results are
@@ -422,8 +468,10 @@ void BM_Defective2EC(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rounds * 2 *
                           bg.graph.num_edges());
+  state.counters["engine_threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_Defective2EC)->Args({128, 1})->Args({128, 2});
+BENCHMARK(BM_Defective2EC)->Args({128, 1});
+BENCHMARK(BM_Defective2EC)->Args({128, 2})->UseRealTime();
 
 void BM_ProperEdgeColoringCheck(benchmark::State& state) {
   Rng rng(4);

@@ -18,6 +18,15 @@ Run benches with --benchmark_repetitions=N and the median does the rest.
 Google-benchmark's own aggregate rows (_mean/_median/_stddev/_cv) are
 skipped; only per-repetition rows feed the median.
 
+items_per_second is REFUSED (reported as "-") for a multi-threaded row that
+was not timed in wall time: google-benchmark divides items by the main
+thread's CPU time, and a main thread parked in a pool barrier makes that
+rate fiction (a 505 us wall round once read as 6.97G items/s). A row is
+multi-threaded when google-benchmark's own `threads` field or the bench's
+`engine_threads` counter exceeds 1; it is wall-timed when its name carries
+the `/real_time` suffix that UseRealTime() adds. Refused rows are listed
+on stderr; their real_time deltas are still reported and flagged.
+
 Exit codes: 0 = no flags, 1 = regressions/missing benchmarks found (count is
 printed), 125 = the tool itself failed (unreadable/malformed JSON, ...).
 run_benches.sh distinguishes the two non-zero cases so a tooling crash is
@@ -73,7 +82,13 @@ def parse_service_load(data):
     return rows
 
 
-def parse(data):
+def threaded_cpu_rate(b):
+    """True when b's items_per_second is a multi-threaded CPU-time rate."""
+    threads = max(float(b.get("threads", 1)), float(b.get("engine_threads", 1)))
+    return threads > 1 and "/real_time" not in b.get("name", "")
+
+
+def parse(data, refused=None):
     """Benchmark JSON dict -> {name: {real_time, items_per_second}}.
 
     Accepts either google-benchmark output or bench_service_load's
@@ -81,7 +96,9 @@ def parse(data):
     flavors diff through one report path). google-benchmark real_time is
     normalized to ns (deltas stay correct even if a benchmark's reported
     time_unit differs between the two files); repetitions of one name are
-    aggregated by median, field-wise.
+    aggregated by median, field-wise. Multi-threaded rows not timed in wall
+    time get items_per_second 0 (refused); their names are added to the
+    `refused` set when one is passed.
     """
     if data.get("kind") == "service_load":
         return parse_service_load(data)
@@ -96,10 +113,15 @@ def parse(data):
             "cv",
         ):
             continue
+        items = float(b.get("items_per_second", 0.0))
+        if threaded_cpu_rate(b):
+            items = 0.0
+            if refused is not None:
+                refused.add(name)
         entry = {
             "real_time": float(b.get("real_time", 0.0))
             * NS_PER_UNIT.get(b.get("time_unit", "ns"), 1.0),
-            "items_per_second": float(b.get("items_per_second", 0.0)),
+            "items_per_second": items,
         }
         if name not in samples:
             samples[name] = []
@@ -114,9 +136,9 @@ def parse(data):
     }
 
 
-def load(path):
+def load(path, refused=None):
     with open(path) as f:
-        return parse(json.load(f))
+        return parse(json.load(f), refused)
 
 
 def fmt_time(ns):
@@ -332,6 +354,22 @@ def self_test():
                            run_fn=fake_run_ok) == 0
     assert "probably noise" in probe_sink.getvalue(), probe_sink.getvalue()
 
+    # 9. items/s of a multi-threaded row is refused unless the row is
+    # wall-timed; single-threaded and /real_time rows keep theirs.
+    refused = set()
+    rows = parse({"benchmarks": [
+        dict(_bench("BM_P/10000/4", 500.0, items=7e9), engine_threads=4),
+        dict(_bench("BM_P/10000/4/real_time", 500.0, items=1e8),
+             engine_threads=4),
+        dict(_bench("BM_S/1000/1", 100.0, items=2e6), engine_threads=1),
+        dict(_bench("BM_T/8", 100.0, items=3e6), threads=2),
+    ]}, refused)
+    assert rows["BM_P/10000/4"]["items_per_second"] == 0.0, rows
+    assert rows["BM_P/10000/4/real_time"]["items_per_second"] == 1e8, rows
+    assert rows["BM_S/1000/1"]["items_per_second"] == 2e6, rows
+    assert rows["BM_T/8"]["items_per_second"] == 0.0, rows
+    assert refused == {"BM_P/10000/4", "BM_T/8"}, refused
+
     print("compare_benches.py self-test OK")
     return 0
 
@@ -355,8 +393,13 @@ def main():
     if args.old is None or args.new is None:
         ap.error("OLD.json and NEW.json are required unless --self-test")
 
-    old = load(args.old)
-    regressions, flagged = report(old, load(args.new), args.threshold)
+    refused = set()
+    old = load(args.old, refused)
+    regressions, flagged = report(old, load(args.new, refused),
+                                  args.threshold)
+    if refused:
+        print(f"items/s refused (multi-threaded, not real-time): "
+              f"{', '.join(sorted(refused))}", file=sys.stderr)
     if flagged and args.reprobe_flagged:
         reprobe_flagged(args.reprobe_flagged, flagged, old, args.threshold)
     return 1 if regressions else 0

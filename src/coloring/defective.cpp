@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
@@ -135,6 +136,15 @@ DefectiveResult precolor_message_passing(const Graph& g,
 // color change is announced in the same round it is applied, so the caches
 // never go stale — rounds and colors are bit-identical to the full
 // re-broadcast, only the message count (simulation wall-clock) drops.
+//
+// Both rounds are active rounds (SyncNetwork::round_fast(prog, wake)): a
+// node with no mail and no pending work is a no-op in either program, so
+// only wake ∪ last round's receivers is visited. Round A wakes the previous
+// class-step's intenders (the only nodes with pending work once the first
+// announce has cleared every dirty flag — a color changes only inside an
+// intender's own round A, which announces it at once). Round B wakes the
+// acting class. Most class-steps have an empty class and no pending intent,
+// so both of their rounds visit nobody.
 DefectiveResult refine_message_passing(const Graph& g,
                                        const std::vector<Color>& classes,
                                        int num_classes, int num_colors,
@@ -204,24 +214,51 @@ DefectiveResult refine_message_passing(const Graph& g,
     move_to_least_conflict(v);
   };
 
+  // Class members in id order (counting sort, built once): round B's wake
+  // list and the only nodes that can set an intent in their class-step.
+  std::vector<NodeId> class_start(static_cast<std::size_t>(num_classes) + 1, 0);
+  for (const Color c : classes) ++class_start[static_cast<std::size_t>(c) + 1];
+  for (int c = 0; c < num_classes; ++c) {
+    class_start[static_cast<std::size_t>(c) + 1] +=
+        class_start[static_cast<std::size_t>(c)];
+  }
+  std::vector<NodeId> class_nodes(static_cast<std::size_t>(n));
+  std::vector<NodeId> next_slot(class_start.begin(), class_start.end() - 1);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto c = static_cast<std::size_t>(classes[static_cast<std::size_t>(v)]);
+    class_nodes[static_cast<std::size_t>(next_slot[c]++)] = v;
+  }
+  // The last class-step's intenders: round A's wake list.
+  std::vector<NodeId> intenders;
+
   res.converged = false;
   for (int sweep = 0; sweep < max_sweeps && !res.converged; ++sweep) {
     bool any_intent = false;
     for (Color cls = 0; cls < num_classes; ++cls) {
       // Round A: settle the previous step's arbitration, announce colors —
-      // all of them, or (dirty-flagged) only the ones that changed.
-      net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+      // all of them, or (dirty-flagged) only the ones that changed. Every
+      // node is dirty before the first announce, and the full re-broadcast
+      // announces from every node each time, so those rounds visit all.
+      const auto round_a = [&](NodeId v, const auto& in, auto&& out) {
         apply_pending(v, in);
         if (dirty_announce && dirty[static_cast<std::size_t>(v)] == 0) return;
         dirty[static_cast<std::size_t>(v)] = 0;
         for (auto&& m : out) {
           m.assign({res.colors[static_cast<std::size_t>(v)]});
         }
-      });
+      };
+      if ((sweep == 0 && cls == 0) || !dirty_announce) {
+        net.round_fast(round_a);
+      } else {
+        net.round_fast(round_a, intenders);
+      }
       // Round B: fold announced changes into the caches; this class's
       // over-threshold members broadcast an intent to move. Announcements
       // are sparse once colors settle, so the fold runs only for nodes with
       // mail, and only the acting class counts its defect.
+      const std::span<const NodeId> members(
+          class_nodes.data() + class_start[static_cast<std::size_t>(cls)],
+          class_nodes.data() + class_start[static_cast<std::size_t>(cls) + 1]);
       net.round_fast([&](NodeId v, const auto& in, auto&& out) {
         if (in.any()) {
           for (std::size_t i = 0; i < in.size(); ++i) {
@@ -240,11 +277,14 @@ DefectiveResult refine_message_passing(const Graph& g,
           intent[static_cast<std::size_t>(v)] = 1;
           for (auto&& m : out) m.assign({1});
         }
-      });
-      if (!any_intent) {
-        any_intent = std::any_of(intent.begin(), intent.end(),
-                                 [](char c) { return c != 0; });
+      }, members);
+      // Only this class's members can hold an intent now: round A cleared
+      // every earlier intender's flag.
+      intenders.clear();
+      for (const NodeId v : members) {
+        if (intent[static_cast<std::size_t>(v)] != 0) intenders.push_back(v);
       }
+      any_intent = any_intent || !intenders.empty();
     }
     ++res.sweeps;
     if (!any_intent) res.converged = true;

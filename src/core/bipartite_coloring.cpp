@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "coloring/color_reduction.hpp"
 #include "coloring/linial.hpp"
@@ -39,6 +41,23 @@ std::int64_t color_leaf_part(const Graph& sub, std::vector<Color>& out,
   rounds += fin.rounds;
   out = fin.colors;
   return rounds;
+}
+
+/// The leaf-degree failure, actionable: which part broke the bound, by how
+/// much, and the β that set the bound.
+std::string leaf_bound_message(int part, int num_parts, int levels,
+                               int measured, int bound, ParamMode mode,
+                               double beta, double chi, int dbar) {
+  char nums[160];
+  std::snprintf(nums, sizeof nums, "β = %.3f (2·beta_of(χ = %.3f, Δ̄ = %d))",
+                beta, chi, dbar);
+  return "leaf part " + std::to_string(part) + " of " +
+         std::to_string(num_parts) + " (after " + std::to_string(levels) +
+         " split levels) has max edge degree " +
+         std::to_string(measured) + " > the analytic bound D_k = " +
+         std::to_string(bound) + "; params mode " +
+         (mode == ParamMode::kTheory ? "kTheory" : "kPractical") + " with " +
+         nums + " underestimated the split's additive error on this input";
 }
 
 }  // namespace
@@ -163,9 +182,11 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
     }
     if (members.empty()) continue;
     const Graph sub(g.num_nodes(), std::move(sub_edges));
-    DEC_CHECK(sub.max_edge_degree() <= res.leaf_degree_bound,
-              "leaf part exceeded the analytic degree bound D_k; "
-              "the mode's β underestimated the split error");
+    const int leaf_degree = sub.max_edge_degree();
+    DEC_CHECK(leaf_degree <= res.leaf_degree_bound,
+              leaf_bound_message(p, num_parts, k, leaf_degree,
+                                 res.leaf_degree_bound, mode, beta, chi,
+                                 dbar));
     RoundLedger local;
     std::vector<Color> sub_colors;
     leaf_rounds = std::max(

@@ -89,6 +89,7 @@ void SyncNetwork::bind_plan() {
   // Both mail halves; surviving tags are stale (at most the last write
   // epoch, below every future read epoch), like surviving slots.
   mail_.resize(2 * static_cast<std::size_t>(topo_->num_nodes()));
+  visit_tag_.resize(static_cast<std::size_t>(topo_->num_nodes()));
 
   const int num_shards = topo_->num_shards();
   if (static_cast<int>(shards_.size()) != num_shards) {
@@ -160,6 +161,11 @@ void SyncNetwork::reset() {
     sh.slab_b.reset();
     sh.touched.clear();
     sh.audit.reset();
+    // The lists name receivers of rounds before the reset; the first round
+    // after it has no mail to wake anyone for.
+    sh.recv[0].clear();
+    sh.recv[1].clear();
+    sh.visit.clear();
   }
 }
 
@@ -218,8 +224,11 @@ void SyncNetwork::begin_round() {
   // arenas can be rewound now that that round's reads are long done. Stale
   // slot payloads may dangle into the rewound arena, but a stale slot is
   // reset (reset_storage) before first use and never read through an Inbox.
+  // The receiver list of this round's parity still names the receivers of
+  // two rounds ago; nobody reads those again.
   for (Shard& sh : shards_) {
     (out_is_a_ ? sh.slab_a : sh.slab_b).reset();
+    sh.recv[epoch_ & 1u].clear();
   }
 }
 
@@ -232,10 +241,17 @@ void SyncNetwork::begin_round() {
 // tags the round stamped are zeroed with one sweep of its half, dense mark
 // included (error path only): its write epoch is reused by the re-executed
 // round — or, after reset(), becomes a read epoch — and must not report
-// phantom mail.
+// phantom mail. For the same reason the round's receiver appends are
+// dropped and its visit tags zeroed: a re-executed active round must collect
+// the same visit set, and a node still tagged with the reused epoch would
+// read as already collected and be skipped. Last round's receiver list (the
+// other parity) is never written during a round, so it is intact.
 void SyncNetwork::abort_round() {
   bool touched_any = false;
   for (Shard& sh : shards_) {
+    for (const NodeId v : sh.visit) visit_tag_[static_cast<std::size_t>(v)] = 0;
+    sh.visit.clear();
+    sh.recv[epoch_ & 1u].clear();
     touched_any = touched_any || !sh.touched.empty();
     if (format_ == SlotFormat::kWide) {
       for (const std::uint32_t s : sh.touched) {
@@ -286,8 +302,14 @@ void SyncNetwork::finish_round() {
 // the touched slot is the receiver's own and its peer is the sender-side
 // slot. Shards sending to one receiver store the same value concurrently, so
 // the store is a relaxed atomic: race-free, and a plain mov on x86.
+//
+// The tag read before the store deduplicates the receiver list within the
+// shard: a receiver is appended only by a stamp that found its tag stale.
+// Two shards racing on one receiver may both append it, which the visit
+// tags absorb.
 void SyncNetwork::stamp_mail(const std::vector<std::uint32_t>& touched,
-                             std::size_t shard_nodes, bool out_peer) {
+                             std::size_t shard_nodes, bool out_peer,
+                             std::vector<NodeId>& recv) {
   if (touched.empty()) return;  // also keeps a 0-node graph off neighbors(0)
   const std::uint32_t epoch = epoch_;
   if (touched.size() > shard_nodes) {
@@ -299,9 +321,57 @@ void SyncNetwork::stamp_mail(const std::vector<std::uint32_t>& touched,
   std::uint32_t* mail_w = mail_half(epoch);
   for (const std::uint32_t s : touched) {
     const NodeId to = adj[out_peer ? peer_slot_[s] : s].neighbor;
-    std::atomic_ref<std::uint32_t>(mail_w[static_cast<std::size_t>(to)])
-        .store(epoch, std::memory_order_relaxed);
+    std::atomic_ref<std::uint32_t> tag(mail_w[static_cast<std::size_t>(to)]);
+    if (tag.load(std::memory_order_relaxed) != epoch) {
+      tag.store(epoch, std::memory_order_relaxed);
+      recv.push_back(to);
+    }
   }
+}
+
+std::size_t SyncNetwork::collect_active(std::span<const NodeId> wake) {
+  const std::uint32_t epoch = epoch_;
+  const std::uint32_t read_parity = (epoch - 1) & 1u;
+  const std::size_t num_shards = shards_.size();
+  const NodeId n = topo_->num_nodes();
+  for (Shard& sh : shards_) sh.visit.clear();
+  std::size_t active = 0;
+  const auto add = [&](NodeId v) {
+    std::uint32_t& tag = visit_tag_[static_cast<std::size_t>(v)];
+    if (tag == epoch) return;
+    tag = epoch;
+    std::size_t s = 0;
+    while (shard_begin_[s + 1] <= v) ++s;  // a handful of shards: linear
+    shards_[s].visit.push_back(v);
+    ++active;
+  };
+  for (const NodeId v : wake) {
+    DEC_REQUIRE(v >= 0 && v < n, "active round: wake entry " +
+                                     std::to_string(v) +
+                                     " is not a node of this network");
+    add(v);
+  }
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    for (const NodeId v : shards_[s].recv[read_parity]) add(v);
+  }
+  // Id order: a short list is sorted; once sorting would cost more than
+  // one pass over the shard's tags (k · log k against the node count, with
+  // a sequential tag scan ~64× cheaper per node than a sort comparison),
+  // the list is rebuilt from the tags in id order instead.
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    std::vector<NodeId>& list = shards_[s].visit;
+    const NodeId lo = shard_begin_[s];
+    const NodeId hi = shard_begin_[s + 1];
+    if (list.size() * 64 < static_cast<std::size_t>(hi - lo)) {
+      std::sort(list.begin(), list.end());
+    } else {
+      list.clear();
+      for (NodeId v = lo; v < hi; ++v) {
+        if (visit_tag_[static_cast<std::size_t>(v)] == epoch) list.push_back(v);
+      }
+    }
+  }
+  return active;
 }
 
 NodeId SyncNetwork::node_of_slot(std::size_t slot) const {
@@ -325,6 +395,19 @@ void SyncNetwork::throw_width_violation(NodeId v, std::size_t slot,
   DEC_CHECK(false, msg);
   std::abort();  // unreachable: DEC_CHECK(false, ...) always throws
 }
+
+#ifdef DEC_FAULT_INJECTION
+void SyncNetwork::throw_active_contract(NodeId v) const {
+  const std::string msg =
+      "active-round contract violated: component '" + component_ +
+      "' round " + std::to_string(rounds_) + ", node " + std::to_string(v) +
+      " is outside wake ∪ last round's receivers but wrote its outbox — an "
+      "active round would have skipped it; wake it, or use the full-visit "
+      "round_fast(prog)";
+  DEC_CHECK(false, msg);
+  std::abort();  // unreachable: DEC_CHECK(false, ...) always throws
+}
+#endif
 
 void SyncNetwork::throw_single_plane_drain() const {
   const std::string msg =

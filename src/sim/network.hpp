@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -44,6 +45,7 @@
 #include "sim/slab.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/topology.hpp"
+#include "testing/fault_injection.hpp"
 
 namespace dec {
 
@@ -446,27 +448,32 @@ class SyncNetwork {
   /// plane existed.
   template <class F>
   void round_fast(F&& fn) {
-    constexpr bool narrow_ok =
-        std::is_invocable_v<F&, NodeId, const NarrowInbox&, NarrowOutbox&>;
-    constexpr bool wide_ok =
-        std::is_invocable_v<F&, NodeId, const Inbox&, Outbox&>;
-    static_assert(narrow_ok || wide_ok,
-                  "node program must accept (NodeId, const Inbox&, Outbox&) "
-                  "or (NodeId, const NarrowInbox&, NarrowOutbox&)");
-    if constexpr (narrow_ok) {
-      if (format_ == SlotFormat::kNarrow) {
-        round_as<NarrowSlot>(fn);
-        return;
-      }
-    }
-    if constexpr (wide_ok) {
-      DEC_REQUIRE(format_ == SlotFormat::kWide,
-                  "wide-only node program on a narrow-format network");
-      round_as<Message>(fn);
-      return;
-    }
-    DEC_REQUIRE(false, "narrow-only node program on a wide-format network");
+    on_slot_plane<F>([&]<class Slot>() { round_as<Slot>(fn); });
   }
+
+  /// Active-set round (docs/ARCHITECTURE.md "Active rounds"): visits only
+  /// `wake` ∪ {nodes that received mail last round}, each once, in id order
+  /// within its owning shard. `wake` may hold duplicates and any order.
+  /// Contract: every node outside that union must be a no-op for `fn` —
+  /// with no mail and no pending work it must neither write its outbox nor
+  /// change state — so the round is bit-identical to round_fast(fn): same
+  /// epoch bump, round count, ledger charge, audit and mail summary. An
+  /// empty union costs O(shards) and dispatches nothing. If some shard took
+  /// the dense-mark path last round (no receiver lists), every node is
+  /// visited.
+  template <class F>
+  void round_fast(F&& fn, std::span<const NodeId> wake) {
+    on_slot_plane<F>([&]<class Slot>() { round_active_as<Slot>(fn, wake); });
+  }
+
+  /// Active rounds with fewer visited nodes than this run on the caller
+  /// thread, shard by shard, instead of dispatching to the pool. It is the
+  /// measured pool barrier over the measured cost of one visit (26–51 µs,
+  /// `sim.barrier_us.sharded` on a 4-core host, over ~17 ns for a quiet
+  /// refine visit): below it the pool cannot win even with perfect scaling
+  /// (docs/ARCHITECTURE.md "Active rounds"). Not a knob; both paths are
+  /// bit-identical.
+  static constexpr std::size_t kPoolMinActiveNodes = 2048;
 
   /// Execute one round on a specific slot plane. Public so DiNetwork (whose
   /// box types wrap ours) can dispatch explicitly; solvers use round_fast.
@@ -474,16 +481,7 @@ class SyncNetwork {
   void round_as(F&& fn) {
     begin_round();
     try {
-      // The retained pool may carry more workers than the current plan has
-      // shards (it only ever grows across rebinds); surplus workers no-op.
-      const int num_shards = topo_->num_shards();
-      if (pool_ != nullptr && num_shards > 1) {
-        pool_->run([&](int shard) {
-          if (shard < num_shards) run_shard_as<Slot>(fn, shard);
-        });
-      } else {
-        run_shard_as<Slot>(fn, 0);
-      }
+      run_all_shards<Slot, false>(fn);
     } catch (...) {
       abort_round();  // roll back to the pre-round state, then rethrow
       throw;
@@ -575,10 +573,11 @@ class SyncNetwork {
   /// Heap bytes of this run state: the message buffer planes that exist
   /// (whichever format is active — the other's vectors stay at capacity 0;
   /// a single-plane state never sizes its `b` plane, so it counts exactly
-  /// one), the mail tags, per-shard spill arenas and touched lists. Excludes
-  /// the shared plan (NetworkTopology::memory_bytes) and the graph
-  /// (Graph::memory_bytes) — the three together are the per-node budget
-  /// docs/ARCHITECTURE.md "Graph storage & scale" tracks.
+  /// one), the mail and visit tags, and the per-shard spill arenas and
+  /// touched, receiver and visit lists. Excludes the shared plan
+  /// (NetworkTopology::memory_bytes) and the graph (Graph::memory_bytes) —
+  /// the three together are the per-node budget docs/ARCHITECTURE.md
+  /// "Graph storage & scale" tracks.
   std::size_t memory_bytes() const {
     std::size_t bytes =
         (buf_a_.capacity() + buf_b_.capacity()) * sizeof(Message) +
@@ -586,9 +585,12 @@ class SyncNetwork {
     for (const auto& sh : shards_) {
       bytes += sh.slab_a.capacity_bytes() + sh.slab_b.capacity_bytes();
       bytes += sh.touched.capacity() * sizeof(std::uint32_t);
+      bytes += (sh.recv[0].capacity() + sh.recv[1].capacity() +
+                sh.visit.capacity()) *
+               sizeof(NodeId);
     }
     bytes += shard_slot_begin_.capacity() * sizeof(std::size_t);
-    bytes += mail_.capacity() * sizeof(std::uint32_t);
+    bytes += (mail_.capacity() + visit_tag_.capacity()) * sizeof(std::uint32_t);
     return bytes;
   }
 
@@ -653,6 +655,109 @@ class SyncNetwork {
     return slab.at_index(spill);
   }
 
+  // Slot-plane dispatch shared by both round_fast overloads: a generic node
+  // program (e.g. a lambda taking `const auto&` / `auto&&` boxes) is
+  // invocable against both box families and runs on whichever plane this
+  // network carries; a program written against one concrete family
+  // requires the matching format. `run` is called as run.template
+  // operator()<Slot>().
+  template <class F, class Run>
+  void on_slot_plane(Run&& run) {
+    constexpr bool narrow_ok =
+        std::is_invocable_v<F&, NodeId, const NarrowInbox&, NarrowOutbox&>;
+    constexpr bool wide_ok =
+        std::is_invocable_v<F&, NodeId, const Inbox&, Outbox&>;
+    static_assert(narrow_ok || wide_ok,
+                  "node program must accept (NodeId, const Inbox&, Outbox&) "
+                  "or (NodeId, const NarrowInbox&, NarrowOutbox&)");
+    if constexpr (narrow_ok) {
+      if (format_ == SlotFormat::kNarrow) {
+        run.template operator()<NarrowSlot>();
+        return;
+      }
+    }
+    if constexpr (wide_ok) {
+      DEC_REQUIRE(format_ == SlotFormat::kWide,
+                  "wide-only node program on a narrow-format network");
+      run.template operator()<Message>();
+      return;
+    }
+    DEC_REQUIRE(false, "narrow-only node program on a wide-format network");
+  }
+
+  // Every shard over its whole node range (kActive = false) or over its
+  // collected visit list (kActive = true): on the pool when there is one
+  // and `use_pool`, else one after another on the caller thread — each
+  // shard under its own touched list, write slab and audit either way
+  // (narrow spill resolution finds a payload's slab from the slot's owning
+  // shard). The retained pool may carry more workers than the current plan
+  // has shards (it only ever grows across rebinds); surplus workers no-op.
+  template <class Slot, bool kActive, class F>
+  void run_all_shards(F& fn, bool use_pool = true) {
+    const int num_shards = topo_->num_shards();
+    if (use_pool && pool_ != nullptr && num_shards > 1) {
+      pool_->run([&](int shard) {
+        if (shard < num_shards) run_shard_as<Slot, kActive>(fn, shard);
+      });
+    } else {
+      for (int s = 0; s < num_shards; ++s) run_shard_as<Slot, kActive>(fn, s);
+    }
+  }
+
+  template <class Slot, class F>
+  void round_active_as(F& fn, std::span<const NodeId> wake) {
+    // A dense last round skipped its receiver lists: visit everyone.
+    if (mail_dense_[epoch_ & 1u] == epoch_) {
+      round_as<Slot>(fn);
+      return;
+    }
+    begin_round();
+    try {
+      const bool use_pool = collect_active(wake) >= kPoolMinActiveNodes;
+#ifdef DEC_FAULT_INJECTION
+      if (fault::full_visit_check()) {
+        run_checked_full_visit<Slot>(fn);
+      } else {
+        run_all_shards<Slot, true>(fn, use_pool);
+      }
+#else
+      run_all_shards<Slot, true>(fn, use_pool);
+#endif
+    } catch (...) {
+      abort_round();
+      throw;
+    }
+    finish_round();
+  }
+
+  /// Build this round's visit set: wake ∪ last round's receiver lists,
+  /// deduplicated by visit tag, split into per-shard lists by owning shard
+  /// and sorted into id order. Returns the number of nodes to visit.
+  std::size_t collect_active(std::span<const NodeId> wake);
+
+#ifdef DEC_FAULT_INJECTION
+  // Contract check for active rounds (fault::set_full_visit_check): visit
+  // every node, and throw if one outside the visit set writes its outbox.
+  // A skipped node that only changes local state is caught by comparing
+  // outputs against the active run.
+  template <class Slot, class F>
+  void run_checked_full_visit(F& fn) {
+    auto checked = [&]<class In, class Out>(NodeId v, const In& in, Out& out)
+      requires std::is_invocable_v<F&, NodeId, const In&, Out&>
+    {
+      if (visit_tag_[static_cast<std::size_t>(v)] == epoch_) {
+        fn(v, in, out);
+        return;
+      }
+      const std::size_t before = out.touched_->size();
+      fn(v, in, out);
+      if (out.touched_->size() != before) throw_active_contract(v);
+    };
+    run_all_shards<Slot, false>(checked);
+  }
+  [[noreturn]] void throw_active_contract(NodeId v) const;
+#endif
+
   // run_shard_impl's compile-time plane/parity variant: the double-plane
   // instantiation constructs its boxes with literal kNoHazardEpoch / null
   // rebind slab, so after inlining the single-plane tests in the box
@@ -660,18 +765,18 @@ class SyncNetwork {
   // two-plane hot path it was before plane modes existed.
   enum class ShardMode { kDoublePlane, kSingleEven, kSingleOdd };
 
-  template <class Slot, class F>
+  template <class Slot, bool kActive, class F>
   void run_shard_as(F& fn, int shard) {
     if (mode_ != PlaneMode::kSingle) {
-      run_shard_impl<Slot, ShardMode::kDoublePlane>(fn, shard);
+      run_shard_impl<Slot, ShardMode::kDoublePlane, kActive>(fn, shard);
     } else if (out_is_a_) {
-      run_shard_impl<Slot, ShardMode::kSingleEven>(fn, shard);
+      run_shard_impl<Slot, ShardMode::kSingleEven, kActive>(fn, shard);
     } else {
-      run_shard_impl<Slot, ShardMode::kSingleOdd>(fn, shard);
+      run_shard_impl<Slot, ShardMode::kSingleOdd, kActive>(fn, shard);
     }
   }
 
-  template <class Slot, ShardMode kMode, class F>
+  template <class Slot, ShardMode kMode, bool kActive, class F>
   void run_shard_impl(F& fn, int shard) {
     Shard& sh = shards_[static_cast<std::size_t>(shard)];
     const std::uint32_t write_epoch = epoch_;
@@ -693,7 +798,16 @@ class SyncNetwork {
     // dense-round mark); this round's half is stamped by stamp_mail below.
     const std::uint32_t* mail_r = mail_half(read_epoch);
     const bool dense = mail_dense_[read_epoch & 1u] == read_epoch;
-    for (NodeId v = vbegin; v < vend; ++v) {
+    // The full visit walks the shard's node range; an active round walks
+    // its visit list. kActive is a template constant, so the full-visit
+    // instantiation compiles to the plain range loop.
+    const NodeId* const list = kActive ? sh.visit.data() : nullptr;
+    const std::size_t count = kActive
+                                  ? sh.visit.size()
+                                  : static_cast<std::size_t>(vend - vbegin);
+    for (std::size_t j = 0; j < count; ++j) {
+      const NodeId v =
+          kActive ? list[j] : vbegin + static_cast<NodeId>(j);
       const std::size_t lo = offsets_[static_cast<std::size_t>(v)];
       const std::size_t deg = offsets_[static_cast<std::size_t>(v) + 1] - lo;
       const bool any =
@@ -771,17 +885,22 @@ class SyncNetwork {
         }
       }
     }
-    stamp_mail(sh.touched, static_cast<std::size_t>(vend - vbegin), out_peer);
+    stamp_mail(sh.touched, static_cast<std::size_t>(vend - vbegin), out_peer,
+               sh.recv[write_epoch & 1u]);
   }
 
   /// Record this shard's sends in the mail summary: stamp the receiver of
   /// every touched slot in this round's half of the tags, or — when the
   /// shard sent more messages than it has nodes — mark the whole round
-  /// dense instead. Out of line on purpose: inlined into run_shard_impl,
-  /// the atomic store made the compiler reload round state around it and
-  /// cost all-send rounds ~2x; here it is a four-instruction loop.
+  /// dense instead. The first stamp this shard makes for a receiver also
+  /// appends it to `recv`, the shard's receiver list for this round's
+  /// parity (the next active round's visit set); the dense path appends
+  /// nothing. Out of line on purpose: inlined into run_shard_impl, the
+  /// atomic store made the compiler reload round state around it and cost
+  /// all-send rounds ~2x.
   void stamp_mail(const std::vector<std::uint32_t>& touched,
-                  std::size_t shard_nodes, bool out_peer);
+                  std::size_t shard_nodes, bool out_peer,
+                  std::vector<NodeId>& recv);
 
   /// Owning node of a global slot index (binary search over the CSR
   /// offsets). Error-path only — never on the hot path.
@@ -796,6 +915,14 @@ class SyncNetwork {
     MessageSlab slab_a, slab_b;  // spill arenas for buf_a_ / buf_b_ slots
     std::vector<std::uint32_t> touched;
     CongestAudit audit;
+    // Receivers this shard's sends stamped, per write-epoch parity: the
+    // round writing e fills recv[e & 1] (cleared by its begin_round) while
+    // an active round reads the previous round's recv[(e - 1) & 1]. May
+    // repeat a node another shard also listed; the visit tags dedupe.
+    std::vector<NodeId> recv[2];
+    // This active round's visit set restricted to the shard's own nodes,
+    // in id order (collect_active).
+    std::vector<NodeId> visit;
   };
 
   const Graph* g_;
@@ -814,9 +941,11 @@ class SyncNetwork {
   // Write epoch of the round in progress. Monotonic across reset()/rebind()
   // (never rewound past construction), so stale slot tags from earlier runs
   // can never equal a future read epoch. uint32 wrap would take 4G rounds on
-  // one run state; regarded as unreachable. The mail tags and dense marks
-  // below share this epoch domain: any wrap renormalization that zeroes slot
-  // tags must zero them too.
+  // one run state; regarded as unreachable. The mail tags, dense marks and
+  // visit tags below share this epoch domain: any wrap renormalization that
+  // zeroes slot tags must zero them too, and clear the per-shard receiver
+  // lists (a list left over from before the wrap would name stale
+  // receivers).
   std::uint32_t epoch_ = 0;
   // Mail summary: two parity halves of per-node epoch tags (2 × num_nodes).
   // Half (e & 1) holds "some neighbor sent to v in the round writing e"; a
@@ -832,6 +961,10 @@ class SyncNetwork {
   // A round that dense leaves few receivers quiet, and the stamps would be
   // pure overhead on the all-send path.
   std::uint32_t mail_dense_[2] = {0, 0};
+  // Active-round visit tags, one per node: visit_tag_[v] == e means v is
+  // already in the visit set of the round writing e. Stale tags need no
+  // sweep, like stale slots; abort_round zeroes the aborted round's.
+  std::vector<std::uint32_t> visit_tag_;
 
   // Exactly one plane pair is sized, per format_; the other stays at
   // capacity 0. Keeping both as plain members (rather than templating the

@@ -74,6 +74,21 @@ std::int64_t fired(const std::string& point) {
   return it == points.end() ? 0 : it->second.fired;
 }
 
+namespace {
+std::atomic<bool>& full_visit_flag() {
+  static std::atomic<bool> flag{false};
+  return flag;
+}
+}  // namespace
+
+void set_full_visit_check(bool on) {
+  full_visit_flag().store(on, std::memory_order_relaxed);
+}
+
+bool full_visit_check() {
+  return full_visit_flag().load(std::memory_order_relaxed);
+}
+
 bool enabled() {
   return armed_count().load(std::memory_order_relaxed) != 0;
 }

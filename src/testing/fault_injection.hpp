@@ -25,6 +25,9 @@
 //   "service.worker" — SolverService worker, between job pickup and
 //                     execution (artificial latency / transient pre-flight
 //                     failures without touching round state)
+//
+// Besides the points, the same build flavor carries the active-round
+// contract check (set_full_visit_check below).
 #pragma once
 
 #include <chrono>
@@ -69,6 +72,21 @@ std::int64_t fired(const std::string& point);
 
 /// True while any plan is armed (relaxed; the fast path of every site).
 bool enabled();
+
+/// Active-round contract check. While on, every SyncNetwork active round
+/// (round_fast(prog, wake)) visits EVERY node instead of its visit set, and
+/// a node outside wake ∪ last round's receivers that writes its outbox
+/// throws CheckError. It is the full-visit side of the active-vs-full
+/// equivalence suites: outputs, audits and rounds must match the active
+/// run exactly. Only DEC_FAULT_INJECTION builds consult the flag
+/// (kFullVisitCheckCompiled); other builds keep the plain active path.
+void set_full_visit_check(bool on);
+bool full_visit_check();
+#ifdef DEC_FAULT_INJECTION
+inline constexpr bool kFullVisitCheckCompiled = true;
+#else
+inline constexpr bool kFullVisitCheckCompiled = false;
+#endif
 
 /// Site entry, called by DEC_FAULT_POINT. May throw TransientError or
 /// std::bad_alloc, sleep, or cancel `token` (null is fine — a kCancel plan

@@ -1,11 +1,14 @@
 // Simulator tests: ledger accounting, message bit accounting, SyncNetwork
 // delivery semantics (synchrony, per-edge channels, audit), the flat slot
-// plane (slab spill, peer pairing), and serial-vs-parallel equivalence.
+// plane (slab spill, peer pairing), serial-vs-parallel equivalence, the mail
+// summary, and active-set rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -750,6 +753,393 @@ TEST(MailSummary, MemoryBytesCountsTags) {
   // Two 4 B tags per node on top of the 16 B/slot plane (2 slots/node).
   EXPECT_GE(net.memory_bytes(),
             100 * (2 * sizeof(NarrowSlot) + 2 * sizeof(std::uint32_t)));
+}
+
+// ---------------------------------------------------------------------------
+// Active rounds: round_fast(prog, wake) visits wake ∪ last round's receivers.
+
+// Nodes that act on any incident edge in round r of the mail script.
+std::vector<char> script_senders(const Graph& g, std::uint64_t seed, int r) {
+  std::vector<char> out(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const auto& inc : g.neighbors(v)) {
+      if (mail_action(seed, r, v, inc.edge) != 0) {
+        out[static_cast<std::size_t>(v)] = 1;
+      }
+    }
+  }
+  return out;
+}
+
+// Nodes some neighbor acted towards in round r - 1 (touch-then-clear
+// included: the stamp is conservative), i.e. round r's receivers.
+std::vector<char> script_receivers(const Graph& g, std::uint64_t seed,
+                                   int r) {
+  std::vector<char> out(static_cast<std::size_t>(g.num_nodes()), 0);
+  if (r == 0) return out;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const auto& inc : g.neighbors(v)) {
+      if (mail_action(seed, r - 1, inc.neighbor, inc.edge) != 0) {
+        out[static_cast<std::size_t>(v)] = 1;
+      }
+    }
+  }
+  return out;
+}
+
+enum class WakePolicy {
+  kSenders,     // wake every sender of the round (overlaps receivers)
+  kMinimal,     // wake only senders that are not receivers
+  kDuplicates,  // senders reversed, then again, plus some receivers
+};
+
+// One script round as an active round. Visits are counted per node and
+// must be exactly wake ∪ receivers; inboxes are audited as in mail_round.
+void active_mail_round(SyncNetwork& net, const Graph& g, std::uint64_t seed,
+                       int r, WakePolicy policy, std::vector<int>* bad) {
+  const std::vector<char> senders = script_senders(g, seed, r);
+  const std::vector<char> receivers = script_receivers(g, seed, r);
+  std::vector<NodeId> wake;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::size_t i = static_cast<std::size_t>(v);
+    if (senders[i] && (policy != WakePolicy::kMinimal || !receivers[i])) {
+      wake.push_back(v);
+    }
+  }
+  if (policy == WakePolicy::kDuplicates) {
+    std::vector<NodeId> dup(wake.rbegin(), wake.rend());
+    dup.insert(dup.end(), wake.begin(), wake.end());
+    for (NodeId v = 0; v < g.num_nodes(); v += 7) {
+      if (receivers[static_cast<std::size_t>(v)]) dup.push_back(v);
+    }
+    wake = std::move(dup);
+  }
+  std::vector<char> expected = receivers;
+  for (const NodeId v : wake) expected[static_cast<std::size_t>(v)] = 1;
+  std::vector<int> visits(static_cast<std::size_t>(g.num_nodes()), 0);
+  net.round_fast(
+      [&](NodeId v, const auto& in, auto&& out) {
+        ++visits[static_cast<std::size_t>(v)];
+        const auto nb = g.neighbors(v);
+        int& b = (*bad)[static_cast<std::size_t>(v)];
+        bool touched = false;
+        for (std::size_t i = 0; i < nb.size(); ++i) {
+          const int a = r == 0 ? 0 : mail_action(seed, r - 1, nb[i].neighbor,
+                                                 nb[i].edge);
+          touched = touched || a != 0;
+          const std::size_t want = a == 1 ? 1 : a == 2 ? kSpillFields : 0;
+          if (in[i].size() != want) ++b;
+          if (want > 0 && in[i].at(want - 1) != nb[i].neighbor) ++b;
+        }
+        if (in.any() != touched) ++b;
+        for (std::size_t i = 0; i < nb.size(); ++i) {
+          const int a = mail_action(seed, r, v, nb[i].edge);
+          if (a == 0) continue;
+          auto&& m = out[i];
+          if (a == 1) m.assign({v});
+          if (a == 2) {
+            for (std::size_t k = 0; k < kSpillFields; ++k) m.push(v);
+          }
+          if (a == 3) {
+            m.assign({v});
+            m.clear();
+          }
+        }
+      },
+      wake);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::size_t i = static_cast<std::size_t>(v);
+    if (visits[i] != expected[i]) ++(*bad)[i];
+  }
+}
+
+struct RunSummary {
+  std::int64_t rounds, messages, ledger;
+  int max_bits;
+  bool operator==(const RunSummary&) const = default;
+};
+
+RunSummary summarize(const SyncNetwork& net, const RoundLedger& ledger) {
+  return {net.rounds_executed(), net.audit().messages_sent(),
+          ledger.total(), net.audit().max_bits()};
+}
+
+TEST(ActiveRound, VisitsWakeUnionReceiversBitIdenticalToFullVisit) {
+  Rng rng(61);
+  const Graph g = gen::random_regular(300, 8, rng);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      for (const WakePolicy policy : {WakePolicy::kSenders,
+                                      WakePolicy::kMinimal,
+                                      WakePolicy::kDuplicates}) {
+        RoundLedger full_ledger, active_ledger;
+        SyncNetwork full(g, &full_ledger, "mail", threads, plan);
+        SyncNetwork active(g, &active_ledger, "mail", threads, plan);
+        std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+        std::int64_t quiet = 0;
+        for (int r = 0; r < 7; ++r) {
+          mail_round(full, g, 23, r, &bad, &quiet);
+          active_mail_round(active, g, 23, r, policy, &bad);
+        }
+        EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+            << "format " << static_cast<int>(plan.format) << " mode "
+            << static_cast<int>(plan.mode) << " threads " << threads
+            << " policy " << static_cast<int>(policy);
+        EXPECT_EQ(summarize(full, full_ledger),
+                  summarize(active, active_ledger));
+      }
+    }
+  }
+}
+
+TEST(ActiveRound, DensePreviousRoundFallsBackToFullVisit) {
+  Rng rng(62);
+  const Graph g = gen::random_regular(120, 6, rng);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      SyncNetwork net(g, nullptr, "mail", threads, plan);
+      std::vector<int> visits(static_cast<std::size_t>(g.num_nodes()), 0);
+      const auto count = [&](NodeId v, const auto&, auto&&) {
+        ++visits[static_cast<std::size_t>(v)];
+      };
+      // An all-send round goes dense: no receiver lists were kept, so the
+      // next active round must visit every node even with nothing awake.
+      net.round_fast([](NodeId v, const auto&, auto&& out) {
+        for (auto&& m : out) m.assign({v});
+      });
+      net.round_fast(count, std::span<const NodeId>{});
+      EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), g.num_nodes());
+      // That round sent nothing, so the one after it visits nobody.
+      net.round_fast(count, std::span<const NodeId>{});
+      EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), g.num_nodes());
+      EXPECT_EQ(net.rounds_executed(), 3);
+    }
+  }
+}
+
+// Spilled payloads written by one shard and read by another, on the pool
+// path (a visit set past kPoolMinActiveNodes) and on the serial fallback:
+// fallback writers must run under their owning shard's write slab, or
+// narrow spill resolution reads another shard's arena.
+TEST(ActiveRound, SpilledPayloadsCrossShardsOnPoolAndSerialPaths) {
+  Rng rng(63);
+  const Graph g = gen::random_regular(6000, 4, rng);
+  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+  const auto payload = [](NodeId v, std::size_t k) {
+    return static_cast<std::int64_t>(v) * 16 + static_cast<std::int64_t>(k);
+  };
+  const auto send_spilled = [&](NodeId v, auto&& m) {
+    for (std::size_t k = 0; k < kSpillFields; ++k) m.push(payload(v, k));
+  };
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      SyncNetwork net(g, nullptr, "spill", threads, plan);
+      const std::thread::id caller = std::this_thread::get_id();
+      std::vector<int> bad(n, 0);
+      std::vector<char> visited(n, 0), off_caller(n, 0), sent(n, 0);
+      // One active round with nothing woken: every visited node checks the
+      // payloads of last round's senders (`sent` on entry) and, when
+      // `reply(v)`, answers on all its edges. Returns the visit count.
+      const auto active_round = [&](const auto& from, const auto& reply) {
+        std::fill(visited.begin(), visited.end(), 0);
+        std::fill(off_caller.begin(), off_caller.end(), 0);
+        std::vector<char> next(n, 0);
+        net.round_fast(
+            [&](NodeId v, const auto& in, auto&& out) {
+              const std::size_t vi = static_cast<std::size_t>(v);
+              visited[vi] = 1;
+              off_caller[vi] = std::this_thread::get_id() != caller;
+              const auto nb = g.neighbors(v);
+              bool any = false;
+              for (std::size_t i = 0; i < nb.size(); ++i) {
+                const NodeId u = nb[i].neighbor;
+                const bool got = from(u, v);
+                any = any || got;
+                if (in[i].size() != (got ? kSpillFields : 0)) {
+                  ++bad[vi];
+                  continue;
+                }
+                for (std::size_t k = 0; k < in[i].size(); ++k) {
+                  if (in[i].at(k) != payload(u, k)) ++bad[vi];
+                }
+              }
+              if (!any) ++bad[vi];  // visited without mail or a wake
+              if (reply(v)) {
+                next[vi] = 1;
+                for (auto&& m : out) send_spilled(v, m);
+              }
+            },
+            std::span<const NodeId>{});
+        sent = std::move(next);
+        return std::count(visited.begin(), visited.end(), 1);
+      };
+      const auto from_sent = [&](NodeId u, NodeId) {
+        return sent[static_cast<std::size_t>(u)] != 0;
+      };
+      // Round 0 (full visit): every node sends a spilled payload to its
+      // first neighbor only — one message per node, so no shard goes dense.
+      net.round_fast([&](NodeId v, const auto&, auto&& out) {
+        send_spilled(v, out[0]);
+      });
+      // Round 1: ~63% of the nodes are somebody's first neighbor, well past
+      // the pool threshold; every 40th receiver answers.
+      const auto n1 = active_round(
+          [&](NodeId u, NodeId v) { return g.neighbors(u)[0].neighbor == v; },
+          [](NodeId v) { return v % 40 == 0; });
+      EXPECT_GE(n1, static_cast<std::ptrdiff_t>(SyncNetwork::kPoolMinActiveNodes));
+      if (threads > 1) {
+        EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), n1);
+      }
+      // Round 2: a few hundred receivers, on the caller thread — and every
+      // one of them writes spilled payloads to neighbors in other shards.
+      const auto n2 = active_round(from_sent, [](NodeId) { return true; });
+      EXPECT_GT(n2, 100);
+      EXPECT_LT(n2, static_cast<std::ptrdiff_t>(SyncNetwork::kPoolMinActiveNodes));
+      EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
+      // Round 3 reads what the serial fallback wrote.
+      const auto n3 = active_round(from_sent, [](NodeId) { return false; });
+      EXPECT_GT(n3, n2);
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+          << "format " << static_cast<int>(plan.format) << " mode "
+          << static_cast<int>(plan.mode) << " threads " << threads;
+    }
+  }
+}
+
+TEST(ActiveRound, FirstRoundAfterResetAndRebindVisitsOnlyWake) {
+  Rng rng(64);
+  const Graph small = gen::random_regular(40, 4, rng);
+  const Graph large = gen::random_regular(120, 6, rng);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      SyncNetwork net(small, nullptr, "mail", threads, plan);
+      std::vector<int> bad(static_cast<std::size_t>(large.num_nodes()), 0);
+      for (int r = 0; r < 3; ++r) {
+        active_mail_round(net, small, 29, r, WakePolicy::kMinimal, &bad);
+      }
+      // Round 2 sent mail, but the reset discards it: script round 0
+      // expects no receivers, and the visit check catches any leftover.
+      net.reset();
+      for (int r = 0; r < 3; ++r) {
+        active_mail_round(net, small, 31, r, WakePolicy::kMinimal, &bad);
+      }
+      net.rebind(large, NetworkTopology::plan(large, threads), nullptr,
+                 "mail", plan);
+      for (int r = 0; r < 3; ++r) {
+        active_mail_round(net, large, 37, r, WakePolicy::kDuplicates, &bad);
+      }
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes())
+          << "format " << static_cast<int>(plan.format) << " mode "
+          << static_cast<int>(plan.mode) << " threads " << threads;
+    }
+  }
+}
+
+TEST(ActiveRound, AbortedRoundReexecutesWithTheSameVisitSet) {
+  Rng rng(65);
+  const Graph g = gen::random_regular(120, 6, rng);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      SyncNetwork net(g, nullptr, "mail", threads, plan);
+      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+      active_mail_round(net, g, 41, 0, WakePolicy::kSenders, &bad);
+      // Script round 1's visit set, aborted: a double plane writes every
+      // slot first (the rollback un-stamps them); a single plane throws
+      // before writing, since a mid-round write there poisons the network.
+      const std::vector<char> senders = script_senders(g, 41, 1);
+      std::vector<NodeId> wake;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (senders[static_cast<std::size_t>(v)]) wake.push_back(v);
+      }
+      const bool write_first = plan.mode == PlaneMode::kDouble;
+      EXPECT_THROW(net.round_fast(
+                       [&](NodeId v, const auto&, auto&& out) {
+                         if (write_first) {
+                           for (auto&& m : out) m.assign({-1});
+                         }
+                         DEC_CHECK(v < 0, "boom mid-round");
+                       },
+                       wake),
+                   CheckError);
+      EXPECT_EQ(net.rounds_executed(), 1);
+      // Re-executing round 1 must visit exactly wake ∪ round 0's receivers
+      // and deliver round 0's payloads, then round 2 runs on as usual.
+      for (int r = 1; r < 3; ++r) {
+        active_mail_round(net, g, 41, r, WakePolicy::kSenders, &bad);
+      }
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+          << "format " << static_cast<int>(plan.format) << " mode "
+          << static_cast<int>(plan.mode) << " threads " << threads;
+    }
+  }
+}
+
+TEST(ActiveRound, IsolatedNodesEmptyGraphAndEmptyUnion) {
+  GraphBuilder b(6);
+  b.add_edge(1, 2);
+  const Graph g = std::move(b).build();
+  const Graph empty = gen::empty(0);
+  for (const SlotPlan& plan : mail_plans()) {
+    for (const int threads : {1, 2, 4}) {
+      RoundLedger ledger;
+      SyncNetwork net(g, &ledger, "active", threads, plan);
+      std::vector<int> visits(6, 0);
+      const auto send_all = [&](NodeId v, const auto&, auto&& out) {
+        ++visits[static_cast<std::size_t>(v)];
+        for (auto&& m : out) m.assign({v});
+      };
+      // Isolated node 4 and edge endpoint 1 woken: 1 sends to 2.
+      const std::vector<NodeId> wake = {4, 1, 4};
+      net.round_fast(send_all, wake);
+      EXPECT_EQ(visits, (std::vector<int>{0, 1, 0, 0, 1, 0}));
+      // Nothing woken: only 2 (1's receiver) runs, and answers.
+      net.round_fast(send_all, std::span<const NodeId>{});
+      EXPECT_EQ(visits, (std::vector<int>{0, 1, 1, 0, 1, 0}));
+      // Only 1 received; it stays silent, so the next union is empty.
+      net.round_fast([&](NodeId v, const auto&, auto&&) {
+        ++visits[static_cast<std::size_t>(v)];
+      }, std::span<const NodeId>{});
+      EXPECT_EQ(visits, (std::vector<int>{0, 2, 1, 0, 1, 0}));
+      // An empty union still charges exactly one round and sends nothing.
+      const std::int64_t msgs = net.audit().messages_sent();
+      net.round_fast(send_all, std::span<const NodeId>{});
+      EXPECT_EQ(visits, (std::vector<int>{0, 2, 1, 0, 1, 0}));
+      EXPECT_EQ(net.rounds_executed(), 4);
+      EXPECT_EQ(ledger.component("active"), 4);
+      EXPECT_EQ(net.audit().messages_sent(), msgs);
+      // Out-of-range wake entries are rejected, not dereferenced.
+      const std::vector<NodeId> bogus = {6};
+      EXPECT_THROW(net.round_fast(send_all, bogus), CheckError);
+      EXPECT_EQ(net.rounds_executed(), 4);
+
+      RoundLedger empty_ledger;
+      SyncNetwork none(empty, &empty_ledger, "active", threads, plan);
+      int calls = 0;
+      none.round_fast([&](NodeId, const auto&, auto&&) { ++calls; },
+                      std::span<const NodeId>{});
+      EXPECT_EQ(calls, 0);
+      EXPECT_EQ(none.rounds_executed(), 1);
+      EXPECT_EQ(empty_ledger.component("active"), 1);
+    }
+  }
+}
+
+TEST(ActiveRound, MemoryBytesCountsVisitState) {
+  const Graph g = gen::cycle(100);
+  SyncNetwork net(g, nullptr, "mail", 1,
+                  SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle});
+  // Two mail tags and one visit tag per node on top of the plane.
+  EXPECT_GE(net.memory_bytes(),
+            100 * (2 * sizeof(NarrowSlot) + 3 * sizeof(std::uint32_t)));
+  const std::size_t before = net.memory_bytes();
+  // A sparse round grows the receiver list; the next active round grows
+  // the visit list. Both are counted.
+  net.round_fast([](NodeId v, const auto&, auto&& out) {
+    if (v % 2 == 0) out[0].assign({v});
+  });
+  net.round_fast([](NodeId, const auto&, auto&&) {},
+                 std::span<const NodeId>{});
+  EXPECT_GT(net.memory_bytes(), before);
 }
 
 }  // namespace
