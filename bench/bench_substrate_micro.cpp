@@ -230,39 +230,67 @@ void BM_NetworkRoundSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundSparse)->Arg(1000)->Arg(10000);
 
-// BM_NetworkRoundSparse's traffic through active rounds: the 1% of senders
-// are woken, and the substrate visits only them and last round's receivers
-// (round_fast(prog, wake)), so a round costs O(senders · degree), not O(n).
-// Items stay n per round, as in Sparse, so the two rows compare directly.
+// Active rounds against the full visit on a refine-like program: 16 fixed
+// senders (independent of n) announce every round, and every visited node
+// folds its mail into a per-edge neighbor-color cache and rescans that
+// cache for its defect, as refine's quiet visit does. The defect is
+// recomputed, not accumulated, so a node with no mail is a no-op and the
+// active round (second arg 1: round_fast(prog, wake = senders)) may skip
+// it; second arg 0 runs the same program as a full visit. Items are n per
+// round on both, so items/s compares directly: the full visit's time grows
+// with n, the active round's with the senders' neighborhoods.
 void BM_NetworkRoundActive(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
+  const bool active = state.range(1) != 0;
   SyncNetwork net(g, nullptr, "network", 1,
                   SlotPlan{SlotFormat::kNarrow, 1});
-  std::vector<std::int64_t> acc(static_cast<std::size_t>(g.num_nodes()), 0);
-  std::vector<NodeId> senders;
-  for (NodeId v = 0; v < g.num_nodes(); v += 100) senders.push_back(v);
-  for (auto _ : state) {
-    net.round_fast(
-        [&](NodeId v, const auto& in, auto&& out) {
-          if (in.any()) {
-            for (std::size_t i = 0; i < in.size(); ++i) {
-              if (!in[i].empty()) {
-                acc[static_cast<std::size_t>(v)] += in[i].at(0);
-              }
-            }
-          }
-          if (v % 100 == 0) {
-            for (auto&& m : out) m.assign({v});
-          }
-        },
-        senders);
+  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<std::int64_t> cache(2 * static_cast<std::size_t>(g.num_edges()),
+                                  -1);
+  std::vector<std::size_t> first(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    first[v + 1] = first[v] + g.neighbors(static_cast<NodeId>(v)).size();
   }
-  benchmark::DoNotOptimize(acc.data());
+  std::vector<std::int64_t> defect(n, 0);
+  constexpr NodeId kSenders = 16;
+  std::vector<NodeId> senders;
+  for (NodeId k = 0; k < kSenders; ++k) {
+    senders.push_back(k * (g.num_nodes() / kSenders));
+  }
+  std::vector<char> is_sender(n, 0);
+  for (const NodeId v : senders) is_sender[static_cast<std::size_t>(v)] = 1;
+  const auto prog = [&](NodeId v, const auto& in, auto&& out) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    std::int64_t* c = cache.data() + first[vi];
+    if (in.any()) {
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        if (!in[i].empty()) c[i] = in[i].at(0);
+      }
+    }
+    std::int64_t d = 0;
+    for (std::size_t i = 0; i < in.size(); ++i) d += c[i] == v % 4;
+    defect[vi] = d;
+    if (is_sender[vi]) {
+      for (auto&& m : out) m.assign({v % 4});
+    }
+  };
+  for (auto _ : state) {
+    if (active) {
+      net.round_fast(prog, senders);
+    } else {
+      net.round_fast(prog);
+    }
+  }
+  benchmark::DoNotOptimize(defect.data());
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }
-BENCHMARK(BM_NetworkRoundActive)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_NetworkRoundActive)
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1});
 
 // BM_NetworkRoundFast with an installed (never-tripping) CancelToken: the
 // cost of the relaxed aborted() load the barrier pays per round when a

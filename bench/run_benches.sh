@@ -16,9 +16,10 @@
 # 5 repetitions and print the probe median (advisory — it labels flags as
 # CONFIRMED or probable noise, never changes the verdict).
 #
-# Every BENCH_*.json is stamped with a run_metadata block (git sha, nproc,
-# 1/5/15-min loadavg, hostname) so a recorded number can always be traced to
-# the commit and box conditions that produced it.
+# Every BENCH_*.json is stamped with a run_metadata block (git sha, whether
+# tracked files had uncommitted changes, nproc, 1/5/15-min loadavg, hostname)
+# so a recorded number can always be traced to the commit and box conditions
+# that produced it.
 #
 # Usage: bench/run_benches.sh [build_dir] [out_dir]
 #   build_dir: CMake build tree containing the bench binaries (default: build)
@@ -50,11 +51,17 @@ with open(path) as f:
 try:
     sha = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
                          text=True, check=True).stdout.strip()
+    # Uncommitted changes to tracked files mean the numbers came from a
+    # tree that git_sha does not name.
+    dirty = subprocess.run(["git", "status", "--porcelain",
+                            "--untracked-files=no"], capture_output=True,
+                           text=True, check=True).stdout.strip() != ""
 except Exception:
-    sha = "unknown"
+    sha, dirty = "unknown", None
 load1, load5, load15 = os.getloadavg()
 data["run_metadata"] = {
     "git_sha": sha,
+    "git_dirty": dirty,
     "nproc": os.cpu_count(),
     "loadavg_1m": load1,
     "loadavg_5m": load5,

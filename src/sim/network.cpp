@@ -329,13 +329,11 @@ void SyncNetwork::stamp_mail(const std::vector<std::uint32_t>& touched,
   }
 }
 
-std::size_t SyncNetwork::collect_active(std::span<const NodeId> wake) {
+void SyncNetwork::collect_active(std::span<const NodeId> wake) {
   const std::uint32_t epoch = epoch_;
   const std::uint32_t read_parity = (epoch - 1) & 1u;
-  const std::size_t num_shards = shards_.size();
   const NodeId n = topo_->num_nodes();
   for (Shard& sh : shards_) sh.visit.clear();
-  std::size_t active = 0;
   const auto add = [&](NodeId v) {
     std::uint32_t& tag = visit_tag_[static_cast<std::size_t>(v)];
     if (tag == epoch) return;
@@ -343,7 +341,6 @@ std::size_t SyncNetwork::collect_active(std::span<const NodeId> wake) {
     std::size_t s = 0;
     while (shard_begin_[s + 1] <= v) ++s;  // a handful of shards: linear
     shards_[s].visit.push_back(v);
-    ++active;
   };
   for (const NodeId v : wake) {
     DEC_REQUIRE(v >= 0 && v < n, "active round: wake entry " +
@@ -351,27 +348,9 @@ std::size_t SyncNetwork::collect_active(std::span<const NodeId> wake) {
                                      " is not a node of this network");
     add(v);
   }
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (const NodeId v : shards_[s].recv[read_parity]) add(v);
+  for (const Shard& sh : shards_) {
+    for (const NodeId v : sh.recv[read_parity]) add(v);
   }
-  // Id order: a short list is sorted; once sorting would cost more than
-  // one pass over the shard's tags (k · log k against the node count, with
-  // a sequential tag scan ~64× cheaper per node than a sort comparison),
-  // the list is rebuilt from the tags in id order instead.
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    std::vector<NodeId>& list = shards_[s].visit;
-    const NodeId lo = shard_begin_[s];
-    const NodeId hi = shard_begin_[s + 1];
-    if (list.size() * 64 < static_cast<std::size_t>(hi - lo)) {
-      std::sort(list.begin(), list.end());
-    } else {
-      list.clear();
-      for (NodeId v = lo; v < hi; ++v) {
-        if (visit_tag_[static_cast<std::size_t>(v)] == epoch) list.push_back(v);
-      }
-    }
-  }
-  return active;
 }
 
 NodeId SyncNetwork::node_of_slot(std::size_t slot) const {

@@ -452,8 +452,9 @@ class SyncNetwork {
   }
 
   /// Active-set round (docs/ARCHITECTURE.md "Active rounds"): visits only
-  /// `wake` ∪ {nodes that received mail last round}, each once, in id order
-  /// within its owning shard. `wake` may hold duplicates and any order.
+  /// `wake` ∪ {nodes that received mail last round}, each once, on the
+  /// caller thread and under its owning shard. `wake` may hold duplicates
+  /// and any order; the visit order is unspecified.
   /// Contract: every node outside that union must be a no-op for `fn` —
   /// with no mail and no pending work it must neither write its outbox nor
   /// change state — so the round is bit-identical to round_fast(fn): same
@@ -465,15 +466,6 @@ class SyncNetwork {
   void round_fast(F&& fn, std::span<const NodeId> wake) {
     on_slot_plane<F>([&]<class Slot>() { round_active_as<Slot>(fn, wake); });
   }
-
-  /// Active rounds with fewer visited nodes than this run on the caller
-  /// thread, shard by shard, instead of dispatching to the pool. It is the
-  /// measured pool barrier over the measured cost of one visit (26–51 µs,
-  /// `sim.barrier_us.sharded` on a 4-core host, over ~17 ns for a quiet
-  /// refine visit): below it the pool cannot win even with perfect scaling
-  /// (docs/ARCHITECTURE.md "Active rounds"). Not a knob; both paths are
-  /// bit-identical.
-  static constexpr std::size_t kPoolMinActiveNodes = 2048;
 
   /// Execute one round on a specific slot plane. Public so DiNetwork (whose
   /// box types wrap ours) can dispatch explicitly; solvers use round_fast.
@@ -685,17 +677,18 @@ class SyncNetwork {
     DEC_REQUIRE(false, "narrow-only node program on a wide-format network");
   }
 
-  // Every shard over its whole node range (kActive = false) or over its
-  // collected visit list (kActive = true): on the pool when there is one
-  // and `use_pool`, else one after another on the caller thread — each
-  // shard under its own touched list, write slab and audit either way
-  // (narrow spill resolution finds a payload's slab from the slot's owning
-  // shard). The retained pool may carry more workers than the current plan
-  // has shards (it only ever grows across rebinds); surplus workers no-op.
+  // Every shard over its whole node range (kActive = false) on the pool
+  // when there is one, or over its collected visit list (kActive = true)
+  // on the caller thread — each shard under its own touched list, write
+  // slab and audit either way (narrow spill resolution finds a payload's
+  // slab from the slot's owning shard). Active sets are a handful of nodes
+  // per round, far below what repays a pool barrier. The retained pool may
+  // carry more workers than the current plan has shards (it only ever
+  // grows across rebinds); surplus workers no-op.
   template <class Slot, bool kActive, class F>
-  void run_all_shards(F& fn, bool use_pool = true) {
+  void run_all_shards(F& fn) {
     const int num_shards = topo_->num_shards();
-    if (use_pool && pool_ != nullptr && num_shards > 1) {
+    if (!kActive && pool_ != nullptr && num_shards > 1) {
       pool_->run([&](int shard) {
         if (shard < num_shards) run_shard_as<Slot, kActive>(fn, shard);
       });
@@ -713,15 +706,15 @@ class SyncNetwork {
     }
     begin_round();
     try {
-      const bool use_pool = collect_active(wake) >= kPoolMinActiveNodes;
+      collect_active(wake);
 #ifdef DEC_FAULT_INJECTION
       if (fault::full_visit_check()) {
         run_checked_full_visit<Slot>(fn);
       } else {
-        run_all_shards<Slot, true>(fn, use_pool);
+        run_all_shards<Slot, true>(fn);
       }
 #else
-      run_all_shards<Slot, true>(fn, use_pool);
+      run_all_shards<Slot, true>(fn);
 #endif
     } catch (...) {
       abort_round();
@@ -731,9 +724,9 @@ class SyncNetwork {
   }
 
   /// Build this round's visit set: wake ∪ last round's receiver lists,
-  /// deduplicated by visit tag, split into per-shard lists by owning shard
-  /// and sorted into id order. Returns the number of nodes to visit.
-  std::size_t collect_active(std::span<const NodeId> wake);
+  /// deduplicated by visit tag and split into per-shard lists by owning
+  /// shard, in collection order.
+  void collect_active(std::span<const NodeId> wake);
 
 #ifdef DEC_FAULT_INJECTION
   // Contract check for active rounds (fault::set_full_visit_check): visit
@@ -920,8 +913,8 @@ class SyncNetwork {
     // an active round reads the previous round's recv[(e - 1) & 1]. May
     // repeat a node another shard also listed; the visit tags dedupe.
     std::vector<NodeId> recv[2];
-    // This active round's visit set restricted to the shard's own nodes,
-    // in id order (collect_active).
+    // This active round's visit set restricted to the shard's own nodes
+    // (collect_active).
     std::vector<NodeId> visit;
   };
 
