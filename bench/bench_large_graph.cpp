@@ -168,59 +168,19 @@ void BM_LargeCsrLoadVerified(benchmark::State& state) {
 BENCHMARK(BM_LargeCsrLoadVerified)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 // --- Pooled rounds + memory budget ---------------------------------------
-// The headline number: BM_NetworkRound at n = 10^6, through the same CSR
-// load path a large experiment would use, with the full per-node budget
-// (graph + topology plan + run state) reported alongside items/s. Args are
-// {n, threads}.
-
-template <Family family>
-void BM_LargeNetworkRound(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const Graph g = read_csr(cached_csr(family, n), CsrTrust::kTrusted);
-  NetworkPool pool(threads);
-  auto lease = pool.network(g);
-  for (auto _ : state) {
-    lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-      for (auto& m : out) m = Message{v};
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-  set_graph_counters(state, g);
-  const auto topo = pool.topology(g);
-  const double nodes = static_cast<double>(g.num_nodes());
-  state.counters["plan_bytes_per_node"] =
-      static_cast<double>(topo->memory_bytes()) / nodes;
-  state.counters["run_state_bytes_per_node"] =
-      static_cast<double>(lease->memory_bytes()) / nodes;
-  state.counters["total_bytes_per_node"] =
-      static_cast<double>(g.memory_bytes() + topo->memory_bytes() +
-                          lease->memory_bytes()) /
-      nodes;
-}
-BENCHMARK_TEMPLATE(BM_LargeNetworkRound, Family::kPowerLaw)
-    ->Args({1000000, 1})
-    ->Args({1000000, 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_TEMPLATE(BM_LargeNetworkRound, Family::kGrid)
-    ->Args({1000000, 1})
-    ->Args({1000000, 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Same shape and workload on the 16 B narrow slot plane (declared width 1).
-// Compare run_state_bytes_per_node against BM_LargeNetworkRound for the
-// memory win and items/s for the bandwidth win; the large-graph CI smoke
-// asserts narrow <= wide/2 on run-state bytes.
+// The headline number: BM_NetworkRoundNarrow at n = 10^6 on the 16 B slot
+// plane (declared width 1), through the same CSR load path a large
+// experiment would use, with the full per-node budget (graph + topology
+// plan + run state) reported alongside items/s. Args are {n, threads}. The
+// large-graph CI smoke holds run_state_bytes_per_node to a per-family
+// ceiling.
 template <Family family>
 void BM_LargeNetworkRoundNarrow(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   const Graph g = read_csr(cached_csr(family, n), CsrTrust::kTrusted);
   NetworkPool pool(threads);
-  auto lease = pool.network(g, nullptr, "network",
-                            SlotPlan{SlotFormat::kNarrow, 1});
+  auto lease = pool.network(g);
   for (auto _ : state) {
     lease->round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) m.assign({v});
@@ -250,20 +210,19 @@ BENCHMARK_TEMPLATE(BM_LargeNetworkRoundNarrow, Family::kGrid)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Narrow slots x single message plane: the minimum-memory delivery path for
-// drain-free protocols. Compare run_state_bytes_per_node against
-// BM_LargeNetworkRoundNarrow for the plane-mode win on top of the format
-// win; the large-graph CI smoke asserts single <= 0.75x the two-plane
-// narrow run state (the model says ~0.55x) with items/s no worse.
+// The same rounds on a single message plane: the minimum-memory delivery
+// path for drain-free protocols. Compare run_state_bytes_per_node against
+// BM_LargeNetworkRoundNarrow for the plane-mode win; the large-graph CI
+// smoke asserts single <= 0.75x the two-plane run state (the model says
+// ~0.55x) with items/s no worse.
 template <Family family>
 void BM_LargeNetworkRoundNarrowSingle(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   const Graph g = read_csr(cached_csr(family, n), CsrTrust::kTrusted);
   NetworkPool pool(threads);
-  auto lease = pool.network(
-      g, nullptr, "network",
-      SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle});
+  auto lease = pool.network(g, nullptr, "network",
+                            SlotPlan{.mode = PlaneMode::kSingle});
   for (auto _ : state) {
     lease->round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) m.assign({v});

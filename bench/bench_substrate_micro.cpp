@@ -108,46 +108,14 @@ void BM_NetworkReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkReconstruct)->Arg(1000)->Arg(10000);
 
-// Legacy path: node program behind std::function type erasure.
-void BM_NetworkRound(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g);
-  const SyncNetwork::StepFn fn = [](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v};
-  };
-  for (auto _ : state) {
-    net.round(fn);
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-}
-BENCHMARK(BM_NetworkRound)->Arg(1000)->Arg(10000);
-
-// Serial fast path: round_fast<F> keeps the node program a direct call.
-void BM_NetworkRoundFast(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g);
-  for (auto _ : state) {
-    net.round_fast([](NodeId v, const auto&, auto&& out) {
-      for (auto&& m : out) m.assign({v});
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-}
-BENCHMARK(BM_NetworkRoundFast)->Arg(1000)->Arg(10000);
-
-// BM_NetworkRoundFast on the 16 B narrow slot plane (declared width 1):
-// same single-field echo workload, so the delta to BM_NetworkRoundFast is
-// the round-path bandwidth win of the 4x smaller slots.
+// The headline round-throughput row: every node sends its id on every edge
+// (a single-field echo, declared width 1) on the 16 B slot plane; the
+// round_fast<F> node program stays a direct call.
 void BM_NetworkRoundNarrow(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1});
+  SyncNetwork net(g);
   for (auto _ : state) {
     net.round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) m.assign({v});
@@ -159,37 +127,17 @@ void BM_NetworkRoundNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundNarrow)->Arg(1000)->Arg(10000);
 
-// BM_NetworkRoundFast on a single message plane (PlaneMode::kSingle): same
-// echo workload delivered via parity-alternating slot ownership instead of
-// the plane swap. The delta to BM_NetworkRoundFast is the round-path cost
-// (target: none) of the mode that halves plane memory for drain-free
-// protocols; bytes_per_node shows the halved run state.
-void BM_NetworkRoundSinglePlane(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle});
-  for (auto _ : state) {
-    net.round_fast([](NodeId v, const auto&, auto&& out) {
-      for (auto&& m : out) m.assign({v});
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-  state.counters["bytes_per_node"] = static_cast<double>(net.memory_bytes()) /
-                                     static_cast<double>(g.num_nodes());
-}
-BENCHMARK(BM_NetworkRoundSinglePlane)->Arg(1000)->Arg(10000);
-
-// Narrow format x single plane: the fully-composed minimum-memory delivery
-// path (16 B slots, one plane). Compare bytes_per_node against
-// BM_NetworkRoundNarrow for the plane-mode win on top of the format win.
+// BM_NetworkRoundNarrow on a single message plane (PlaneMode::kSingle): the
+// same echo delivered via parity-alternating slot ownership instead of the
+// plane swap — the minimum-memory delivery path. Compare items/s against
+// BM_NetworkRoundNarrow for the round-path cost of the mode (target: none)
+// and bytes_per_node for its plane-memory win.
 void BM_NetworkRoundSinglePlaneNarrow(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
   SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle});
+                  SlotPlan{.mode = PlaneMode::kSingle});
   for (auto _ : state) {
     net.round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) m.assign({v});
@@ -210,8 +158,7 @@ void BM_NetworkRoundSparse(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1});
+  SyncNetwork net(g);
   std::vector<std::int64_t> acc(static_cast<std::size_t>(g.num_nodes()), 0);
   for (auto _ : state) {
     net.round_fast([&](NodeId v, const auto& in, auto&& out) {
@@ -244,8 +191,7 @@ void BM_NetworkRoundActive(benchmark::State& state) {
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
   const bool active = state.range(1) != 0;
-  SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1});
+  SyncNetwork net(g);
   const std::size_t n = static_cast<std::size_t>(g.num_nodes());
   std::vector<std::int64_t> cache(2 * static_cast<std::size_t>(g.num_edges()),
                                   -1);
@@ -292,9 +238,9 @@ BENCHMARK(BM_NetworkRoundActive)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
-// BM_NetworkRoundFast with an installed (never-tripping) CancelToken: the
+// BM_NetworkRoundNarrow with an installed (never-tripping) CancelToken: the
 // cost of the relaxed aborted() load the barrier pays per round when a
-// token is present. Compare against BM_NetworkRoundFast for the delta.
+// token is present. Compare against BM_NetworkRoundNarrow for the delta.
 void BM_NetworkRoundCancelToken(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
@@ -335,19 +281,18 @@ BENCHMARK(BM_NetworkRoundParallel)
     ->Args({10000, 8})
     ->UseRealTime();
 
-// Wide payloads: exercises the slab-arena spill path (> kInlineFields).
+// Multi-field payloads (declared width 8): exercises the slab-arena spill
+// path.
 void BM_NetworkRoundSpill(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g);
+  constexpr int kWidth = 8;
+  SyncNetwork net(g, nullptr, "network", 1, SlotPlan{.max_fields = kWidth});
   for (auto _ : state) {
     net.round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) {
-        for (std::int64_t k = 0;
-             k < static_cast<std::int64_t>(2 * Message::kInlineFields); ++k) {
-          m.push(v + k);
-        }
+        for (std::int64_t k = 0; k < kWidth; ++k) m.push(v + k);
       }
     });
   }
@@ -356,10 +301,9 @@ void BM_NetworkRoundSpill(benchmark::State& state) {
 BENCHMARK(BM_NetworkRoundSpill)->Arg(1000)->Arg(10000);
 
 // Defective refine on the message-passing substrate (Args are
-// {n, threads}); with the dirty-flag announce, off-variant comparisons live
-// in BM_DefectiveRefineFullBroadcast. items = audited rounds x slot-plane
-// size. Multi-threaded rows (here and in the solver rows below) report wall
-// time and carry an engine_threads counter.
+// {n, threads}); items = audited rounds x slot-plane size. Multi-threaded
+// rows (here and in the solver rows below) report wall time and carry an
+// engine_threads counter.
 void BM_DefectiveRefine(benchmark::State& state) {
   Rng rng(7);
   const Graph g = gen::random_regular(
@@ -379,27 +323,6 @@ void BM_DefectiveRefine(benchmark::State& state) {
 }
 BENCHMARK(BM_DefectiveRefine)->Args({1000, 1});
 BENCHMARK(BM_DefectiveRefine)->Args({1000, 2})->UseRealTime();
-
-// Same instance with the dirty-flag announce disabled (every node
-// re-broadcasts its color in every announce round): isolates the win of
-// announcing changed colors only. Rounds and colors are bit-identical.
-void BM_DefectiveRefineFullBroadcast(benchmark::State& state) {
-  Rng rng(7);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 12, rng);
-  const LinialResult lin = linial_color(g);
-  const int threshold = g.max_degree() / 4 + 2;
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const DefectiveResult r =
-        defective_refine(g, lin.colors, lin.palette, 4, threshold, 256,
-                         nullptr, 1, /*dirty_announce=*/false);
-    rounds = r.rounds;
-    benchmark::DoNotOptimize(r.max_defect);
-  }
-  state.SetItemsProcessed(state.iterations() * rounds * 2 * g.num_edges());
-}
-BENCHMARK(BM_DefectiveRefineFullBroadcast)->Arg(1000);
 
 // Token dropping on the directed adapter over the substrate (Args are
 // {width, threads}); items = audited rounds x arcs.

@@ -87,14 +87,14 @@ DefectiveResult precolor_message_passing(const Graph& g,
                                          RoundLedger* ledger,
                                          int num_threads, NetworkPool* pool,
                                          CancelToken* cancel,
-                                         SlotFormat slot_format,
                                          PlaneMode plane_mode) {
   const NodeId n = g.num_nodes();
   DefectiveResult res;
   res.palette = static_cast<int>(p.q * p.q);
   res.colors.resize(static_cast<std::size_t>(n));
   ScopedNetwork net_scope(pool, g, ledger, "defective_precolor", num_threads,
-                          cancel, SlotPlan{slot_format, 1, plane_mode});
+                          cancel,
+                          SlotPlan{.max_fields = 1, .mode = plane_mode});
   SyncNetwork& net = *net_scope;
   // The one round: every node announces its input color on every edge.
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
@@ -130,12 +130,12 @@ DefectiveResult precolor_message_passing(const Graph& g,
 // class-step are pairwise non-adjacent (smallest-id priority), so the
 // one-round lag changes no color any decision reads.
 //
-// The announce round is dirty-flagged (when `dirty_announce`): a node
-// re-broadcasts its color only if it changed since its last announcement;
-// receivers read unchanged colors from their per-incidence caches. Every
-// color change is announced in the same round it is applied, so the caches
-// never go stale — rounds and colors are bit-identical to the full
-// re-broadcast, only the message count (simulation wall-clock) drops.
+// The announce round is dirty-flagged: a node re-broadcasts its color only
+// if it changed since its last announcement; receivers read unchanged
+// colors from their per-incidence caches. Every color change is announced
+// in the same round it is applied, so the caches never go stale — rounds
+// and colors are those of a full re-broadcast, only the message count
+// (simulation wall-clock) drops.
 //
 // Both rounds are active rounds (SyncNetwork::round_fast(prog, wake)): a
 // node with no mail and no pending work is a no-op in either program, so
@@ -150,9 +150,7 @@ DefectiveResult refine_message_passing(const Graph& g,
                                        int num_classes, int num_colors,
                                        int move_threshold, int max_sweeps,
                                        RoundLedger* ledger, int num_threads,
-                                       bool dirty_announce, NetworkPool* pool,
-                                       CancelToken* cancel,
-                                       SlotFormat slot_format,
+                                       NetworkPool* pool, CancelToken* cancel,
                                        PlaneMode plane_mode) {
   const NodeId n = g.num_nodes();
   DefectiveResult res;
@@ -164,7 +162,8 @@ DefectiveResult refine_message_passing(const Graph& g,
   }
 
   ScopedNetwork net_scope(pool, g, ledger, "defective_refine", num_threads,
-                          cancel, SlotPlan{slot_format, 1, plane_mode});
+                          cancel,
+                          SlotPlan{.max_fields = 1, .mode = plane_mode});
   SyncNetwork& net = *net_scope;
 
   // Per-node neighbor-color cache, laid out on the network's own slot plane
@@ -235,19 +234,18 @@ DefectiveResult refine_message_passing(const Graph& g,
   for (int sweep = 0; sweep < max_sweeps && !res.converged; ++sweep) {
     bool any_intent = false;
     for (Color cls = 0; cls < num_classes; ++cls) {
-      // Round A: settle the previous step's arbitration, announce colors —
-      // all of them, or (dirty-flagged) only the ones that changed. Every
-      // node is dirty before the first announce, and the full re-broadcast
-      // announces from every node each time, so those rounds visit all.
+      // Round A: settle the previous step's arbitration, announce the
+      // colors that changed. Every node is dirty before the first announce,
+      // so that round visits all.
       const auto round_a = [&](NodeId v, const auto& in, auto&& out) {
         apply_pending(v, in);
-        if (dirty_announce && dirty[static_cast<std::size_t>(v)] == 0) return;
+        if (dirty[static_cast<std::size_t>(v)] == 0) return;
         dirty[static_cast<std::size_t>(v)] = 0;
         for (auto&& m : out) {
           m.assign({res.colors[static_cast<std::size_t>(v)]});
         }
       };
-      if ((sweep == 0 && cls == 0) || !dirty_announce) {
+      if (sweep == 0 && cls == 0) {
         net.round_fast(round_a);
       } else {
         net.round_fast(round_a, intenders);
@@ -323,7 +321,6 @@ DefectiveResult defective_precolor(const Graph& g,
                                    int input_palette, int target_defect,
                                    RoundLedger* ledger, int num_threads,
                                    NetworkPool* pool, CancelToken* cancel,
-                                   SlotFormat slot_format,
                                    PlaneMode plane_mode) {
   DEC_REQUIRE(target_defect >= 1, "target defect must be >= 1");
   DEC_REQUIRE(is_proper_vertex_coloring(g, input), "input must be proper");
@@ -336,7 +333,7 @@ DefectiveResult defective_precolor(const Graph& g,
 
   DefectiveResult res =
       precolor_message_passing(g, input, p, ledger, num_threads, pool, cancel,
-                               slot_format, plane_mode);
+                               plane_mode);
   res.max_defect = max_of(vertex_defects(g, res.colors));
   DEC_CHECK(res.max_defect <= target_defect,
             "defective precolor exceeded its defect target");
@@ -348,8 +345,7 @@ DefectiveResult defective_refine(const Graph& g,
                                  int num_classes, int num_colors,
                                  int move_threshold, int max_sweeps,
                                  RoundLedger* ledger, int num_threads,
-                                 bool dirty_announce, NetworkPool* pool,
-                                 CancelToken* cancel, SlotFormat slot_format,
+                                 NetworkPool* pool, CancelToken* cancel,
                                  PlaneMode plane_mode) {
   DEC_REQUIRE(num_colors >= 2, "refine needs at least two colors");
   DEC_REQUIRE(move_threshold >= (g.max_degree() / num_colors) + 1,
@@ -363,8 +359,7 @@ DefectiveResult defective_refine(const Graph& g,
   DefectiveResult res =
       refine_message_passing(g, classes, num_classes, num_colors,
                              move_threshold, max_sweeps, ledger, num_threads,
-                             dirty_announce, pool, cancel, slot_format,
-                             plane_mode);
+                             pool, cancel, plane_mode);
   res.max_defect = max_of(vertex_defects(g, res.colors));
   if (!res.converged) {
     // The cap was generous; reaching it without meeting the contract means a
@@ -380,7 +375,6 @@ DefectiveResult defective_4_coloring(const Graph& g,
                                      int input_palette, double eps,
                                      RoundLedger* ledger, int num_threads,
                                      NetworkPool* pool, CancelToken* cancel,
-                                     SlotFormat slot_format,
                                      PlaneMode plane_mode) {
   DEC_REQUIRE(eps > 0.0 && eps <= 1.0, "eps must be in (0, 1]");
   const int delta = g.max_degree();
@@ -413,7 +407,7 @@ DefectiveResult defective_4_coloring(const Graph& g,
   const int pre_defect = std::max(1, static_cast<int>(eps * delta / 2.0));
   DefectiveResult pre = defective_precolor(g, input, input_palette, pre_defect,
                                            ledger, num_threads, pool, cancel,
-                                           slot_format, plane_mode);
+                                           plane_mode);
 
   const int margin = std::max(1, static_cast<int>(eps * delta / 4.0));
   // At small Δ the flat +margin +pre_defect headroom can exceed the Lemma
@@ -426,8 +420,7 @@ DefectiveResult defective_4_coloring(const Graph& g,
       64 + static_cast<int>(16.0 / (eps * eps) / std::max(1, delta));
   DefectiveResult ref =
       defective_refine(g, pre.colors, pre.palette, 4, threshold, max_sweeps,
-                       ledger, num_threads, /*dirty_announce=*/true, pool,
-                       cancel, slot_format, plane_mode);
+                       ledger, num_threads, pool, cancel, plane_mode);
   ref.rounds += pre.rounds;
   ref.max_message_bits = std::max(ref.max_message_bits, pre.max_message_bits);
   ref.messages += pre.messages;
@@ -443,7 +436,6 @@ DefectiveResult defective_split_coloring(const Graph& g,
                                          RoundLedger* ledger,
                                          int num_threads, NetworkPool* pool,
                                          CancelToken* cancel,
-                                         SlotFormat slot_format,
                                          PlaneMode plane_mode) {
   const int delta = g.max_degree();
   DEC_REQUIRE(target_defect >= delta / num_colors + 1,
@@ -459,13 +451,12 @@ DefectiveResult defective_split_coloring(const Graph& g,
   const int pre_defect = std::max(1, target_defect / 2);
   DefectiveResult pre = defective_precolor(g, input, input_palette, pre_defect,
                                            ledger, num_threads, pool, cancel,
-                                           slot_format, plane_mode);
+                                           plane_mode);
   const int threshold = std::max(delta / num_colors + 1,
                                  target_defect - pre_defect);
   DefectiveResult ref =
       defective_refine(g, pre.colors, pre.palette, num_colors, threshold, 256,
-                       ledger, num_threads, /*dirty_announce=*/true, pool,
-                       cancel, slot_format, plane_mode);
+                       ledger, num_threads, pool, cancel, plane_mode);
   ref.rounds += pre.rounds;
   ref.max_message_bits = std::max(ref.max_message_bits, pre.max_message_bits);
   ref.messages += pre.messages;

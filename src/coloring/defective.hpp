@@ -29,9 +29,9 @@
 // cross-engine equivalence suite). Refine's announce round is dirty-flagged:
 // a node re-broadcasts its color only when it changed since its last
 // announcement, and receivers fill the gaps from their per-incidence caches
-// — same rounds, same colors, strictly fewer messages on stabilizing runs
-// (`dirty_announce = false` keeps the full re-broadcast for regression
-// comparison).
+// — the rounds and colors of a full re-broadcast with far fewer messages
+// on stabilizing runs (pinned against recorded full re-broadcast runs by
+// tests/test_refine_announce.cpp).
 #pragma once
 
 #include <cstdint>
@@ -62,12 +62,11 @@ struct DefectiveResult {
 /// [0, input_palette). Output: target_defect-defective coloring with palette
 /// q² where q = next_prime(max(2, ceil(Δ·d / target_defect))).
 /// All defective stages announce exactly one field per edge per round
-/// (a color or an intent bit), so they default to the 16 B narrow slot
-/// plane (declared width 1) — bit-identical to SlotFormat::kWide. Both
-/// stages are drain-free (every round reads its whole inbox before writing;
-/// the final consume steps run on local state, not on a drain), so they
-/// default to the single message plane (PlaneMode::kSingle) — bit-identical
-/// to kDouble with half the plane memory.
+/// (a color or an intent bit), so they lease with declared slot width 1.
+/// Both stages are drain-free (every round reads its whole inbox before
+/// writing; the final consume steps run on local state, not on a drain),
+/// so they default to the single message plane (PlaneMode::kSingle) —
+/// bit-identical to kDouble with half the plane memory.
 DefectiveResult defective_precolor(const Graph& g,
                                    const std::vector<Color>& input,
                                    int input_palette, int target_defect,
@@ -75,26 +74,20 @@ DefectiveResult defective_precolor(const Graph& g,
                                    int num_threads = 1,
                                    NetworkPool* pool = nullptr,
                                    CancelToken* cancel = nullptr,
-                                   SlotFormat slot_format = SlotFormat::kNarrow,
                                    PlaneMode plane_mode = PlaneMode::kSingle);
 
 /// Threshold local search over the classes of `classes` (any coloring with
 /// values in [0, num_classes); independence not required). Produces a
 /// num_colors-coloring with max defect ≤ move_threshold on convergence.
 /// Throws if not converged within max_sweeps AND the threshold is violated.
-/// `dirty_announce = false` disables the changed-colors-only announce
-/// optimization (identical rounds and colors either way; kept so the
-/// regression tests can pin the equivalence and the message saving).
 DefectiveResult defective_refine(const Graph& g,
                                  const std::vector<Color>& classes,
                                  int num_classes, int num_colors,
                                  int move_threshold, int max_sweeps,
                                  RoundLedger* ledger = nullptr,
                                  int num_threads = 1,
-                                 bool dirty_announce = true,
                                  NetworkPool* pool = nullptr,
                                  CancelToken* cancel = nullptr,
-                                 SlotFormat slot_format = SlotFormat::kNarrow,
                                  PlaneMode plane_mode = PlaneMode::kSingle);
 
 /// Lemma 6.2: (εΔ + ⌊Δ/2⌋)-defective 4-coloring from a proper O(Δ²)-coloring.
@@ -105,7 +98,6 @@ DefectiveResult defective_4_coloring(const Graph& g,
                                      int num_threads = 1,
                                      NetworkPool* pool = nullptr,
                                      CancelToken* cancel = nullptr,
-                                     SlotFormat slot_format = SlotFormat::kNarrow,
                                      PlaneMode plane_mode = PlaneMode::kSingle);
 
 /// General split: num_colors-coloring with defect ≤ target_defect, where
@@ -119,7 +111,6 @@ DefectiveResult defective_split_coloring(const Graph& g,
                                          int num_threads = 1,
                                          NetworkPool* pool = nullptr,
                                          CancelToken* cancel = nullptr,
-                                         SlotFormat slot_format = SlotFormat::kNarrow,
                                          PlaneMode plane_mode = PlaneMode::kSingle);
 
 }  // namespace dec

@@ -55,8 +55,7 @@ std::int64_t eval_digit_poly(std::int64_t color, std::int64_t q, int d,
 LinialResult linial_color(const Graph& g, RoundLedger* ledger,
                           std::vector<Color> initial, std::int64_t id_space,
                           int num_threads, NetworkPool* pool,
-                          CancelToken* cancel, SlotFormat slot_format,
-                          PlaneMode plane_mode) {
+                          CancelToken* cancel, PlaneMode plane_mode) {
   const NodeId n = g.num_nodes();
   if (initial.empty()) {
     initial.resize(static_cast<std::size_t>(n));
@@ -89,7 +88,7 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   // the solver is drain-free (reads its whole inbox before writing, never
   // drains), so it runs single-plane by default.
   ScopedNetwork net_scope(pool, g, ledger, "linial", num_threads, cancel,
-                          SlotPlan{slot_format, 1, plane_mode});
+                          SlotPlan{.max_fields = 1, .mode = plane_mode});
   SyncNetwork& net = *net_scope;
   std::int64_t m = id_space;
 
@@ -164,11 +163,10 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
 
 LinialResult linial_edge_color(const Graph& g, RoundLedger* ledger,
                                int num_threads, NetworkPool* pool,
-                               CancelToken* cancel, SlotFormat slot_format,
-                               PlaneMode plane_mode) {
+                               CancelToken* cancel, PlaneMode plane_mode) {
   const Graph lg = line_graph(g);
   LinialResult res = linial_color(lg, ledger, {}, 0, num_threads, pool, cancel,
-                                  slot_format, plane_mode);
+                                  plane_mode);
   DEC_CHECK(is_proper_edge_coloring(g, res.colors),
             "line-graph coloring is not a proper edge coloring");
   return res;

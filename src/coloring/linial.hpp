@@ -50,19 +50,16 @@ LinialStep linial_step_params(std::int64_t m, int max_degree);
 /// the network from an arena — callers that run several substrate stages on
 /// the same graph (congest coloring's Linial + defective stages) share one
 /// topology plan and buffer arena this way.
-/// `slot_format` picks the network's slot-plane format. Linial announces
-/// exactly one color per edge per round, so it defaults to the 16 B narrow
-/// plane (declared width 1) — bit-identical to kWide, ~4x less plane memory.
-/// `plane_mode` picks the plane count: every Linial round reads its whole
-/// inbox before writing and the solver never drains, so it is drain-free and
-/// defaults to the single plane (PlaneMode::kSingle) — bit-identical to
-/// kDouble with half the plane memory.
+/// Linial announces exactly one color per edge per round, so the lease
+/// declares slot width 1. `plane_mode` picks the plane count: every Linial
+/// round reads its whole inbox before writing and the solver never drains,
+/// so it is drain-free and defaults to the single plane (PlaneMode::kSingle)
+/// — bit-identical to kDouble with half the plane memory.
 LinialResult linial_color(const Graph& g, RoundLedger* ledger = nullptr,
                           std::vector<Color> initial = {},
                           std::int64_t id_space = 0, int num_threads = 1,
                           NetworkPool* pool = nullptr,
                           CancelToken* cancel = nullptr,
-                          SlotFormat slot_format = SlotFormat::kNarrow,
                           PlaneMode plane_mode = PlaneMode::kSingle);
 
 /// Run Linial on the line graph of g, producing a proper *edge* coloring of g
@@ -73,7 +70,6 @@ LinialResult linial_edge_color(const Graph& g, RoundLedger* ledger = nullptr,
                                int num_threads = 1,
                                NetworkPool* pool = nullptr,
                                CancelToken* cancel = nullptr,
-                               SlotFormat slot_format = SlotFormat::kNarrow,
                                PlaneMode plane_mode = PlaneMode::kSingle);
 
 }  // namespace dec

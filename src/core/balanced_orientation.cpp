@@ -70,8 +70,7 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
   }
   // Widest message is round A's (x, ud) announcement on unoriented edges.
   ScopedNetwork net_scope(pool, g, ledger, "balanced_orientation",
-                          num_threads, cancel,
-                          SlotPlan{params.slot_format, 2});
+                          num_threads, cancel, SlotPlan{.max_fields = 2});
   SyncNetwork& net = *net_scope;
 
   // Node-owned state (each slot written only by its owning node's program,
@@ -267,7 +266,6 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
         tokens[static_cast<std::size_t>(v)] =
             std::min<int>(accepted_count[static_cast<std::size_t>(v)], tp.k);
       }
-      tp.slot_format = params.slot_format;
       TokenDroppingResult game_res = run_token_dropping(
           game, std::move(tokens), tp, ledger, num_threads, pool, cancel);
       game_rounds += game_res.rounds;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "sim/message.hpp"
 
 namespace dec {
 
@@ -27,11 +26,6 @@ struct OrientationParams {
   // either way; false rebuilds every network from scratch, kept so the
   // regression benches/tests can pin the equivalence and the reuse win.
   bool pooled = true;
-  // Slot-plane format for the solver's own network AND the embedded token
-  // dropping games. The widest messages are the two-field (x, ud) announce
-  // and the games' {deg, α}, so both lease with declared width 2 and default
-  // to the 16 B narrow plane — bit-identical to kWide.
-  SlotFormat slot_format = SlotFormat::kNarrow;
 };
 
 /// α_v(φ) of Eq. (5): max{1, (1/4)·(ν²/ln Δ̄)·(d⁻ + 1)} in theory mode.

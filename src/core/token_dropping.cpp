@@ -41,7 +41,7 @@ bool sender_less(std::int64_t deg_a, std::int64_t alpha_a, NodeId node_a,
 TokenDroppingResult token_dropping_message_passing(
     const Digraph& game, std::vector<int> x0, int k, int delta,
     const std::vector<int>& alpha, RoundLedger* ledger, int num_threads,
-    NetworkPool* pool, CancelToken* cancel, SlotFormat slot_format) {
+    NetworkPool* pool, CancelToken* cancel) {
   const NodeId n = game.num_nodes();
   TokenDroppingResult res;
 
@@ -54,7 +54,7 @@ TokenDroppingResult token_dropping_message_passing(
 
   // Widest per-arc payload is R1's {deg, α} announcement.
   ScopedDiNetwork net_scope(pool, game, ledger, "token_dropping", num_threads,
-                            cancel, SlotPlan{slot_format, 2});
+                            cancel, SlotPlan{.max_fields = 2});
   DiNetwork& net = *net_scope;
 
   // Receive-side half of a transfer: the accept that was in flight arrives
@@ -221,7 +221,7 @@ TokenDroppingResult run_token_dropping(const Digraph& game,
 
   TokenDroppingResult res = token_dropping_message_passing(
       game, std::move(initial_tokens), k, delta, alpha, ledger, num_threads,
-      pool, cancel, params.slot_format);
+      pool, cancel);
 
   const std::int64_t total_after =
       std::accumulate(res.tokens.begin(), res.tokens.end(), std::int64_t{0});

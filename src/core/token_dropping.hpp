@@ -31,7 +31,6 @@
 
 #include "graph/digraph.hpp"
 #include "sim/ledger.hpp"
-#include "sim/message.hpp"
 #include "util/rng.hpp"
 
 namespace dec {
@@ -43,11 +42,6 @@ struct TokenDroppingParams {
   int k = 1;                  // maximum tokens per node
   int delta = 1;              // δ batch size (>= 1); must satisfy δ <= α_v
   std::vector<int> alpha;     // per-node α_v >= δ; empty = all ones * delta
-  // Slot-plane format of the game's DiNetwork. The widest message of the
-  // game is R1's {deg, α} announcement (2 fields per arc), so the lease
-  // declares arc width 2 and defaults to the 16 B narrow plane —
-  // bit-identical to kWide (pinned by the narrow equivalence suite).
-  SlotFormat slot_format = SlotFormat::kNarrow;
 };
 
 struct TokenDroppingResult {

@@ -7,8 +7,8 @@
 // abort always observes the network in its exact post-last-round state (the
 // previous round's delivery is still readable, rounds_executed() is the
 // count of *finished* rounds, and a pooled lease resets as cheaply as after
-// a normal run). DiNetwork and ParallelSyncNetwork inherit the same barrier
-// through the shared SyncNetwork round loop.
+// a normal run). DiNetwork inherits the same barrier through the shared
+// SyncNetwork round loop.
 //
 // Cost discipline: with no token installed the per-round cost is one
 // null-pointer test; with a token installed but nothing armed it is one

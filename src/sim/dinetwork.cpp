@@ -1,5 +1,7 @@
 #include "sim/dinetwork.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -15,24 +17,18 @@ std::shared_ptr<const DiTopology> require_topo(
 
 // Derive the support network's per-slot plan from a per-arc plan: an
 // unframed single-lane slot carries at most w fields; a framed multi-lane
-// slot carries a length prefix plus payload per lane.
+// slot carries a length prefix plus payload per lane. Wide framed payloads
+// ride the slot's saturated-count spill, so no lane multiplicity is too
+// many.
 SlotPlan support_plan(const DiTopology& topo, SlotPlan arc_plan) {
-  if (arc_plan.format == SlotFormat::kWide && arc_plan.max_fields == 0) {
-    // Unchecked wide, today's behavior. The plane mode still forwards — it
-    // is structural for the support network regardless of width checking.
-    return {SlotFormat::kWide, 0, arc_plan.mode};
-  }
   const int w = arc_plan.max_fields;
-  const int lanes = static_cast<int>(topo.max_lane_count());
-  const int support_w = lanes == 1 ? w : lanes * (1 + w);
-  if (arc_plan.format == SlotFormat::kNarrow) {
-    DEC_REQUIRE(support_w >= 1 &&
-                    support_w <= static_cast<int>(NarrowSlot::kMaxFields),
-                "narrow arc plan: framed support width exceeds the narrow "
-                "slot's 255-field limit — use a wide arc plan for this "
-                "digraph's lane multiplicity");
-  }
-  return {arc_plan.format, support_w, arc_plan.mode};
+  DEC_REQUIRE(w >= 1, "arc plan requires declared max_fields >= 1");
+  const std::int64_t lanes = topo.max_lane_count();
+  const std::int64_t support_w = lanes == 1 ? w : lanes * (1 + w);
+  DEC_REQUIRE(support_w <= std::numeric_limits<int>::max(),
+              "framed support width overflows the declared-width range — "
+              "declare a narrower arc plan");
+  return {arc_plan.format, static_cast<int>(support_w), arc_plan.mode};
 }
 
 }  // namespace
@@ -95,8 +91,6 @@ void DiNetwork::rebind(const Digraph& dg,
                        SlotPlan arc_plan) {
   DEC_REQUIRE(topo != nullptr, "null topology");
   DEC_REQUIRE(topo->matches(dg), "topology does not fit the digraph");
-  DEC_REQUIRE(arc_plan.format == net_.slot_format(),
-              "rebind cannot change a network's slot format");
   DEC_REQUIRE(arc_plan.mode == net_.plane_mode(),
               "rebind cannot change a network's plane mode");
   dg_ = &dg;
@@ -129,8 +123,7 @@ void DiNetwork::send(std::size_t slot,
                      std::initializer_list<std::int64_t> fields) {
   DEC_REQUIRE(fields.size() <= kMaxArcFields,
               "arc payload wider than the adapter's per-lane capacity");
-  if (arc_declared_ > 0 &&
-      fields.size() > static_cast<std::size_t>(arc_declared_)) {
+  if (fields.size() > static_cast<std::size_t>(arc_declared_)) {
     const std::string msg =
         "arc payload wider than the protocol's declared arc plan: component "
         "'" + net_.component() + "' round " +

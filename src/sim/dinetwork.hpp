@@ -16,7 +16,9 @@
 //    independent forward (tail→head) and backward (head→tail) sub-channel
 //    per round; a single-lane payload (the common case) goes on the wire
 //    unframed, so the audit sees exactly the solver's own bits; multi-lane
-//    messages are length-prefixed per lane.
+//    messages are length-prefixed per lane. A pair with many parallel arcs
+//    frames into a wide support message (lanes × (1 + arc width) fields),
+//    which the support slot carries through its saturated-count spill.
 //
 //  * Run state. This class holds only the support SyncNetwork's run state
 //    and the per-arc packing scratch. It is constructible from a cached
@@ -36,7 +38,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -67,12 +68,9 @@ class ArcView {
 class DiNetwork;
 
 /// Incoming arc sub-channels of one node for the current round, indexed by
-/// the node's digraph incidence lists. Parameterized over the support
-/// network's inbox family (wide Inbox or NarrowInbox) — ArcViews point into
-/// the underlying plane/slab storage either way, so node programs written
-/// with `const auto& in` run on both formats unchanged.
-template <class InboxT>
-class BasicDiInbox {
+/// the node's digraph incidence lists. ArcViews point into the support
+/// plane's slot or slab storage.
+class DiInbox {
  public:
   /// Payload that arrived along the node's j-th in-arc (sent by its tail).
   ArcView along(std::size_t j) const;
@@ -81,16 +79,13 @@ class BasicDiInbox {
 
  private:
   friend class DiNetwork;
-  BasicDiInbox(const DiNetwork* net, NodeId v, const InboxT* in)
+  DiInbox(const DiNetwork* net, NodeId v, const Inbox* in)
       : net_(net), v_(v), in_(in) {}
 
   const DiNetwork* net_;
   NodeId v_;
-  const InboxT* in_;
+  const Inbox* in_;
 };
-
-using DiInbox = BasicDiInbox<Inbox>;
-using NarrowDiInbox = BasicDiInbox<NarrowInbox>;
 
 /// Outgoing arc sub-channels of one node for the current round. Each send
 /// replaces the channel's payload wholesale; untouched channels send
@@ -112,25 +107,25 @@ class DiOutbox {
 
 class DiNetwork {
  public:
-  /// Widest per-arc payload the adapter carries; matches the inline capacity
-  /// of a Message so single-lane sends never spill.
-  static constexpr std::size_t kMaxArcFields = Message::kInlineFields;
+  /// Widest per-arc payload the adapter carries, and the declared arc
+  /// width of the default arc plan.
+  static constexpr std::size_t kMaxArcFields = 4;
 
   /// Plan-and-run convenience: plans a fresh DiTopology for `dg`. `arc_plan`
   /// is the PER-ARC slot plan: its max_fields declares the widest payload a
   /// single arc sub-channel carries; the adapter derives the support
   /// network's per-slot width from it (max_lane_count * (1 + w) fields when
-  /// lanes are framed, w unframed). A wide plan with max_fields 0 is
-  /// unchecked, today's behavior.
+  /// lanes are framed, w unframed). The default plan declares
+  /// kMaxArcFields per arc.
   explicit DiNetwork(const Digraph& dg, RoundLedger* ledger = nullptr,
                      std::string component = "dinetwork", int num_threads = 1,
-                     SlotPlan arc_plan = {});
+                     SlotPlan arc_plan = {.max_fields = kMaxArcFields});
 
   /// Build run state on an existing (typically cached) plan. `topo` must fit
   /// `dg` (see DiTopology::matches).
   DiNetwork(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
             RoundLedger* ledger = nullptr, std::string component = "dinetwork",
-            SlotPlan arc_plan = {});
+            SlotPlan arc_plan = {.max_fields = kMaxArcFields});
 
   /// O(num_shards) return to the just-constructed state (epoch-based; see
   /// SyncNetwork::reset). The no-arg form keeps the current ledger binding;
@@ -146,65 +141,33 @@ class DiNetwork {
   void rebind(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
               RoundLedger* ledger = nullptr, std::string component = "dinetwork");
 
-  /// rebind() that also re-declares the per-arc slot plan (format must match
-  /// this run state's — see SyncNetwork's five-arg rebind).
+  /// rebind() that also re-declares the per-arc slot plan (plane mode must
+  /// match this run state's — see SyncNetwork's five-arg rebind).
   void rebind(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
               RoundLedger* ledger, std::string component, SlotPlan arc_plan);
 
-  /// Execute one synchronous round: `fn(v, inbox, outbox)` per node, then
-  /// lane packing onto the support network's slots. Charges one round. The
-  /// inbox handed to `fn` is BasicDiInbox over the support plane's format —
-  /// format dispatch mirrors SyncNetwork::round_fast: a generic program
-  /// (`const auto& in`) runs on either plane, a DiInbox-typed program
-  /// compiles exactly as before and requires a wide-format network.
+  /// Execute one synchronous round: `fn(v, const DiInbox&, DiOutbox&)` per
+  /// node, then lane packing onto the support network's slots. Charges one
+  /// round.
   template <class F>
   void round_fast(F&& fn) {
-    constexpr bool narrow_ok =
-        std::is_invocable_v<F&, NodeId, const NarrowDiInbox&, DiOutbox&>;
-    constexpr bool wide_ok =
-        std::is_invocable_v<F&, NodeId, const DiInbox&, DiOutbox&>;
-    static_assert(narrow_ok || wide_ok,
-                  "arc program must accept (NodeId, const DiInbox&, "
-                  "DiOutbox&) or (NodeId, const NarrowDiInbox&, DiOutbox&)");
-    if constexpr (narrow_ok) {
-      if (net_.slot_format() == SlotFormat::kNarrow) {
-        round_on<NarrowSlot, NarrowInbox>(fn);
-        return;
-      }
-    }
-    if constexpr (wide_ok) {
-      DEC_REQUIRE(net_.slot_format() == SlotFormat::kWide,
-                  "wide-only arc program on a narrow-format network");
-      round_on<Message, Inbox>(fn);
-      return;
-    }
-    DEC_REQUIRE(false, "narrow-only arc program on a wide-format network");
+    net_.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
+      clear_scratch(v);
+      const DiInbox din(this, v, &in);
+      DiOutbox dout(this, v);
+      fn(v, din, dout);
+      pack(v, out);
+    });
   }
 
   /// Read-only visit of the last round's deliveries (no sends, no round
-  /// charged) — see SyncNetwork::drain_fast. Format dispatch as round_fast.
+  /// charged) — see SyncNetwork::drain_fast.
   template <class F>
   void drain_fast(F&& fn) {
-    constexpr bool narrow_ok =
-        std::is_invocable_v<F&, NodeId, const NarrowDiInbox&>;
-    constexpr bool wide_ok = std::is_invocable_v<F&, NodeId, const DiInbox&>;
-    static_assert(narrow_ok || wide_ok,
-                  "arc drain program must accept (NodeId, const DiInbox&) "
-                  "or (NodeId, const NarrowDiInbox&)");
-    if constexpr (narrow_ok) {
-      if (net_.slot_format() == SlotFormat::kNarrow) {
-        drain_on<NarrowSlot, NarrowInbox>(fn);
-        return;
-      }
-    }
-    if constexpr (wide_ok) {
-      DEC_REQUIRE(net_.slot_format() == SlotFormat::kWide,
-                  "wide-only arc drain program on a narrow-format network");
-      drain_on<Message, Inbox>(fn);
-      return;
-    }
-    DEC_REQUIRE(false,
-                "narrow-only arc drain program on a wide-format network");
+    net_.drain_fast([&](NodeId v, const Inbox& in) {
+      const DiInbox din(this, v, &in);
+      fn(v, din);
+    });
   }
 
   /// Cancellation token, forwarded to the support network's round barrier
@@ -217,15 +180,13 @@ class DiNetwork {
   const Digraph& digraph() const { return *dg_; }
   int num_threads() const { return net_.num_threads(); }
 
-  /// Slot-plane format of the support network (structural — pool identity).
-  SlotFormat slot_format() const { return net_.slot_format(); }
   /// Plane mode of the support network (structural — pool identity). On
   /// kSingle, drain_fast throws: the mode is forwarded verbatim into the
   /// support SyncNetwork, which owns the ban. round_fast arc programs are
   /// single-plane-safe by construction — every inbox read happens in the
   /// node callback, before pack() writes the support outbox.
   PlaneMode plane_mode() const { return net_.plane_mode(); }
-  /// Declared per-arc max field count of the current lease (0 = unchecked).
+  /// Declared per-arc max field count of the current lease.
   int declared_arc_fields() const { return arc_declared_; }
 
   /// Heap bytes of this run state: the support network's planes/slabs plus
@@ -248,37 +209,16 @@ class DiNetwork {
   }
 
  private:
-  template <class InboxT>
-  friend class BasicDiInbox;
+  friend class DiInbox;
   friend class DiOutbox;
 
   void bind_plan();  // refresh cached views + size scratch for topo_
   void clear_scratch(NodeId v);
   void send(std::size_t slot, std::initializer_list<std::int64_t> fields);
 
-  template <class Slot, class InboxT, class F>
-  void round_on(F& fn) {
-    net_.round_as<Slot>([&](NodeId v, const InboxT& in, auto&& out) {
-      clear_scratch(v);
-      const BasicDiInbox<InboxT> din(this, v, &in);
-      DiOutbox dout(this, v);
-      fn(v, din, dout);
-      pack(v, out);
-    });
-  }
-
-  template <class Slot, class InboxT, class F>
-  void drain_on(F& fn) {
-    net_.drain_as<Slot>([&](NodeId v, const InboxT& in) {
-      const BasicDiInbox<InboxT> din(this, v, &in);
-      fn(v, din);
-    });
-  }
-
   /// Flush this node's touched scratch channels onto its support outbox
-  /// slots (wide Outbox or NarrowOutbox — both expose operator[] + push).
-  template <class OutboxT>
-  void pack(NodeId v, OutboxT& out) {
+  /// slots.
+  void pack(NodeId v, Outbox& out) {
     const std::size_t lo = soff_[static_cast<std::size_t>(v)];
     const std::size_t hi = soff_[static_cast<std::size_t>(v) + 1];
     for (std::size_t i = lo; i < hi; ++i) {
@@ -289,7 +229,7 @@ class DiNetwork {
         any = scratch_len_[pack_list_[k]] > 0;
       }
       if (!any) continue;  // slot untouched: nothing goes on the wire
-      auto&& m = out[i - lo];  // NarrowOutbox yields a proxy by value
+      MessageRef m = out[i - lo];
       const bool framed = phi - plo > 1;
       for (std::size_t k = plo; k < phi; ++k) {
         const std::uint32_t len = scratch_len_[pack_list_[k]];
@@ -301,11 +241,10 @@ class DiNetwork {
     }
   }
 
-  /// Slice one arc's sub-channel out of a support-slot payload. Works on any
-  /// message view exposing empty()/fields(); the returned ArcView points
-  /// into plane or slab storage, which outlives a by-value NarrowView.
-  template <class MsgT>
-  ArcView extract(const MsgT& m, const DiTopology::ArcRef& ref) const {
+  /// Slice one arc's sub-channel out of a support-slot payload. The
+  /// returned ArcView points into plane or slab storage, which outlives the
+  /// by-value MessageView.
+  ArcView extract(const MessageView& m, const DiTopology::ArcRef& ref) const {
     if (m.empty()) return {};
     const auto f = m.fields();
     if (ref.lane_count == 1) return {f.data(), f.size()};
@@ -326,7 +265,7 @@ class DiNetwork {
   const Digraph* dg_;
   std::shared_ptr<const DiTopology> topo_;
   SyncNetwork net_;
-  int arc_declared_ = 0;  // declared per-arc max width (0 = unchecked)
+  int arc_declared_ = 0;  // declared per-arc max width
 
   // Hot-path views into *topo_ (refreshed by bind_plan).
   const DiTopology::ArcRef* ref_ = nullptr;
@@ -341,8 +280,7 @@ class DiNetwork {
   std::vector<std::int64_t> scratch_fields_;
 };
 
-template <class InboxT>
-inline ArcView BasicDiInbox<InboxT>::along(std::size_t j) const {
+inline ArcView DiInbox::along(std::size_t j) const {
   const auto in_arcs = net_->dg_->in(v_);
   DEC_REQUIRE(j < in_arcs.size(), "in-arc index out of range");
   const DiTopology::ArcRef& ref =
@@ -350,8 +288,7 @@ inline ArcView BasicDiInbox<InboxT>::along(std::size_t j) const {
   return net_->extract((*in_)[ref.head_inc], ref);
 }
 
-template <class InboxT>
-inline ArcView BasicDiInbox<InboxT>::against(std::size_t j) const {
+inline ArcView DiInbox::against(std::size_t j) const {
   const auto out_arcs = net_->dg_->out(v_);
   DEC_REQUIRE(j < out_arcs.size(), "out-arc index out of range");
   const DiTopology::ArcRef& ref =

@@ -1,29 +1,8 @@
 #include "sim/message.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace dec {
-
-void Message::grow(std::size_t needed) {
-  const std::size_t new_cap =
-      std::max<std::size_t>(needed, static_cast<std::size_t>(cap_) * 2);
-  std::int64_t* fresh = slab_ != nullptr ? slab_->allocate(new_cap)
-                                         : new std::int64_t[new_cap];
-  const std::int64_t* src = data();
-  for (std::uint32_t i = 0; i < size_; ++i) fresh[i] = src[i];
-  release_heap();
-  ext_ = fresh;
-  owns_ext_ = slab_ == nullptr;
-  cap_ = static_cast<std::uint32_t>(new_cap);
-}
-
-void Message::release_heap() {
-  if (owns_ext_) {
-    delete[] ext_;
-    owns_ext_ = false;
-  }
-}
 
 void CongestAudit::reset() {
   max_bits_ = 0;

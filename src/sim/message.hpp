@@ -1,183 +1,78 @@
-// Messages exchanged over SyncNetwork, with semantic bit accounting.
+// Message slots of SyncNetwork, with semantic bit accounting.
 //
 // CONGEST requires O(log n)-bit messages. We measure the information content
 // of every message as the sum of the minimal two's-complement widths of its
 // integer fields; the per-round maximum feeds the CongestAudit so that
 // Theorem 1.2's bandwidth claim can be checked empirically (EXP-J).
 //
-// Storage model: a Message keeps up to kInlineFields fields inline (no heap
-// traffic — every message in the paper's algorithms is 1-2 fields). Wider
-// payloads spill: into the bound MessageSlab arena when the message is a
-// SyncNetwork slot (bind_slab), or onto the heap for standalone messages.
-// Slot messages additionally carry an epoch tag, stamped by the network, so
-// that slot validity is a tag comparison instead of a per-round clear sweep.
+// Storage model: every slot of a SyncNetwork plane is a 16 B NarrowSlot —
+// one inline field plus an epoch-tagged header (docs/ARCHITECTURE.md "Slot
+// format"). A payload of two or more fields spills whole into the owning
+// shard's MessageSlab arena, addressed by a 24-bit index; a payload wider
+// than 254 fields saturates the slot's 8-bit count and keeps its true length
+// in the first word of its spill block. The epoch tag, stamped by the
+// network, makes slot validity a tag comparison instead of a per-round
+// clear sweep.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
-
-#include "sim/slab.hpp"
-#include "util/check.hpp"
 
 namespace dec {
 
-class Message {
- public:
-  /// Fields stored without any spill; sized so the paper's algorithms (which
-  /// send 1-2 fields) never leave inline storage.
-  static constexpr std::size_t kInlineFields = 4;
-
-  Message() = default;
-  Message(std::initializer_list<std::int64_t> init) { assign(init); }
-
-  Message(const Message& o) { copy_payload_from(o); }
-
-  /// Copy assignment copies the payload only. The destination keeps its own
-  /// slab binding and epoch tag — this is what lets user code write
-  /// `outbox[i] = Message{...}` without detaching the slot from the network's
-  /// arena or un-stamping the slot validity tag.
-  Message& operator=(const Message& o) {
-    if (this != &o) copy_payload_from(o);
-    return *this;
-  }
-
-  ~Message() { release_heap(); }
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  /// Drop all fields. Keeps current storage (and slab binding), so repeated
-  /// clear/push cycles on a spilled message do not reallocate.
-  void clear() { size_ = 0; }
-
-  void push(std::int64_t v) {
-    if (size_ == cap_) grow(size_ + 1);
-    data()[size_++] = v;
-  }
-
-  /// Replace the payload wholesale (clear + push each).
-  void assign(std::initializer_list<std::int64_t> init) {
-    size_ = 0;
-    if (init.size() > cap_) grow(init.size());
-    std::int64_t* d = data();
-    for (const std::int64_t v : init) d[size_++] = v;
-  }
-
-  std::int64_t at(std::size_t i) const {
-    DEC_REQUIRE(i < size_, "message field index out of range");
-    return data()[i];
-  }
-
-  std::span<const std::int64_t> fields() const { return {data(), size_}; }
-
-  // ---- substrate hooks (used by SyncNetwork; harmless elsewhere) ----
-
-  /// True when the payload lives outside the inline buffer (tests/stats).
-  bool spilled() const { return ext_ != nullptr; }
-
-  /// Future spills of this message go to `slab` instead of the heap. The
-  /// binding survives clear()/assignment; the caller owns slab lifetime.
-  void bind_slab(MessageSlab* slab) { slab_ = slab; }
-
-  /// Forget any spill storage and return to the inline buffer, empty. Heap
-  /// spills are freed; slab spills are simply dropped (the arena reclaims
-  /// them in bulk at its next reset). Used by the network's lazy slot clear,
-  /// which must not touch storage that a slab reset already invalidated.
-  void reset_storage() {
-    release_heap();
-    ext_ = nullptr;
-    cap_ = kInlineFields;
-    size_ = 0;
-  }
-
-  /// Slot-validity tag, owned by SyncNetwork: a slot's payload is live only
-  /// when its epoch matches the network's current round epoch.
-  std::uint32_t epoch() const { return epoch_; }
-  void set_epoch(std::uint32_t e) { epoch_ = e; }
-
- private:
-  const std::int64_t* data() const { return ext_ != nullptr ? ext_ : inline_; }
-  std::int64_t* data() { return ext_ != nullptr ? ext_ : inline_; }
-
-  void copy_payload_from(const Message& o) {
-    size_ = 0;
-    if (o.size_ > cap_) grow(o.size_);
-    std::int64_t* d = data();
-    const std::int64_t* s = o.data();
-    for (std::uint32_t i = 0; i < o.size_; ++i) d[i] = s[i];
-    size_ = o.size_;
-  }
-
-  void grow(std::size_t needed);
-  void release_heap();
-
-  std::int64_t inline_[kInlineFields];
-  std::int64_t* ext_ = nullptr;   // spill storage (slab block or owned heap)
-  MessageSlab* slab_ = nullptr;   // spill target; null -> heap
-  std::uint32_t size_ = 0;
-  std::uint32_t cap_ = kInlineFields;
-  std::uint32_t epoch_ = 0;
-  bool owns_ext_ = false;  // ext_ is heap-owned (delete[] on release)
-};
-
-/// Canonical empty message, returned for inbox slots whose epoch tag is
-/// stale (i.e. nothing was sent on that edge this round).
-inline const Message kEmptyMessage{};
-
-/// Slot format of a SyncNetwork's message planes. The format is structural:
-/// chosen at construction, immutable for the life of the run state, and part
-/// of the pool's park/adopt identity (a narrow run state is never adopted
-/// for a wide lease or vice versa — see sim/shared_pool.hpp).
+/// Slot format of a SyncNetwork's message planes. One format remains — the
+/// 16 B NarrowSlot — so this is a tag, kept because SlotPlan spells it.
 enum class SlotFormat : std::uint8_t {
-  kWide,    // 64 B SBO Message slots (the general default)
   kNarrow,  // 16 B NarrowSlot: one inline int64, slab-indexed overflow
 };
 
-/// Plane mode of a SyncNetwork's message storage. Like SlotFormat it is
-/// structural: chosen at construction, immutable for the life of the run
-/// state, and part of the pool's park/adopt identity. kDouble keeps the
-/// classic swapped inbox/outbox plane pair. kSingle allocates ONE plane per
-/// slot format and delivers by alternating slot ownership with round parity
-/// (docs/ARCHITECTURE.md "Plane modes"): in even rounds every node reads and
-/// writes its own CSR slots, in odd rounds it reads and writes the peer
-/// slots through the precomputed permutation, so each slot has exactly one
-/// accessing node per round and last round's write is exactly where this
-/// round's read looks. Drain (`drain_fast`/`drain_as`) re-reads delivered
-/// messages after the round and is therefore impossible on a single plane —
-/// it throws. Only drain-free protocols may opt in.
+/// Plane mode of a SyncNetwork's message storage. The mode is structural:
+/// chosen at construction, immutable for the life of the run state, and
+/// part of the pool's park/adopt identity (a single-plane run state is never
+/// adopted for a double-plane lease or vice versa — see
+/// sim/shared_pool.hpp). kDouble keeps the classic swapped inbox/outbox
+/// plane pair. kSingle allocates ONE plane and delivers by alternating slot
+/// ownership with round parity (docs/ARCHITECTURE.md "Plane modes"): in
+/// even rounds every node reads and writes its own CSR slots, in odd rounds
+/// it reads and writes the peer slots through the precomputed permutation,
+/// so each slot has exactly one accessing node per round and last round's
+/// write is exactly where this round's read looks. Drain (`drain_fast`)
+/// re-reads delivered messages after the round and is therefore impossible
+/// on a single plane — it throws. Only drain-free protocols may opt in.
 enum class PlaneMode : std::uint8_t {
   kDouble,  // two planes, swap at the barrier (the general default)
   kSingle,  // one plane, parity-alternating slot ownership; drain banned
 };
 
-/// Per-lease slot plan: the plane format plus the protocol's declared
-/// maximum per-message field count. Narrow planes require max_fields in
-/// [1, 255] (it sizes the slab spill blocks); wide planes accept 0
-/// (unchecked, today's behavior) or a positive declared bound. Exceeding a
-/// declared bound throws — the substrate never truncates a message.
+/// Per-lease slot plan: the protocol's declared maximum per-message field
+/// count (any width >= 1; it sizes the slab spill blocks) and the plane
+/// mode. Exceeding the declared width throws — the substrate never
+/// truncates a message. `format` is the one-value SlotFormat tag.
 struct SlotPlan {
-  SlotFormat format = SlotFormat::kWide;
-  int max_fields = 0;
+  SlotFormat format = SlotFormat::kNarrow;
+  int max_fields = 1;
   PlaneMode mode = PlaneMode::kDouble;
 };
 
-/// Compact 16 B slot for single-field protocols (docs/ARCHITECTURE.md "Slot
-/// formats"). One int64 payload lives inline; the header word packs the
-/// epoch tag (high 32 bits), the field count (8 bits), and a 24-bit index
-/// into the owning shard's slab for payloads wider than one field:
+/// The 16 B message slot (docs/ARCHITECTURE.md "Slot format"). One int64
+/// payload lives inline; the header word packs the epoch tag (high 32
+/// bits), the field count (8 bits), and a 24-bit index into the owning
+/// shard's slab for payloads wider than one field:
 ///
 ///   header_ = epoch << 32 | count << 24 | spill_index
 ///
-/// Spilled payloads (count >= 2) live whole in a slab block of the lease's
-/// declared width, addressed by index (MessageSlab::at_index) because 24
-/// bits cannot hold a pointer. The epoch tag plays exactly the Message
-/// role: a slot is live only when its tag equals the round epoch, and the
-/// lazy first-touch stamp doubles as the clear (count and spill go to 0).
+/// Spilled payloads (count >= 2) live whole in a slab block sized for the
+/// lease's declared width (block_fields), addressed by index
+/// (MessageSlab::at_index) because 24 bits cannot hold a pointer. A count
+/// of kSaturated means the payload has 255 or more fields: its true length
+/// is the first word of the spill block and the fields follow it, so counts
+/// up to 254 keep the plain layout. A slot is live only when its tag equals
+/// the round epoch, and the lazy first-touch stamp doubles as the clear
+/// (count and spill go to 0).
 struct NarrowSlot {
   static constexpr std::uint32_t kMaxSpillIndex = (1u << 24) - 1;
-  static constexpr std::uint32_t kMaxFields = 255;
+  static constexpr std::uint32_t kSaturated = 255;
 
   std::int64_t payload_ = 0;
   std::uint64_t header_ = 0;
@@ -200,6 +95,22 @@ struct NarrowSlot {
   void set_spill(std::uint32_t idx) {
     header_ = (header_ & ~static_cast<std::uint64_t>(kMaxSpillIndex)) | idx;
   }
+
+  /// Fields of a spill block for a slot of count `c` >= 2.
+  static std::span<const std::int64_t> spilled(const std::int64_t* block,
+                                               std::uint32_t c) {
+    if (c == kSaturated) {
+      return {block + 1, static_cast<std::size_t>(block[0])};
+    }
+    return {block, c};
+  }
+
+  /// Spill block size for a declared width: the payload, plus the length
+  /// word once the width can saturate the count.
+  static std::size_t block_fields(int declared) {
+    const auto w = static_cast<std::size_t>(declared);
+    return w < kSaturated ? w : w + 1;
+  }
 };
 static_assert(sizeof(NarrowSlot) == 16, "NarrowSlot must stay 16 bytes");
 
@@ -213,27 +124,11 @@ inline int field_bits(std::int64_t v) {
   return std::bit_width(mag | 1) + 1;  // |1: zero still costs a magnitude bit
 }
 
-/// Total semantic bit width of a message (0 for the empty message, which
-/// models "send nothing").
-inline int message_bits(const Message& m) {
-  int total = 0;
-  for (const std::int64_t v : m.fields()) total += field_bits(v);
-  return total;
-}
-
 /// Tracks the maximum message width seen, per run.
 class CongestAudit {
  public:
-  void observe(const Message& m) {
-    if (m.empty()) return;
-    ++messages_;
-    const int bits = message_bits(m);
-    if (bits > max_bits_) max_bits_ = bits;
-  }
-
-  /// Same accounting over a raw field span (the narrow plane's slots resolve
-  /// to spans, not Messages). Bits are a function of the field values alone,
-  /// so narrow and wide runs of one protocol audit bit-identically.
+  /// Count one message of `fields` (an empty span models "send nothing"
+  /// and is not counted). Bits are a function of the field values alone.
   void observe(std::span<const std::int64_t> fields) {
     if (fields.empty()) return;
     ++messages_;

@@ -13,20 +13,11 @@ namespace dec {
 
 namespace {
 
-// Shared plan validation for construction and per-lease rebind: the narrow
-// plane needs a real declared width (it sizes the spill blocks and the 8-bit
-// slot count must hold it); the wide plane accepts 0 (unchecked, the
-// historical behavior) or any positive declared bound.
+// Shared plan validation for construction and per-lease rebind: a declared
+// width sizes the spill blocks, so it must be at least one field.
 void validate_plan(const SlotPlan& plan) {
-  if (plan.format == SlotFormat::kNarrow) {
-    DEC_REQUIRE(plan.max_fields >= 1 &&
-                    plan.max_fields <=
-                        static_cast<int>(NarrowSlot::kMaxFields),
-                "narrow slot plan requires declared max_fields in [1, 255]");
-  } else {
-    DEC_REQUIRE(plan.max_fields >= 0,
-                "wide slot plan requires declared max_fields >= 0");
-  }
+  DEC_REQUIRE(plan.max_fields >= 1,
+              "slot plan requires declared max_fields >= 1");
 }
 
 }  // namespace
@@ -44,7 +35,6 @@ SyncNetwork::SyncNetwork(const Graph& g,
   DEC_REQUIRE(topo_ != nullptr, "null topology");
   DEC_REQUIRE(topo_->matches(g), "topology does not fit the graph");
   validate_plan(plan);
-  format_ = plan.format;
   mode_ = plan.mode;
   declared_fields_ = plan.max_fields;
   bind_ledger(ledger, std::move(component));
@@ -60,31 +50,23 @@ void SyncNetwork::bind_ledger(RoundLedger* ledger, std::string component) {
   }
 }
 
-// Fit the run state to topo_: size both buffer planes, size the shard set,
-// and bind every slot's spill target to its shard's slab. Reuses existing
-// vector capacity — a pooled network that has seen a larger plan allocates
-// nothing here. Stale messages keep their old epoch tags (always below any
-// future read epoch, so they read as empty) and may hold dangling slab
-// pointers; the lazy outbox reset (reset_storage on first touch) drops those
-// before any use, exactly as it does across ordinary rounds.
+// Fit the run state to topo_: size the buffer planes and the shard set.
+// Reuses existing vector capacity — a pooled network that has seen a larger
+// plan allocates nothing here. Stale slots keep their old epoch tags
+// (always below any future read epoch, so they read as empty) and may hold
+// spill indices into a since-rewound slab; the lazy outbox stamp drops
+// those before any use, exactly as it does across ordinary rounds.
 void SyncNetwork::bind_plan() {
   offsets_ = topo_->offsets().data();
   peer_slot_ = topo_->peer_slot().data();
   iota_ = topo_->iota_map().data();
   shard_begin_ = topo_->shard_begin().data();
 
-  // Only the active format's plane pair is sized; the other pair stays at
-  // whatever it was (capacity 0 for the life of the run state, since the
-  // format never changes). A single-plane state sizes only the `a` plane —
-  // that IS the memory win — and in_/out_ both point at it (point_planes).
+  // A single-plane state sizes only the `a` plane — that IS the memory
+  // win — and in_/out_ both point at it (point_planes).
   const std::size_t slots = topo_->num_slots();
-  if (format_ == SlotFormat::kWide) {
-    buf_a_.resize(slots);
-    if (mode_ == PlaneMode::kDouble) buf_b_.resize(slots);
-  } else {
-    nbuf_a_.resize(slots);
-    if (mode_ == PlaneMode::kDouble) nbuf_b_.resize(slots);
-  }
+  buf_a_.resize(slots);
+  if (mode_ == PlaneMode::kDouble) buf_b_.resize(slots);
   point_planes();
   // Both mail halves; surviving tags are stale (at most the last write
   // epoch, below every future read epoch), like surviving slots.
@@ -104,29 +86,14 @@ void SyncNetwork::bind_plan() {
       (pool_ == nullptr || pool_->num_threads() < num_shards)) {
     pool_ = std::make_unique<ThreadPool>(num_shards);
   }
-  // Slot -> shard boundaries, used by narrow spill resolution (and cheap to
-  // keep around either way).
+  // Slot -> shard boundaries, used by spill resolution. Slots carry slab
+  // indices, not bindings; the outbox hands each write the executing
+  // shard's arena directly.
   shard_slot_begin_.resize(static_cast<std::size_t>(num_shards) + 1);
   for (int s = 0; s <= num_shards; ++s) {
     shard_slot_begin_[static_cast<std::size_t>(s)] =
         offsets_[static_cast<std::size_t>(shard_begin_[s])];
   }
-  if (format_ == SlotFormat::kWide) {
-    for (int s = 0; s < num_shards; ++s) {
-      Shard& sh = shards_[static_cast<std::size_t>(s)];
-      const std::size_t lo = shard_slot_begin_[static_cast<std::size_t>(s)];
-      const std::size_t hi =
-          shard_slot_begin_[static_cast<std::size_t>(s) + 1];
-      for (std::size_t slot = lo; slot < hi; ++slot) {
-        buf_a_[slot].bind_slab(&sh.slab_a);
-        if (mode_ == PlaneMode::kDouble) buf_b_[slot].bind_slab(&sh.slab_b);
-      }
-    }
-  }
-  // Narrow slots carry slab indices, not bindings; the outbox hands each
-  // write the owning shard's arena directly. (Single-plane wide outboxes
-  // re-bind per first touch — see Outbox — so the static binding above is
-  // only the even-round direct-addressed case.)
   reset();
 }
 
@@ -136,13 +103,8 @@ void SyncNetwork::bind_plan() {
 // not once a single flag tracks both); in single mode both pointers share
 // the one plane and the flag simply restarts the parity at even.
 void SyncNetwork::point_planes() {
-  if (format_ == SlotFormat::kWide) {
-    out_ = buf_a_.data();
-    in_ = mode_ == PlaneMode::kDouble ? buf_b_.data() : buf_a_.data();
-  } else {
-    nout_ = nbuf_a_.data();
-    nin_ = mode_ == PlaneMode::kDouble ? nbuf_b_.data() : nbuf_a_.data();
-  }
+  out_ = buf_a_.data();
+  in_ = mode_ == PlaneMode::kDouble ? buf_b_.data() : buf_a_.data();
   out_is_a_ = true;
 }
 
@@ -194,11 +156,9 @@ void SyncNetwork::rebind(const Graph& g,
                          RoundLedger* ledger, std::string component,
                          SlotPlan plan) {
   validate_plan(plan);
-  // Format and plane mode are structural — pooled leases filter by both
-  // before adopting a parked run state, so a mismatch here is a pool bug,
-  // not a user error.
-  DEC_REQUIRE(plan.format == format_,
-              "rebind cannot change a network's slot format");
+  // The plane mode is structural — pooled leases filter by it before
+  // adopting a parked run state, so a mismatch here is a pool bug, not a
+  // user error.
   DEC_REQUIRE(plan.mode == mode_,
               "rebind cannot change a network's plane mode");
   declared_fields_ = plan.max_fields;
@@ -222,8 +182,9 @@ void SyncNetwork::begin_round() {
   ++epoch_;
   // The buffer about to be written was the inbox two rounds ago; its spill
   // arenas can be rewound now that that round's reads are long done. Stale
-  // slot payloads may dangle into the rewound arena, but a stale slot is
-  // reset (reset_storage) before first use and never read through an Inbox.
+  // slots may index into the rewound arena, but a stale slot is stamped
+  // (count and spill zeroed) before first use and never read through an
+  // Inbox.
   // The receiver list of this round's parity still names the receivers of
   // two rounds ago; nobody reads those again.
   for (Shard& sh : shards_) {
@@ -253,16 +214,9 @@ void SyncNetwork::abort_round() {
     sh.visit.clear();
     sh.recv[epoch_ & 1u].clear();
     touched_any = touched_any || !sh.touched.empty();
-    if (format_ == SlotFormat::kWide) {
-      for (const std::uint32_t s : sh.touched) {
-        out_[s].reset_storage();
-        out_[s].set_epoch(0);
-      }
-    } else {
-      // Zeroing the header un-stamps the slot (epoch 0 is never a write
-      // epoch) and drops count and spill index in one store.
-      for (const std::uint32_t s : sh.touched) nout_[s].header_ = 0;
-    }
+    // Zeroing the header un-stamps the slot (epoch 0 is never a write
+    // epoch) and drops count and spill index in one store.
+    for (const std::uint32_t s : sh.touched) out_[s].header_ = 0;
     sh.touched.clear();
     sh.audit.reset();
   }
@@ -287,11 +241,8 @@ void SyncNetwork::finish_round() {
     sh.touched.clear();
   }
   // Delivery: the peer permutation is baked into Inbox reads, so handing the
-  // written buffer to the readers is a pointer swap. Both format's pointer
-  // pairs swap (the inactive pair is null/null — swapping is free and keeps
-  // this path branchless).
+  // written buffer to the readers is a pointer swap.
   std::swap(in_, out_);
-  std::swap(nin_, nout_);
   out_is_a_ = !out_is_a_;
   ++rounds_;
   if (counter_.has_value()) counter_->charge(1);
@@ -361,16 +312,35 @@ NodeId SyncNetwork::node_of_slot(std::size_t slot) const {
   return static_cast<NodeId>((it - offsets.begin()) - 1);
 }
 
+void MessageRef::push_long(std::int64_t v) {
+  std::int64_t* block = slab_->at_index(slot_->spill());
+  const std::uint32_t c = slot_->count();
+  if (c != NarrowSlot::kSaturated) {
+    // The 255th field saturates the count: shift the payload up one word
+    // and keep the true length in front of it (block_fields reserved the
+    // word, since only a declared width >= 255 gets here).
+    std::copy_backward(block, block + c, block + c + 1);
+    block[0] = c;
+    slot_->set_count(NarrowSlot::kSaturated);
+  }
+  const std::int64_t len = block[0];
+  if (len >= declared_) {
+    net_->throw_width_violation(v_, slot_index_, declared_, len + 1);
+  }
+  block[1 + len] = v;
+  block[0] = len + 1;
+}
+
 void SyncNetwork::throw_width_violation(NodeId v, std::size_t slot,
-                                        int declared, int actual) const {
+                                        int declared,
+                                        std::int64_t actual) const {
   const std::string msg =
       "message wider than the protocol's declared slot plan: component '" +
       component_ + "' round " + std::to_string(rounds_) + ", node " +
       std::to_string(v) + " slot " + std::to_string(slot) + " reached " +
       std::to_string(actual) + " fields but the lease declared max_fields=" +
       std::to_string(declared) +
-      " — raise the declared width (or use a wide slot plan); the substrate "
-      "never truncates";
+      " — raise the declared width; the substrate never truncates";
   DEC_CHECK(false, msg);
   std::abort();  // unreachable: DEC_CHECK(false, ...) always throws
 }
@@ -393,7 +363,7 @@ void SyncNetwork::throw_single_plane_drain() const {
       "drain on a single-plane lease: component '" + component_ +
       "' after round " + std::to_string(rounds_) +
       " — a single plane overwrites last round's deliveries in place, so "
-      "drain_fast/drain_as has nothing stable to re-read; pipelined "
+      "drain_fast has nothing stable to re-read; pipelined "
       "protocols that re-read deliveries need PlaneMode::kDouble";
   DEC_REQUIRE(false, msg);
   std::abort();  // unreachable: DEC_REQUIRE(false, ...) always throws
@@ -411,11 +381,5 @@ void SyncNetwork::throw_single_plane_hazard(NodeId v,
   DEC_CHECK(false, msg);
   std::abort();  // unreachable: DEC_CHECK(false, ...) always throws
 }
-
-ParallelSyncNetwork::ParallelSyncNetwork(const Graph& g, RoundLedger* ledger,
-                                         std::string component,
-                                         int num_threads)
-    : SyncNetwork(g, ledger, std::move(component),
-                  resolve_num_threads(num_threads)) {}
 
 }  // namespace dec

@@ -8,33 +8,35 @@
 // free to run nodes serially (id order) or sharded across threads.
 //
 // The substrate splits into two layers (full architecture notes, including
-// the slot plane, epoch tagging, swap delivery, and the parallel round
+// the slot format, epoch tagging, swap delivery, and the parallel round
 // engine, live in docs/ARCHITECTURE.md):
 //
 //  * Plan: an immutable NetworkTopology (sim/topology.hpp) — CSR slot
 //    offsets, peer-slot permutation, shard partition — planned once per
 //    graph shape and shared by shared_ptr.
 //
-//  * Run state: this class — the two message buffer planes, slab arenas,
-//    epoch counter, round count, audit, and thread pool. Constructible from
-//    a cached plan, O(1)-resettable (reset()) and rebindable to a new graph
+//  * Run state: this class — the message buffer planes, slab arenas, epoch
+//    counter, round count, audit, and thread pool. Constructible from a
+//    cached plan, O(1)-resettable (reset()) and rebindable to a new graph
 //    (rebind()) without replanning; NetworkPool (sim/pool.hpp) arenas both.
 //
-// The round hot path is allocation-free: messages are small-buffer-optimized
-// (spill to a per-shard MessageSlab), slot validity is epoch-tagged (no
-// clear sweeps), and delivery is a buffer-pointer swap through the peer
+// The round hot path is allocation-free: every slot is a 16 B NarrowSlot
+// (one inline field; wider payloads spill to a per-shard MessageSlab, sized
+// by the lease's declared width), slot validity is epoch-tagged (no clear
+// sweeps), and delivery is a buffer-pointer swap through the peer
 // permutation — or, for drain-free leases on PlaneMode::kSingle, a single
 // plane whose slot ownership alternates with round parity (no swap, half
 // the plane memory; see docs/ARCHITECTURE.md "Plane modes"). Serial and
 // sharded execution are bit-identical in both modes.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -56,9 +58,30 @@ class SyncNetwork;
 /// double-plane boxes without costing a mode branch on the hot path.
 inline constexpr std::uint32_t kNoHazardEpoch = 0xffffffffu;
 
+/// By-value read view of one slot's payload: empty, or the fields a
+/// neighbor sent (inline or in the slab).
+class MessageView {
+ public:
+  MessageView() = default;
+  explicit MessageView(std::span<const std::int64_t> fields)
+      : fields_(fields) {}
+
+  bool empty() const { return fields_.empty(); }
+  std::size_t size() const { return fields_.size(); }
+  std::int64_t at(std::size_t i) const {
+    DEC_REQUIRE(i < fields_.size(), "message field index out of range");
+    return fields_[i];
+  }
+  std::span<const std::int64_t> fields() const { return fields_; }
+
+ private:
+  std::span<const std::int64_t> fields_;
+};
+
 /// Read-only view of one node's incoming messages for the current round.
-/// Entry i corresponds to g.neighbors(v)[i]; slots whose epoch tag is stale
-/// (neighbor sent nothing) read as the canonical empty message.
+/// Entry i is what g.neighbors(v)[i] sent last round, empty when its epoch
+/// tag is stale (the neighbor sent nothing). operator[] returns a view BY
+/// VALUE; `const auto&` at call sites binds it.
 ///
 /// Addressing is uniform — entry i reads buf_[map_[i]], with the round's
 /// base slot folded into buf_ at construction. Peer-delivered rounds
@@ -66,49 +89,36 @@ inline constexpr std::uint32_t kNoHazardEpoch = 0xffffffffu;
 /// node's peer-permutation slice; direct rounds (even single-plane rounds)
 /// pass the node's first slot and the topology's tiny iota map. One L1-hot
 /// map load instead of a plane-mode branch keeps the read path free of mode
-/// tests in type-erased node programs, whose one compiled body serves every
-/// plane mode. Fully-inlined programs (generic round_fast lambdas) instead
-/// get the kDirect = true instantiation on direct rounds, whose accessor is
-/// the affine buf_[i] — no map load at all; the round engine picks per
-/// plane mode and program signature (see run_shard_impl). A slot tagged
-/// with the WRITE epoch on a single plane means the program wrote this
-/// entry's outbox slot before reading the inbox entry — that
-/// read-after-write hazard throws instead of returning the node's own
+/// tests. A slot tagged with the WRITE epoch on a single plane means the
+/// program wrote this entry's outbox slot before reading the inbox entry —
+/// that read-after-write hazard throws instead of returning the node's own
 /// message; on double planes hazard_ is kNoHazardEpoch and the check is one
 /// never-taken compare on the stale path only.
 ///
 /// any() is the node's O(1) mail summary (docs/ARCHITECTURE.md "Mail
 /// summary"): false guarantees every entry reads empty this round, so a
 /// program may skip its inbox scan; true means some neighbor may have sent.
-template <bool kDirect>
-class BasicInbox {
+class Inbox {
  public:
-  BasicInbox(const Message* buf, const std::uint32_t* map, std::size_t n,
-             std::uint32_t epoch)
-      : buf_(buf), map_(map), n_(n), epoch_(epoch) {}
-
-  const Message& operator[](std::size_t i) const;  // defined after SyncNetwork
-
+  MessageView operator[](std::size_t i) const;  // defined after SyncNetwork
   std::size_t size() const { return n_; }
   bool any() const { return any_; }
 
   class const_iterator {
    public:
     using iterator_category = std::forward_iterator_tag;
-    using value_type = Message;
-    using reference = const Message&;
-    using pointer = const Message*;
+    using value_type = MessageView;
+    using reference = MessageView;
     using difference_type = std::ptrdiff_t;
 
-    const_iterator(const BasicInbox* box, std::size_t i) : box_(box), i_(i) {}
-    reference operator*() const { return (*box_)[i_]; }
-    pointer operator->() const { return &(*box_)[i_]; }
+    const_iterator(const Inbox* box, std::size_t i) : box_(box), i_(i) {}
+    MessageView operator*() const { return (*box_)[i_]; }
     const_iterator& operator++() { ++i_; return *this; }
     bool operator==(const const_iterator& o) const { return i_ == o.i_; }
     bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
 
    private:
-    const BasicInbox* box_;
+    const Inbox* box_;
     std::size_t i_;
   };
 
@@ -117,172 +127,14 @@ class BasicInbox {
 
  private:
   friend class SyncNetwork;
-  BasicInbox(const Message* buf, const std::uint32_t* map, std::size_t n,
-             std::uint32_t epoch, std::uint32_t hazard, const SyncNetwork* net,
-             NodeId v, bool any)
-      : buf_(buf), map_(map), n_(n), epoch_(epoch), hazard_(hazard),
-        net_(net), v_(v), any_(any) {}
-
-  const Message* buf_;        // plane base + round base slot
-  const std::uint32_t* map_;  // peer permutation slice / iota map
-  std::size_t n_;
-  std::uint32_t epoch_;
-  std::uint32_t hazard_ = kNoHazardEpoch;  // write epoch on a single plane
-  const SyncNetwork* net_ = nullptr;       // hazard error context
-  NodeId v_ = 0;
-  bool any_ = true;  // mail summary; conservative outside round boxes
-};
-
-/// The erased-program inbox: data-driven map addressing, one compiled body
-/// for every plane mode (StepFn programs and any lambda that names the type).
-using Inbox = BasicInbox<false>;
-/// Affine instantiation handed to fully-inlined generic programs on direct
-/// rounds.
-using DirectInbox = BasicInbox<true>;
-
-/// Write view of one node's outgoing slots for the current round. Slots are
-/// lazily reset on first touch (epoch-tag check), so untouched slots cost
-/// nothing and there is no per-round clear sweep.
-///
-/// Addressing mirrors Inbox: entry i is buf_[map_[i]] with the round's base
-/// slot folded into buf_ (peer permutation off the plane base in a single
-/// plane's odd rounds, the iota map off the node's first slot otherwise);
-/// base_ is kept only to reconstruct the global index for the touched list
-/// — the first-touch path, never the per-access one. The first
-/// touch also binds the slot's spill slab to the EXECUTING shard's write
-/// arena: on double planes that is the slab the slot is statically bound to
-/// anyway (one redundant store to an already-dirty line, no mode branch),
-/// while on a single plane it is load-bearing — odd rounds write slots in
-/// other shards' ranges, even rounds reclaim slots an odd round bound
-/// elsewhere, and two shards must never allocate from one arena
-/// concurrently. The kDirect = true instantiation (generic fully-inlined
-/// programs on direct rounds) skips the map load: its accessor is the
-/// affine buf_[i] of the pre-single-plane engine.
-template <bool kDirect>
-class BasicOutbox {
- public:
-  Message& operator[](std::size_t i) {
-    const std::uint32_t off =
-        kDirect ? static_cast<std::uint32_t>(i) : map_[i];
-    Message& m = buf_[off];
-    if (m.epoch() != epoch_) {
-      m.bind_slab(slab_);
-      m.reset_storage();  // storage may point into a since-reset slab
-      m.set_epoch(epoch_);
-      touched_->push_back(base_ + off);
-    }
-    return m;
-  }
-
-  std::size_t size() const { return n_; }
-
-  class iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = Message;
-    using reference = Message&;
-    using pointer = Message*;
-    using difference_type = std::ptrdiff_t;
-
-    iterator(BasicOutbox* box, std::size_t i) : box_(box), i_(i) {}
-    reference operator*() const { return (*box_)[i_]; }
-    pointer operator->() const { return &(*box_)[i_]; }
-    iterator& operator++() { ++i_; return *this; }
-    bool operator==(const iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-   private:
-    BasicOutbox* box_;
-    std::size_t i_;
-  };
-
-  iterator begin() { return {this, 0}; }
-  iterator end() { return {this, n_}; }
-
- private:
-  friend class SyncNetwork;
-  BasicOutbox(Message* buf, const std::uint32_t* map, std::size_t n,
-              std::uint32_t epoch, std::uint32_t base,
-              std::vector<std::uint32_t>* touched, MessageSlab* slab)
-      : buf_(buf), map_(map), n_(n), epoch_(epoch), base_(base),
-        touched_(touched), slab_(slab) {}
-
-  Message* buf_;              // plane base + round base slot
-  const std::uint32_t* map_;  // peer permutation slice / iota map
-  std::size_t n_;
-  std::uint32_t epoch_;
-  std::uint32_t base_;  // node's first slot (direct) / 0 (peer)
-  std::vector<std::uint32_t>* touched_;
-  MessageSlab* slab_;  // executing shard's write-parity spill arena
-};
-
-/// Erased-program outbox (map addressing; see BasicInbox aliases).
-using Outbox = BasicOutbox<false>;
-/// Affine instantiation for fully-inlined generic programs on direct rounds.
-using DirectOutbox = BasicOutbox<true>;
-
-/// By-value read view of one narrow slot's payload. Mirrors the read API of
-/// Message (empty/size/at/fields), so node programs written against the
-/// common surface compile on either plane format.
-class NarrowView {
- public:
-  NarrowView() = default;
-  NarrowView(const std::int64_t* data, std::size_t n) : data_(data), n_(n) {}
-
-  bool empty() const { return n_ == 0; }
-  std::size_t size() const { return n_; }
-  std::int64_t at(std::size_t i) const {
-    DEC_REQUIRE(i < n_, "message field index out of range");
-    return data_[i];
-  }
-  std::span<const std::int64_t> fields() const { return {data_, n_}; }
-
- private:
-  const std::int64_t* data_ = nullptr;
-  std::size_t n_ = 0;
-};
-
-/// Narrow-plane counterpart of Inbox: entry i is what g.neighbors(v)[i] sent
-/// last round, empty when its epoch tag is stale. operator[] returns a view
-/// BY VALUE (a NarrowSlot has no Message to reference); `const auto&` at
-/// call sites binds either form. any() is the mail summary, as on Inbox.
-class NarrowInbox {
- public:
-  NarrowView operator[](std::size_t i) const;  // defined after SyncNetwork
-  std::size_t size() const { return n_; }
-  bool any() const { return any_; }
-
-  class const_iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = NarrowView;
-    using reference = NarrowView;
-    using difference_type = std::ptrdiff_t;
-
-    const_iterator(const NarrowInbox* box, std::size_t i) : box_(box), i_(i) {}
-    NarrowView operator*() const { return (*box_)[i_]; }
-    const_iterator& operator++() { ++i_; return *this; }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const NarrowInbox* box_;
-    std::size_t i_;
-  };
-
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, n_}; }
-
- private:
-  friend class SyncNetwork;
-  NarrowInbox(const SyncNetwork* net, const NarrowSlot* buf,
-              const std::uint32_t* map, std::size_t n, std::uint32_t epoch,
-              std::uint32_t base = 0, std::uint32_t hazard = kNoHazardEpoch,
-              NodeId v = 0, bool any = true)
+  Inbox(const SyncNetwork* net, const NarrowSlot* buf,
+        const std::uint32_t* map, std::size_t n, std::uint32_t epoch,
+        std::uint32_t base = 0, std::uint32_t hazard = kNoHazardEpoch,
+        NodeId v = 0, bool any = true)
       : net_(net), buf_(buf), map_(map), n_(n), epoch_(epoch), base_(base),
         hazard_(hazard), v_(v), any_(any) {}
 
-  const SyncNetwork* net_;    // resolves slab spills of wide payloads
+  const SyncNetwork* net_;    // resolves slab spills of multi-field payloads
   const NarrowSlot* buf_;     // plane base + round base slot
   const std::uint32_t* map_;  // peer permutation slice / iota map
   std::size_t n_;
@@ -293,13 +145,14 @@ class NarrowInbox {
   bool any_ = true;  // mail summary; conservative for drain boxes
 };
 
-/// Write proxy for one narrow outbox slot (returned BY VALUE by
-/// NarrowOutbox::operator[]). The write API is the Message subset the
-/// solvers use — assign/push/clear; exceeding the lease's declared width
-/// throws an actionable error, never truncates. The second field of a slot
-/// moves the payload into an index-addressed slab block of exactly the
-/// declared width, so a declared-1 lease never touches the slab at all.
-class NarrowRef {
+/// Write proxy for one outbox slot (returned BY VALUE by
+/// Outbox::operator[]): assign/push/clear. Exceeding the lease's declared
+/// width throws an actionable error, never truncates. The second field of a
+/// slot moves the payload into an index-addressed slab block sized for the
+/// declared width, so a declared-1 lease never touches the slab at all; the
+/// 255th field saturates the slot's count (see NarrowSlot), which only
+/// leases declaring 255 or more fields can reach.
+class MessageRef {
  public:
   void assign(std::initializer_list<std::int64_t> init) {
     clear();
@@ -309,34 +162,45 @@ class NarrowRef {
   void clear() { slot_->set_count(0); }
 
  private:
-  friend class NarrowOutbox;
-  NarrowRef(NarrowSlot* slot, MessageSlab* slab, const SyncNetwork* net,
-            NodeId v, std::uint32_t slot_index, int declared)
+  friend class Outbox;
+  MessageRef(NarrowSlot* slot, MessageSlab* slab, const SyncNetwork* net,
+             NodeId v, std::uint32_t slot_index, int declared)
       : slot_(slot), slab_(slab), net_(net), v_(v), slot_index_(slot_index),
         declared_(declared) {}
 
+  /// Push onto a payload of 254 or more fields: the saturated layout, kept
+  /// out of the inlined hot path.
+  void push_long(std::int64_t v);
+
   NarrowSlot* slot_;
-  MessageSlab* slab_;        // owning shard's write-plane arena
+  MessageSlab* slab_;        // executing shard's write-plane arena
   const SyncNetwork* net_;   // error context (component, round)
   NodeId v_;
   std::uint32_t slot_index_;
   int declared_;
 };
 
-/// Narrow-plane counterpart of Outbox: slots are lazily stamped on first
-/// touch (the stamp doubles as the clear). Iteration yields proxies by
-/// value — range-for with `auto&&`.
-class NarrowOutbox {
+/// Write view of one node's outgoing slots for the current round. Slots are
+/// lazily stamped on first touch (the epoch-tag stamp doubles as the
+/// clear), so untouched slots cost nothing and there is no per-round clear
+/// sweep. Addressing mirrors Inbox (peer permutation off the plane base in a
+/// single plane's odd rounds, the iota map off the node's first slot
+/// otherwise); base_ reconstructs the global index for the touched list.
+/// Spills go to the EXECUTING shard's write arena: on a single plane, odd
+/// rounds write slots in other shards' ranges, and two shards must never
+/// allocate from one arena concurrently. Iteration yields proxies by value
+/// — range-for with `auto&&`.
+class Outbox {
  public:
-  NarrowRef operator[](std::size_t i) {
+  MessageRef operator[](std::size_t i) {
     const std::uint32_t off = map_[i];
     NarrowSlot& s = buf_[off];
-    const std::uint32_t idx = base_ + off;  // global; NarrowRef error context
+    const std::uint32_t idx = base_ + off;  // global; MessageRef error context
     if (s.epoch() != epoch_) {
       s.stamp(epoch_);
       touched_->push_back(idx);
     }
-    return NarrowRef{&s, slab_, net_, v_, idx, declared_};
+    return MessageRef{&s, slab_, net_, v_, idx, declared_};
   }
 
   std::size_t size() const { return n_; }
@@ -344,18 +208,18 @@ class NarrowOutbox {
   class iterator {
    public:
     using iterator_category = std::forward_iterator_tag;
-    using value_type = NarrowRef;
-    using reference = NarrowRef;
+    using value_type = MessageRef;
+    using reference = MessageRef;
     using difference_type = std::ptrdiff_t;
 
-    iterator(NarrowOutbox* box, std::size_t i) : box_(box), i_(i) {}
-    NarrowRef operator*() const { return (*box_)[i_]; }
+    iterator(Outbox* box, std::size_t i) : box_(box), i_(i) {}
+    MessageRef operator*() const { return (*box_)[i_]; }
     iterator& operator++() { ++i_; return *this; }
     bool operator==(const iterator& o) const { return i_ == o.i_; }
     bool operator!=(const iterator& o) const { return i_ != o.i_; }
 
    private:
-    NarrowOutbox* box_;
+    Outbox* box_;
     std::size_t i_;
   };
 
@@ -364,10 +228,10 @@ class NarrowOutbox {
 
  private:
   friend class SyncNetwork;
-  NarrowOutbox(NarrowSlot* buf, const std::uint32_t* map, std::uint32_t base,
-               MessageSlab* slab, const SyncNetwork* net, NodeId v,
-               std::size_t n, std::uint32_t epoch,
-               std::vector<std::uint32_t>* touched, int declared)
+  Outbox(NarrowSlot* buf, const std::uint32_t* map, std::uint32_t base,
+         MessageSlab* slab, const SyncNetwork* net, NodeId v, std::size_t n,
+         std::uint32_t epoch, std::vector<std::uint32_t>* touched,
+         int declared)
       : buf_(buf), map_(map), base_(base), slab_(slab), net_(net), v_(v),
         n_(n), epoch_(epoch), touched_(touched), declared_(declared) {}
 
@@ -387,10 +251,11 @@ class SyncNetwork {
  public:
   /// Plan-and-run convenience: plans a fresh topology for `g`. `component`
   /// names the ledger line that rounds are charged to; `ledger` may be null
-  /// (rounds still counted locally). `num_threads` > 1 enables the parallel
-  /// round engine (see ParallelSyncNetwork). `plan` picks the slot-plane
-  /// format (structural — immutable for this run state's lifetime) and the
-  /// protocol's declared max per-message field count.
+  /// (rounds still counted locally). `num_threads` > 1 shards the nodes over
+  /// the parallel round engine (0 = hardware concurrency is resolved by the
+  /// callers that accept it, see resolve_num_threads). `plan` declares the
+  /// protocol's max per-message field count and picks the plane mode
+  /// (structural — immutable for this run state's lifetime).
   explicit SyncNetwork(const Graph& g, RoundLedger* ledger = nullptr,
                        std::string component = "network", int num_threads = 1,
                        SlotPlan plan = {});
@@ -414,41 +279,33 @@ class SyncNetwork {
 
   /// Re-target this run state at a different graph/plan, reusing buffer and
   /// shard storage (no allocation when the new plan needs no more slots or
-  /// shards than this state ever had). O(num_slots) when the plan changes —
-  /// slab bindings follow the new shard partition — and O(num_shards) when
-  /// `topo` is the plan already bound (degenerates to reset()).
+  /// shards than this state ever had). O(num_shards) when `topo` is the plan
+  /// already bound (degenerates to reset()).
   void rebind(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
               RoundLedger* ledger = nullptr, std::string component = "network");
 
-  /// rebind() that also re-declares the per-lease slot plan. The FORMAT is
-  /// structural and must equal this run state's (the pool filters by format
-  /// before ever calling this); only the declared max field count may change
-  /// between leases.
+  /// rebind() that also re-declares the per-lease slot plan. The plane MODE
+  /// is structural and must equal this run state's (the pool filters by
+  /// mode before ever calling this); only the declared max field count may
+  /// change between leases.
   void rebind(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
               RoundLedger* ledger, std::string component, SlotPlan plan);
 
-  /// Node program for one round: read `inbox`, fill `outbox` (both sized
-  /// degree(v); outbox slots read as empty until written).
-  using StepFn =
-      std::function<void(NodeId v, const Inbox& inbox, Outbox& outbox)>;
-
-  /// Execute one synchronous round and charge it to the ledger.
-  void round(const StepFn& fn) { round_fast(fn); }
-
-  /// Same, but `fn` stays a concrete callable — no std::function type
-  /// erasure on the per-node call. Use this from solver inner loops. With
+  /// Execute one synchronous round and charge it to the ledger:
+  /// `fn(v, const Inbox&, Outbox&)` runs once per node. `fn` stays a
+  /// concrete callable — no type erasure on the per-node call. With
   /// num_threads > 1, `fn` is invoked concurrently from pool workers and
   /// must confine writes to its own node's state and outbox.
-  ///
-  /// Dispatch over the slot-plane format: a generic node program (e.g. a
-  /// lambda taking `const auto&` / `auto&&` boxes) is invocable against both
-  /// box families and runs on whichever plane this network carries; a
-  /// program written against one concrete family requires the matching
-  /// format. The wide instantiation compiles exactly as before the narrow
-  /// plane existed.
   template <class F>
   void round_fast(F&& fn) {
-    on_slot_plane<F>([&]<class Slot>() { round_as<Slot>(fn); });
+    begin_round();
+    try {
+      run_all_shards<false>(fn);
+    } catch (...) {
+      abort_round();  // roll back to the pre-round state, then rethrow
+      throw;
+    }
+    finish_round();
   }
 
   /// Active-set round (docs/ARCHITECTURE.md "Active rounds"): visits only
@@ -464,58 +321,40 @@ class SyncNetwork {
   /// visited.
   template <class F>
   void round_fast(F&& fn, std::span<const NodeId> wake) {
-    on_slot_plane<F>([&]<class Slot>() { round_active_as<Slot>(fn, wake); });
-  }
-
-  /// Execute one round on a specific slot plane. Public so DiNetwork (whose
-  /// box types wrap ours) can dispatch explicitly; solvers use round_fast.
-  template <class Slot, class F>
-  void round_as(F&& fn) {
+    // A dense last round skipped its receiver lists: visit everyone.
+    if (mail_dense_[epoch_ & 1u] == epoch_) {
+      round_fast(fn);
+      return;
+    }
     begin_round();
     try {
-      run_all_shards<Slot, false>(fn);
+      collect_active(wake);
+#ifdef DEC_FAULT_INJECTION
+      if (fault::full_visit_check()) {
+        run_checked_full_visit(fn);
+      } else {
+        run_all_shards<true>(fn);
+      }
+#else
+      run_all_shards<true>(fn);
+#endif
     } catch (...) {
-      abort_round();  // roll back to the pre-round state, then rethrow
+      abort_round();
       throw;
     }
     finish_round();
   }
 
   /// Read-only visit of the messages delivered by the last executed round:
-  /// `fn(v, inbox)` runs for every node, nothing is sent, no round is
+  /// `fn(v, const Inbox&)` runs for every node, nothing is sent, no round is
   /// charged. Receiving plus local computation is free in the round model;
   /// pipelined solvers use this to consume their final round's replies.
   /// Runs sharded under the parallel engine with the same confinement rules
-  /// as round_fast. Format dispatch mirrors round_fast.
+  /// as round_fast. Throws on a single-plane lease: the next round's writes
+  /// land IN the delivered slots, so there is no stable delivered plane to
+  /// re-read — a pipelined (drain-using) protocol needs PlaneMode::kDouble.
   template <class F>
   void drain_fast(F&& fn) {
-    constexpr bool narrow_ok =
-        std::is_invocable_v<F&, NodeId, const NarrowInbox&>;
-    constexpr bool wide_ok = std::is_invocable_v<F&, NodeId, const Inbox&>;
-    static_assert(narrow_ok || wide_ok,
-                  "drain program must accept (NodeId, const Inbox&) or "
-                  "(NodeId, const NarrowInbox&)");
-    if constexpr (narrow_ok) {
-      if (format_ == SlotFormat::kNarrow) {
-        drain_as<NarrowSlot>(fn);
-        return;
-      }
-    }
-    if constexpr (wide_ok) {
-      DEC_REQUIRE(format_ == SlotFormat::kWide,
-                  "wide-only drain program on a narrow-format network");
-      drain_as<Message>(fn);
-      return;
-    }
-    DEC_REQUIRE(false, "narrow-only drain program on a wide-format network");
-  }
-
-  /// drain_fast on a specific slot plane (see round_as). Throws on a
-  /// single-plane lease: the next round's writes land IN the delivered
-  /// slots, so there is no stable delivered plane to re-read — a pipelined
-  /// (drain-using) protocol needs PlaneMode::kDouble.
-  template <class Slot, class F>
-  void drain_as(F&& fn) {
     if (mode_ == PlaneMode::kSingle) throw_single_plane_drain();
     auto visit = [&](int shard) {
       const NodeId vend = shard_begin_[static_cast<std::size_t>(shard) + 1];
@@ -523,13 +362,8 @@ class SyncNetwork {
            ++v) {
         const std::size_t lo = offsets_[static_cast<std::size_t>(v)];
         const std::size_t deg = offsets_[static_cast<std::size_t>(v) + 1] - lo;
-        if constexpr (std::is_same_v<Slot, Message>) {
-          const Inbox in(in_, peer_slot_ + lo, deg, epoch_);
-          fn(v, in);
-        } else {
-          const NarrowInbox in(this, nin_, peer_slot_ + lo, deg, epoch_);
-          fn(v, in);
-        }
+        const Inbox in(this, in_, peer_slot_ + lo, deg, epoch_);
+        fn(v, in);
       }
     };
     const int num_shards = topo_->num_shards();
@@ -562,9 +396,8 @@ class SyncNetwork {
   }
   int num_threads() const { return topo_->num_shards(); }
 
-  /// Heap bytes of this run state: the message buffer planes that exist
-  /// (whichever format is active — the other's vectors stay at capacity 0;
-  /// a single-plane state never sizes its `b` plane, so it counts exactly
+  /// Heap bytes of this run state: the message buffer planes that exist (a
+  /// single-plane state never sizes its `b` plane, so it counts exactly
   /// one), the mail and visit tags, and the per-shard spill arenas and
   /// touched, receiver and visit lists. Excludes the shared plan
   /// (NetworkTopology::memory_bytes) and the graph (Graph::memory_bytes) —
@@ -572,8 +405,7 @@ class SyncNetwork {
   /// "Graph storage & scale" tracks.
   std::size_t memory_bytes() const {
     std::size_t bytes =
-        (buf_a_.capacity() + buf_b_.capacity()) * sizeof(Message) +
-        (nbuf_a_.capacity() + nbuf_b_.capacity()) * sizeof(NarrowSlot);
+        (buf_a_.capacity() + buf_b_.capacity()) * sizeof(NarrowSlot);
     for (const auto& sh : shards_) {
       bytes += sh.slab_a.capacity_bytes() + sh.slab_b.capacity_bytes();
       bytes += sh.touched.capacity() * sizeof(std::uint32_t);
@@ -586,16 +418,13 @@ class SyncNetwork {
     return bytes;
   }
 
-  /// Slot-plane format (structural, fixed at construction).
-  SlotFormat slot_format() const { return format_; }
   /// Plane mode (structural, fixed at construction): kDouble swaps a plane
   /// pair at the barrier, kSingle owns one plane and alternates slot
   /// ownership with round parity (drain banned).
   PlaneMode plane_mode() const { return mode_; }
   /// Ledger component this run state charges (error-message context).
   const std::string& component() const { return component_; }
-  /// Declared max per-message field count of the current lease (0 on a wide
-  /// plane means unchecked).
+  /// Declared max per-message field count of the current lease.
   int declared_fields() const { return declared_fields_; }
 
   // Slot-plane introspection (tests and tools).
@@ -606,22 +435,21 @@ class SyncNetwork {
   std::size_t peer_slot(std::size_t s) const { return peer_slot_[s]; }
 
  private:
-  template <bool kDirect>
-  friend class BasicInbox;   // throw_single_plane_hazard
-  friend class NarrowInbox;  // resolve_spill, throw_single_plane_hazard
-  friend class NarrowRef;    // throw_width_violation
+  friend class Inbox;       // resolve_spill, throw_single_plane_hazard
+  friend class MessageRef;  // throw_width_violation
 
   void begin_round();
   void finish_round();
   void abort_round();
   void bind_ledger(RoundLedger* ledger, std::string component);
-  void bind_plan();  // (re)size buffers/shards + slab bindings for topo_
-  void point_planes();  // in_/out_ (or nin_/nout_) per format_/mode_, parity a
+  void bind_plan();     // (re)size buffers/shards for topo_
+  void point_planes();  // in_/out_ per mode_, parity even
 
-  /// Actionable declared-width violation (satellite 2): names the protocol
-  /// component, round, node, slot, and declared-vs-actual field count.
+  /// Actionable declared-width violation: names the protocol component,
+  /// round, node, slot, and declared-vs-actual field count.
   [[noreturn]] void throw_width_violation(NodeId v, std::size_t slot,
-                                          int declared, int actual) const;
+                                          int declared,
+                                          std::int64_t actual) const;
 
   /// Actionable drain-on-single-plane error (component, round context).
   [[noreturn]] void throw_single_plane_drain() const;
@@ -630,9 +458,9 @@ class SyncNetwork {
   /// entry i after writing the outbox slot that shares its storage.
   [[noreturn]] void throw_single_plane_hazard(NodeId v, std::size_t entry) const;
 
-  /// Resolve a narrow slot's spilled payload in the plane currently being
-  /// READ. The owning shard comes from the slot index (shard_slot_begin_);
-  /// the read plane's slab is the one begin_round did NOT rewind, so the
+  /// Resolve a slot's spilled payload in the plane currently being READ.
+  /// The owning shard comes from the slot index (shard_slot_begin_); the
+  /// read plane's slab is the one begin_round did NOT rewind, so the
   /// previous round's blocks are intact both mid-round and during a drain.
   /// On a single plane the writer of the previous round is the slot's peer
   /// in even rounds (odd-round writes go through the permutation), so the
@@ -647,80 +475,24 @@ class SyncNetwork {
     return slab.at_index(spill);
   }
 
-  // Slot-plane dispatch shared by both round_fast overloads: a generic node
-  // program (e.g. a lambda taking `const auto&` / `auto&&` boxes) is
-  // invocable against both box families and runs on whichever plane this
-  // network carries; a program written against one concrete family
-  // requires the matching format. `run` is called as run.template
-  // operator()<Slot>().
-  template <class F, class Run>
-  void on_slot_plane(Run&& run) {
-    constexpr bool narrow_ok =
-        std::is_invocable_v<F&, NodeId, const NarrowInbox&, NarrowOutbox&>;
-    constexpr bool wide_ok =
-        std::is_invocable_v<F&, NodeId, const Inbox&, Outbox&>;
-    static_assert(narrow_ok || wide_ok,
-                  "node program must accept (NodeId, const Inbox&, Outbox&) "
-                  "or (NodeId, const NarrowInbox&, NarrowOutbox&)");
-    if constexpr (narrow_ok) {
-      if (format_ == SlotFormat::kNarrow) {
-        run.template operator()<NarrowSlot>();
-        return;
-      }
-    }
-    if constexpr (wide_ok) {
-      DEC_REQUIRE(format_ == SlotFormat::kWide,
-                  "wide-only node program on a narrow-format network");
-      run.template operator()<Message>();
-      return;
-    }
-    DEC_REQUIRE(false, "narrow-only node program on a wide-format network");
-  }
-
   // Every shard over its whole node range (kActive = false) on the pool
   // when there is one, or over its collected visit list (kActive = true)
   // on the caller thread — each shard under its own touched list, write
-  // slab and audit either way (narrow spill resolution finds a payload's
-  // slab from the slot's owning shard). Active sets are a handful of nodes
-  // per round, far below what repays a pool barrier. The retained pool may
+  // slab and audit either way (spill resolution finds a payload's slab
+  // from the slot's owning shard). Active sets are a handful of nodes per
+  // round, far below what repays a pool barrier. The retained pool may
   // carry more workers than the current plan has shards (it only ever
   // grows across rebinds); surplus workers no-op.
-  template <class Slot, bool kActive, class F>
+  template <bool kActive, class F>
   void run_all_shards(F& fn) {
     const int num_shards = topo_->num_shards();
     if (!kActive && pool_ != nullptr && num_shards > 1) {
       pool_->run([&](int shard) {
-        if (shard < num_shards) run_shard_as<Slot, kActive>(fn, shard);
+        if (shard < num_shards) run_shard_as<kActive>(fn, shard);
       });
     } else {
-      for (int s = 0; s < num_shards; ++s) run_shard_as<Slot, kActive>(fn, s);
+      for (int s = 0; s < num_shards; ++s) run_shard_as<kActive>(fn, s);
     }
-  }
-
-  template <class Slot, class F>
-  void round_active_as(F& fn, std::span<const NodeId> wake) {
-    // A dense last round skipped its receiver lists: visit everyone.
-    if (mail_dense_[epoch_ & 1u] == epoch_) {
-      round_as<Slot>(fn);
-      return;
-    }
-    begin_round();
-    try {
-      collect_active(wake);
-#ifdef DEC_FAULT_INJECTION
-      if (fault::full_visit_check()) {
-        run_checked_full_visit<Slot>(fn);
-      } else {
-        run_all_shards<Slot, true>(fn);
-      }
-#else
-      run_all_shards<Slot, true>(fn);
-#endif
-    } catch (...) {
-      abort_round();
-      throw;
-    }
-    finish_round();
   }
 
   /// Build this round's visit set: wake ∪ last round's receiver lists,
@@ -733,11 +505,9 @@ class SyncNetwork {
   // every node, and throw if one outside the visit set writes its outbox.
   // A skipped node that only changes local state is caught by comparing
   // outputs against the active run.
-  template <class Slot, class F>
+  template <class F>
   void run_checked_full_visit(F& fn) {
-    auto checked = [&]<class In, class Out>(NodeId v, const In& in, Out& out)
-      requires std::is_invocable_v<F&, NodeId, const In&, Out&>
-    {
+    auto checked = [&](NodeId v, const Inbox& in, Outbox& out) {
       if (visit_tag_[static_cast<std::size_t>(v)] == epoch_) {
         fn(v, in, out);
         return;
@@ -746,37 +516,35 @@ class SyncNetwork {
       fn(v, in, out);
       if (out.touched_->size() != before) throw_active_contract(v);
     };
-    run_all_shards<Slot, false>(checked);
+    run_all_shards<false>(checked);
   }
   [[noreturn]] void throw_active_contract(NodeId v) const;
 #endif
 
   // run_shard_impl's compile-time plane/parity variant: the double-plane
-  // instantiation constructs its boxes with literal kNoHazardEpoch / null
-  // rebind slab, so after inlining the single-plane tests in the box
-  // accessors constant-fold away and the loop compiles to exactly the
-  // two-plane hot path it was before plane modes existed.
+  // instantiation constructs its boxes with literal kNoHazardEpoch, so after
+  // inlining the single-plane tests in the box accessors constant-fold away
+  // and the loop compiles to exactly the two-plane hot path.
   enum class ShardMode { kDoublePlane, kSingleEven, kSingleOdd };
 
-  template <class Slot, bool kActive, class F>
+  template <bool kActive, class F>
   void run_shard_as(F& fn, int shard) {
     if (mode_ != PlaneMode::kSingle) {
-      run_shard_impl<Slot, ShardMode::kDoublePlane, kActive>(fn, shard);
+      run_shard_impl<ShardMode::kDoublePlane, kActive>(fn, shard);
     } else if (out_is_a_) {
-      run_shard_impl<Slot, ShardMode::kSingleEven, kActive>(fn, shard);
+      run_shard_impl<ShardMode::kSingleEven, kActive>(fn, shard);
     } else {
-      run_shard_impl<Slot, ShardMode::kSingleOdd, kActive>(fn, shard);
+      run_shard_impl<ShardMode::kSingleOdd, kActive>(fn, shard);
     }
   }
 
-  template <class Slot, ShardMode kMode, bool kActive, class F>
+  template <ShardMode kMode, bool kActive, class F>
   void run_shard_impl(F& fn, int shard) {
     Shard& sh = shards_[static_cast<std::size_t>(shard)];
     const std::uint32_t write_epoch = epoch_;
     const std::uint32_t read_epoch = epoch_ - 1;
     const NodeId vbegin = shard_begin_[static_cast<std::size_t>(shard)];
     const NodeId vend = shard_begin_[static_cast<std::size_t>(shard) + 1];
-    constexpr bool kWidePlane = std::is_same_v<Slot, Message>;
     MessageSlab* write_slab = out_is_a_ ? &sh.slab_a : &sh.slab_b;
     // Single-plane parity mapping (docs/ARCHITECTURE.md "Plane modes"): in
     // even rounds (out_is_a_) a node reads AND writes its own CSR slots; in
@@ -815,67 +583,24 @@ class SyncNetwork {
       const std::size_t in_base = in_direct ? lo : 0;
       const std::uint32_t* out_map = out_peer ? peer_slot_ + lo : iota_;
       const std::size_t out_base = out_peer ? 0 : lo;
-      if constexpr (kWidePlane) {
-        // Fully-inlined programs (generic lambdas) get the affine kDirect
-        // instantiations on direct rounds — no map load, the codegen of the
-        // pre-single-plane engine. Programs that name Inbox/Outbox (and the
-        // erased StepFn wrapper) take the uniform map path, whose single
-        // compiled body serves every plane mode.
-        using InT = BasicInbox<in_direct>;
-        using OutT = BasicOutbox<!out_peer>;
-        if constexpr (std::is_invocable_v<F&, NodeId, const InT&, OutT&>) {
-          const InT in(in_ + in_base, in_map, deg, read_epoch, hazard, this,
-                       v, any);
-          OutT out(out_ + out_base, out_map, deg, write_epoch,
-                   static_cast<std::uint32_t>(out_base), &sh.touched,
-                   write_slab);
-          fn(v, in, out);
-        } else {
-          const Inbox in(in_ + in_base, in_map, deg, read_epoch, hazard, this,
-                         v, any);
-          Outbox out(out_ + out_base, out_map, deg, write_epoch,
-                     static_cast<std::uint32_t>(out_base), &sh.touched,
-                     write_slab);
-          fn(v, in, out);
-        }
-      } else {
-        const NarrowInbox in(this, nin_ + in_base, in_map, deg, read_epoch,
-                             static_cast<std::uint32_t>(in_base), hazard, v,
-                             any);
-        NarrowOutbox out(nout_ + out_base, out_map,
-                         static_cast<std::uint32_t>(out_base), write_slab,
-                         this, v, deg, write_epoch, &sh.touched,
-                         declared_fields_);
-        fn(v, in, out);
-      }
+      const Inbox in(this, in_ + in_base, in_map, deg, read_epoch,
+                     static_cast<std::uint32_t>(in_base), hazard, v, any);
+      Outbox out(out_ + out_base, out_map,
+                 static_cast<std::uint32_t>(out_base), write_slab, this, v,
+                 deg, write_epoch, &sh.touched, declared_fields_);
+      fn(v, in, out);
     }
     // Audit this shard's sent slots while still on the worker; merged (max /
-    // sum, order-independent) at the barrier. The wide plane also enforces a
-    // positive declared width here (the narrow plane enforces it in
-    // NarrowRef::push, before any slab traffic). In a single plane's odd
-    // rounds the touched slot lives on the receiver's side, so the sender
-    // for the error message is the slot's peer.
-    if constexpr (kWidePlane) {
-      for (const std::uint32_t s : sh.touched) {
-        const Message& m = out_[s];
-        if (declared_fields_ > 0 &&
-            m.size() > static_cast<std::size_t>(declared_fields_)) {
-          throw_width_violation(node_of_slot(out_peer ? peer_slot_[s] : s), s,
-                                declared_fields_, static_cast<int>(m.size()));
-        }
-        sh.audit.observe(m);
-      }
-    } else {
-      for (const std::uint32_t s : sh.touched) {
-        const NarrowSlot& slot = nout_[s];
-        const std::uint32_t c = slot.count();
-        if (c <= 1) {
-          sh.audit.observe(
-              std::span<const std::int64_t>(&slot.payload_, c));
-        } else {
-          sh.audit.observe(std::span<const std::int64_t>(
-              write_slab->at_index(slot.spill()), c));
-        }
+    // sum, order-independent) at the barrier. The declared width was
+    // already enforced in MessageRef::push, before any slab traffic.
+    for (const std::uint32_t s : sh.touched) {
+      const NarrowSlot& slot = out_[s];
+      const std::uint32_t c = slot.count();
+      if (c <= 1) {
+        sh.audit.observe(std::span<const std::int64_t>(&slot.payload_, c));
+      } else {
+        sh.audit.observe(
+            NarrowSlot::spilled(write_slab->at_index(slot.spill()), c));
       }
     }
     stamp_mail(sh.touched, static_cast<std::size_t>(vend - vbegin), out_peer,
@@ -959,18 +684,12 @@ class SyncNetwork {
   // sweep, like stale slots; abort_round zeroes the aborted round's.
   std::vector<std::uint32_t> visit_tag_;
 
-  // Exactly one plane pair is sized, per format_; the other stays at
-  // capacity 0. Keeping both as plain members (rather than templating the
-  // class) preserves SyncNetwork as one concrete type for the pool and
-  // service layers. In PlaneMode::kSingle only the `a` plane of the active
-  // format is sized and in_/out_ (nin_/nout_) both point at it; out_is_a_
-  // then tracks round parity (true ⟺ the round in progress is even).
-  std::vector<Message> buf_a_, buf_b_;
-  Message* in_ = nullptr;   // delivered messages of the previous round
-  Message* out_ = nullptr;  // slots being written this round
-  std::vector<NarrowSlot> nbuf_a_, nbuf_b_;
-  NarrowSlot* nin_ = nullptr;
-  NarrowSlot* nout_ = nullptr;
+  // In PlaneMode::kSingle only the `a` plane is sized and in_/out_ both
+  // point at it; out_is_a_ then tracks round parity (true ⟺ the round in
+  // progress is even).
+  std::vector<NarrowSlot> buf_a_, buf_b_;
+  NarrowSlot* in_ = nullptr;   // delivered messages of the previous round
+  NarrowSlot* out_ = nullptr;  // slots being written this round
   bool out_is_a_ = true;
   // A mid-round abort on a single plane has already overwritten some of last
   // round's deliveries in place, so the pre-round state is unrecoverable;
@@ -979,76 +698,60 @@ class SyncNetwork {
   // never touch a slot and never poison.
   bool poisoned_ = false;
 
-  SlotFormat format_ = SlotFormat::kWide;  // structural; never changes
-  PlaneMode mode_ = PlaneMode::kDouble;    // structural; never changes
-  int declared_fields_ = 0;                // per-lease declared max width
-  std::string component_;                  // retained for error messages
+  PlaneMode mode_ = PlaneMode::kDouble;  // structural; never changes
+  int declared_fields_ = 1;              // per-lease declared max width
+  std::string component_;                // retained for error messages
   // Global slot index at each shard's first slot (num_shards + 1 entries);
-  // lets narrow spill resolution find the owning shard's slab.
+  // lets spill resolution find the owning shard's slab.
   std::vector<std::size_t> shard_slot_begin_;
 
-  // Resizing may move Shards (and their slabs); bind_plan re-binds every
-  // slot's slab pointer afterwards, so no Message ever holds a stale slab.
   std::vector<Shard> shards_;
   std::unique_ptr<ThreadPool> pool_;  // null in serial mode
 };
 
 // Defined here (not in-class) because they need the complete SyncNetwork.
 
-template <bool kDirect>
-inline const Message& BasicInbox<kDirect>::operator[](std::size_t i) const {
-  const Message& m = buf_[kDirect ? i : map_[i]];
-  if (m.epoch() == epoch_) return m;
-  // Stale path only: on double planes hazard_ is kNoHazardEpoch (never a
-  // real tag), so the live-read cost is exactly the pre-plane-mode path.
-  if (m.epoch() == hazard_) net_->throw_single_plane_hazard(v_, i);
-  return kEmptyMessage;
-}
-
-inline NarrowView NarrowInbox::operator[](std::size_t i) const {
+inline MessageView Inbox::operator[](std::size_t i) const {
   const std::uint32_t off = map_[i];
   const NarrowSlot& s = buf_[off];
   if (s.epoch() != epoch_) {
+    // Stale path only: on double planes hazard_ is kNoHazardEpoch (never a
+    // real tag), so the live-read cost is one never-taken compare.
     if (s.epoch() == hazard_) net_->throw_single_plane_hazard(v_, i);
     return {};
   }
   const std::uint32_t c = s.count();
-  if (c <= 1) return {&s.payload_, c};
-  return {net_->resolve_spill(base_ + off, s.spill()), c};
+  if (c <= 1) return MessageView({&s.payload_, c});
+  return MessageView(
+      NarrowSlot::spilled(net_->resolve_spill(base_ + off, s.spill()), c));
 }
 
-inline void NarrowRef::push(std::int64_t v) {
+inline void MessageRef::push(std::int64_t v) {
   const std::uint32_t c = slot_->count();
   // Enforce the declared width BEFORE any slab traffic, so an overflowing
-  // program throws without corrupting the spill arena.
+  // program throws without corrupting the spill arena. (A saturated count
+  // understates the length; push_long checks the true one.)
   if (static_cast<int>(c) >= declared_) {
-    net_->throw_width_violation(v_, slot_index_, declared_,
-                                static_cast<int>(c) + 1);
+    net_->throw_width_violation(v_, slot_index_, declared_, c + 1);
   }
   if (c == 0) {
     slot_->payload_ = v;
   } else {
     if (c == 1) {
-      // Second field: move inline payload into a slab block of exactly the
+      // Second field: move inline payload into a slab block sized for the
       // declared width (allocated once; never grown).
       const std::uint32_t idx =
-          slab_->allocate_index(static_cast<std::size_t>(declared_));
+          slab_->allocate_index(NarrowSlot::block_fields(declared_));
       slab_->at_index(idx)[0] = slot_->payload_;
       slot_->set_spill(idx);
+    }
+    if (c >= NarrowSlot::kSaturated - 1) {
+      push_long(v);
+      return;
     }
     slab_->at_index(slot_->spill())[c] = v;
   }
   slot_->set_count(c + 1);
 }
-
-/// SyncNetwork with the parallel round engine on: nodes are sharded across a
-/// persistent thread pool (num_threads = 0 picks hardware concurrency).
-/// Produces bit-identical results and audits to the serial engine.
-class ParallelSyncNetwork : public SyncNetwork {
- public:
-  explicit ParallelSyncNetwork(const Graph& g, RoundLedger* ledger = nullptr,
-                               std::string component = "network",
-                               int num_threads = 0);
-};
 
 }  // namespace dec

@@ -66,7 +66,7 @@ class NetworkPool {
  public:
   /// Stand-alone view: privately owns a SharedNetworkPool. All leased
   /// networks run with `num_threads` shards (0 picks hardware concurrency,
-  /// like ParallelSyncNetwork).
+  /// see resolve_num_threads).
   explicit NetworkPool(int num_threads = 1);
 
   /// Tenant view over a shared arena: topology plans and parked run states
@@ -150,15 +150,16 @@ class NetworkPool {
 
   /// Lease a run state bound to `g` (topology cached-or-planned), reset and
   /// charging rounds to `ledger` under `component`. `plan` is the lease's
-  /// slot plan (per-arc for dinetwork, see DiNetwork): the format is part of
-  /// the run-state identity — only same-format idle/parked states are
-  /// reused; a format miss constructs fresh — while the declared width is
+  /// slot plan (per-arc for dinetwork, see DiNetwork): the plane mode is
+  /// part of the run-state identity — only same-mode idle/parked states are
+  /// reused; a mode miss constructs fresh — while the declared width is
   /// re-bound per lease.
   NetworkLease network(const Graph& g, RoundLedger* ledger = nullptr,
                        std::string component = "network", SlotPlan plan = {});
   DiNetworkLease dinetwork(const Digraph& dg, RoundLedger* ledger = nullptr,
                            std::string component = "dinetwork",
-                           SlotPlan plan = {});
+                           SlotPlan plan = {.max_fields =
+                                                DiNetwork::kMaxArcFields});
 
   // Introspection (tests and stats). Topology counts are the shared
   // arena's (global across tenant views); run_states() counts this view's.
@@ -242,7 +243,9 @@ class ScopedDiNetwork {
  public:
   ScopedDiNetwork(NetworkPool* pool, const Digraph& dg, RoundLedger* ledger,
                   std::string component, int num_threads,
-                  CancelToken* cancel = nullptr, SlotPlan arc_plan = {}) {
+                  CancelToken* cancel = nullptr,
+                  SlotPlan arc_plan = {.max_fields =
+                                           DiNetwork::kMaxArcFields}) {
     num_threads = resolve_num_threads(num_threads);
     if (pool != nullptr) {
       DEC_REQUIRE(pool->num_threads() == num_threads,

@@ -135,21 +135,20 @@ std::shared_ptr<const DiTopology> SharedNetworkPool::topology(
 template <class Net, class Topo>
 std::unique_ptr<Net> SharedNetworkPool::adopt(
     std::vector<std::unique_ptr<Net>> StateShard::* list,
-    const Topo* plan_key, SlotFormat format, PlaneMode mode) {
+    const Topo* plan_key, PlaneMode mode) {
   const std::size_t home = shard_of_key(plan_key);
   for (std::size_t step = 0; step < kNumShards; ++step) {
     StateShard& sh = state_shards_[(home + step) % kNumShards];
     std::lock_guard<std::mutex> lock(sh.mu);
     auto& parked = sh.*list;
     if (parked.empty()) continue;
-    // Slot format and plane mode are structural: only a state matching both
-    // is a candidate (rebind can re-declare the width but never swap planes
-    // or plane counts). Newest-first keeps the historical LIFO behavior
-    // among matches.
+    // The plane mode is structural: only a state matching it is a
+    // candidate (rebind can re-declare the width but never change the plane
+    // count). Newest-first keeps the historical LIFO behavior among
+    // matches.
     std::size_t pick = parked.size();
     for (std::size_t i = parked.size(); i-- > 0;) {
-      if (parked[i]->slot_format() == format &&
-          parked[i]->plane_mode() == mode) {
+      if (parked[i]->plane_mode() == mode) {
         pick = i;
         break;
       }
@@ -160,7 +159,6 @@ std::unique_ptr<Net> SharedNetworkPool::adopt(
     if (step == 0) {
       for (std::size_t i = 0; i < parked.size(); ++i) {
         if (parked[i]->topology().get() == plan_key &&
-            parked[i]->slot_format() == format &&
             parked[i]->plane_mode() == mode) {
           pick = i;
           break;
@@ -176,13 +174,13 @@ std::unique_ptr<Net> SharedNetworkPool::adopt(
 }
 
 std::unique_ptr<SyncNetwork> SharedNetworkPool::adopt_network(
-    const NetworkTopology* plan_key, SlotFormat format, PlaneMode mode) {
-  return adopt(&StateShard::nets, plan_key, format, mode);
+    const NetworkTopology* plan_key, PlaneMode mode) {
+  return adopt(&StateShard::nets, plan_key, mode);
 }
 
 std::unique_ptr<DiNetwork> SharedNetworkPool::adopt_dinetwork(
-    const DiTopology* plan_key, SlotFormat format, PlaneMode mode) {
-  return adopt(&StateShard::dinets, plan_key, format, mode);
+    const DiTopology* plan_key, PlaneMode mode) {
+  return adopt(&StateShard::dinets, plan_key, mode);
 }
 
 template <class Net>

@@ -59,7 +59,7 @@ namespace dec {
 class SharedNetworkPool {
  public:
   /// All adopted networks run with `num_threads` shards (0 picks hardware
-  /// concurrency, like ParallelSyncNetwork).
+  /// concurrency, see resolve_num_threads).
   explicit SharedNetworkPool(int num_threads = 1);
 
   SharedNetworkPool(const SharedNetworkPool&) = delete;
@@ -78,17 +78,14 @@ class SharedNetworkPool {
 
   /// Pop a parked run state, preferring one last bound to `plan_key`'s
   /// shard (and within it, to `plan_key` itself); null if none is parked
-  /// anywhere. Only run states whose structural slot format equals `format`
-  /// AND whose plane mode equals `mode` are candidates — a narrow run state
-  /// is NEVER adopted for a wide lease, a single-plane state is NEVER
-  /// adopted for a double-plane lease, or vice versa (the caller
-  /// reconstructs instead); both are fixed at construction and rebind
-  /// cannot change them. The caller rebinds/resets before use.
+  /// anywhere. Only run states whose plane mode equals `mode` are
+  /// candidates — a single-plane state is NEVER adopted for a double-plane
+  /// lease, or vice versa (the caller reconstructs instead); the mode is
+  /// fixed at construction and rebind cannot change it. The caller
+  /// rebinds/resets before use.
   std::unique_ptr<SyncNetwork> adopt_network(const NetworkTopology* plan_key,
-                                             SlotFormat format,
                                              PlaneMode mode);
   std::unique_ptr<DiNetwork> adopt_dinetwork(const DiTopology* plan_key,
-                                             SlotFormat format,
                                              PlaneMode mode);
 
   /// Park a run state for other tenants, in its bound plan's shard.
@@ -173,7 +170,7 @@ class SharedNetworkPool {
   template <class Net, class Topo>
   std::unique_ptr<Net> adopt(std::vector<std::unique_ptr<Net>> StateShard::*
                                  list,
-                             const Topo* plan_key, SlotFormat format,
+                             const Topo* plan_key,
                              PlaneMode mode);
   template <class Net>
   void park_in(std::vector<std::unique_ptr<Net>> StateShard::* list,

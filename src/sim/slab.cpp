@@ -7,50 +7,31 @@
 
 namespace dec {
 
-std::int64_t* MessageSlab::allocate(std::size_t n) {
+std::uint32_t MessageSlab::allocate_index(std::size_t n) {
   // Chaos hook: an armed kAllocFail plan throws std::bad_alloc from inside
   // a running round, exercising abort_round on whichever shard spilled.
   DEC_FAULT_POINT("slab.alloc");
-  while (chunk_ < chunks_.size() && offset_ + n > chunks_[chunk_].size) {
+  // The block must start where its offset still fits the index's offset
+  // bits and end inside the chunk; chunks that cannot take it are skipped
+  // for this round (a retained oversized chunk serves any width).
+  while (chunk_ < chunks_.size() &&
+         (offset_ >= kChunkFields || offset_ + n > chunks_[chunk_].size)) {
     ++chunk_;
     offset_ = 0;
   }
   if (chunk_ == chunks_.size()) {
+    // Blocks are always written before they are read, so the chunk needs
+    // no zeroing (untouched pages of a large chunk stay unmapped).
     const std::size_t size = std::max(kChunkFields, n);
-    chunks_.push_back(Chunk{std::make_unique<std::int64_t[]>(size), size});
-    offset_ = 0;
-  }
-  std::int64_t* p = chunks_[chunk_].data.get() + offset_;
-  offset_ += n;
-  used_ += n;
-  return p;
-}
-
-std::uint32_t MessageSlab::allocate_index(std::size_t n) {
-  DEC_FAULT_POINT("slab.alloc");
-  DEC_REQUIRE(n <= kChunkFields,
-              "index-addressed slab block wider than one chunk");
-  if (chunk_ < chunks_.size() && offset_ + n > kChunkFields) {
-    ++chunk_;
-    offset_ = 0;
-  }
-  if (chunk_ == chunks_.size()) {
     chunks_.push_back(
-        Chunk{std::make_unique<std::int64_t[]>(kChunkFields), kChunkFields});
+        Chunk{std::make_unique_for_overwrite<std::int64_t[]>(size), size});
     offset_ = 0;
   }
-  // Index addressing assumes uniform chunks; a slab that ever served an
-  // oversized allocate() chunk cannot serve this path. Cannot happen on a
-  // narrow-format network (its slabs see only allocate_index), so this is
-  // purely defensive.
-  DEC_CHECK(chunks_[chunk_].size == kChunkFields,
-            "slab holds non-uniform chunks; index addressing requires an "
-            "allocate_index-only slab");
   const std::size_t idx = (chunk_ << kChunkShift) | offset_;
   DEC_CHECK(idx <= 0xffffff,
-            "narrow-slot spill arena exhausted: more than 2^24 spilled "
-            "fields in one shard's round — declare a wide slot plan for "
-            "this protocol or shard the run further");
+            "spill arena exhausted: more than 2^24 spilled fields in one "
+            "shard's round — shard the run further (more threads) or send "
+            "narrower messages");
   offset_ += n;
   used_ += n;
   return static_cast<std::uint32_t>(idx);

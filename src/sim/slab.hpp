@@ -1,11 +1,12 @@
 // Bump-pointer slab arena for spilled message payloads.
 //
-// SyncNetwork messages store up to Message::kInlineFields fields inline; wider
-// payloads spill into a MessageSlab owned by the network (one per shard per
-// buffer generation). Allocation is a pointer bump, deallocation is a bulk
-// reset() at the round boundary — individual blocks are never freed, so the
-// round hot path performs no general-heap traffic. Chunks are retained across
-// resets and reused, so a steady-state workload allocates nothing at all.
+// A SyncNetwork slot stores one field inline; a payload of two or more
+// fields spills into a MessageSlab owned by the network (one per shard per
+// buffer plane), addressed by a 24-bit index the slot can hold. Allocation
+// is an index bump, deallocation is a bulk reset() at the round boundary —
+// individual blocks are never freed, so the round hot path performs no
+// general-heap traffic. Chunks are retained across resets and reused, so a
+// steady-state workload allocates nothing at all.
 #pragma once
 
 #include <cstdint>
@@ -22,19 +23,13 @@ class MessageSlab {
   MessageSlab(MessageSlab&&) = default;
   MessageSlab& operator=(MessageSlab&&) = default;
 
-  /// Bump-allocate storage for `n` fields. Never freed individually; the
-  /// block lives until the next reset().
-  std::int64_t* allocate(std::size_t n);
-
-  /// Bump-allocate an index-addressed block of `n` fields and return its
-  /// field index (resolve with at_index). Unlike allocate(), every chunk on
-  /// this path is exactly kChunkFields fields, so an index decomposes as
-  /// chunk = idx >> kChunkShift, offset = idx & (kChunkFields - 1), and a
-  /// block never straddles chunks. Serves the narrow slot plane, whose 24-bit
-  /// spill indices cannot hold a pointer; a narrow-format network's slabs see
-  /// only this path (format immutability — no oversized allocate() chunks
-  /// ever mix in), so index addressing stays valid across reuse. Requires
-  /// n <= kChunkFields; throws (actionably) past the 24-bit index space.
+  /// Bump-allocate a block of `n` fields and return its field index
+  /// (resolve with at_index). An index decomposes as chunk = idx >>
+  /// kChunkShift, offset = idx & (kChunkFields - 1): a block starts in the
+  /// first kChunkFields fields of its chunk and never straddles chunks, and
+  /// a block wider than kChunkFields gets a chunk of its own. Never freed
+  /// individually; the block lives until the next reset(). Throws
+  /// (actionably) past the 24-bit index space.
   std::uint32_t allocate_index(std::size_t n);
 
   /// Resolve an allocate_index() block.
@@ -62,10 +57,10 @@ class MessageSlab {
     return bytes;
   }
 
- private:
   static constexpr std::size_t kChunkShift = 14;
   static constexpr std::size_t kChunkFields = 1 << kChunkShift;  // 128 KiB
 
+ private:
   struct Chunk {
     std::unique_ptr<std::int64_t[]> data;
     std::size_t size = 0;

@@ -20,7 +20,7 @@
 namespace dec {
 
 /// The library-wide "num_threads <= 0 means hardware concurrency"
-/// convention (ParallelSyncNetwork, NetworkPool, solvers documenting 0).
+/// convention (SharedNetworkPool, NetworkPool, solvers documenting 0).
 /// Every site must resolve identically or the pool/solver shard-count
 /// equality contract (ScopedNetwork) breaks — hence one helper.
 inline int resolve_num_threads(int num_threads) {

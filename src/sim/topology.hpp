@@ -126,7 +126,7 @@ class DiTopology {
   std::span<const ArcRef> refs() const { return ref_; }
 
   /// Largest lane count of any support edge (1 when the digraph has no
-  /// arcs). Sizes the per-support-slot declared width of a narrow arc plan:
+  /// arcs). Sizes the per-support-slot declared width of an arc plan:
   /// a framed multi-lane message carries max_lane_count * (1 + w) fields for
   /// per-arc width w.
   std::uint32_t max_lane_count() const { return max_lane_count_; }

@@ -71,13 +71,13 @@ TEST(ActiveRefine, MatchesFullVisitAcrossFamiliesShardsAndPlaneModes) {
           RoundLedger active_ledger, full_ledger;
           const DefectiveResult active = defective_4_coloring(
               g, lin.colors, lin.palette, 0.5, &active_ledger, threads,
-              &pools[ti], nullptr, SlotFormat::kNarrow, mode);
+              &pools[ti], nullptr, mode);
           DefectiveResult full;
           {
             FullVisitScope check;
             full = defective_4_coloring(g, lin.colors, lin.palette, 0.5,
                                         &full_ledger, threads, &pools[ti],
-                                        nullptr, SlotFormat::kNarrow, mode);
+                                        nullptr, mode);
           }
           EXPECT_EQ(result_key(active), result_key(full))
               << "family " << family << " seed " << seed << " mode "
@@ -104,13 +104,11 @@ TEST(ActiveRefine, FullVisitCheckCatchesASkippedWriter) {
     if (v == 3 || v == 7) out[0].assign({v});
   };
   for (const int threads : {1, 4}) {
-    SyncNetwork plain(g, nullptr, "active", threads,
-                      SlotPlan{SlotFormat::kNarrow, 1});
+    SyncNetwork plain(g, nullptr, "active", threads);
     plain.round_fast(prog, wake);
     EXPECT_EQ(plain.audit().messages_sent(), 1);
 
-    SyncNetwork checked(g, nullptr, "active", threads,
-                        SlotPlan{SlotFormat::kNarrow, 1});
+    SyncNetwork checked(g, nullptr, "active", threads);
     FullVisitScope check;
     EXPECT_THROW(checked.round_fast(prog, wake), CheckError);
     EXPECT_EQ(checked.rounds_executed(), 0);

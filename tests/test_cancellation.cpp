@@ -88,6 +88,9 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
   return h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
 
+// The protocol's declared width: a signature plus 8 spilled fields.
+constexpr SlotPlan kPlan{.max_fields = 9};
+
 // Deterministic per-node fold over everything delivered; one round of the
 // same traffic pattern as test_network_pool's protocol (spills included).
 void protocol_round(SyncNetwork& net, std::vector<std::uint64_t>& acc, int r) {
@@ -102,13 +105,10 @@ void protocol_round(SyncNetwork& net, std::vector<std::uint64_t>& acc, int r) {
       const std::int64_t sig = static_cast<std::int64_t>(v) * 1315423911 +
                                static_cast<std::int64_t>(i) * 97 + r;
       if (sig % 3 == 0) continue;
-      Message& m = out[i];
-      m = Message{sig};
+      auto m = out[i];
+      m.assign({sig});
       if (sig % 5 == 0) {
-        for (int k = 1; k <= 2 * static_cast<int>(Message::kInlineFields);
-             ++k) {
-          m.push(sig + k);
-        }
+        for (int k = 1; k < kPlan.max_fields; ++k) m.push(sig + k);
       }
     }
   });
@@ -127,7 +127,7 @@ void check_abort_leaves_post_round_state(int num_threads) {
   constexpr int kRounds = 6;
   constexpr int kBudget = 3;
 
-  SyncNetwork ref_net(g, nullptr, "net", num_threads);
+  SyncNetwork ref_net(g, nullptr, "net", num_threads, kPlan);
   std::vector<std::uint64_t> ref(
       static_cast<std::size_t>(g.num_nodes()), 0);
   for (int r = 0; r < kRounds; ++r) protocol_round(ref_net, ref, r);
@@ -135,7 +135,7 @@ void check_abort_leaves_post_round_state(int num_threads) {
   // Budgeted run: the abort must surface at the barrier of round kBudget+1,
   // with the network at the exact post-round-kBudget state — detaching the
   // token and continuing must land on the reference, bit for bit.
-  SyncNetwork net(g, nullptr, "net", num_threads);
+  SyncNetwork net(g, nullptr, "net", num_threads, kPlan);
   CancelToken token;
   token.set_round_budget(kBudget);
   net.set_cancel(&token);

@@ -134,8 +134,8 @@ TEST_F(ChaosTest, ExhaustedRetriesSurfaceTheTransientAsFailed) {
 }
 
 TEST_F(ChaosTest, SlabAllocFailureAbortsMidRoundAndResetsClean) {
-  // The orchestrated solvers keep payloads inside Message's inline capacity,
-  // so "slab.alloc" is exercised at the substrate level: a spill-heavy
+  // The orchestrated solvers send one or two fields per message, so
+  // "slab.alloc" is exercised at the substrate level: a spill-heavy
   // protocol whose 3rd slab allocation throws std::bad_alloc from inside a
   // running round. reset() must then hand back a state bit-identical to
   // fresh.
@@ -151,10 +151,9 @@ TEST_F(ChaosTest, SlabAllocFailureAbortsMidRoundAndResetsClean) {
           }
         }
         for (std::size_t i = 0; i < out.size(); ++i) {
-          Message& m = out[i];
-          m = Message{static_cast<std::int64_t>(v)};
-          for (int k = 0; k < 2 * static_cast<int>(Message::kInlineFields);
-               ++k) {
+          auto m = out[i];
+          m.assign({static_cast<std::int64_t>(v)});
+          for (int k = 0; k < 8; ++k) {
             m.push(k + static_cast<std::int64_t>(acc % 7));
           }
         }
@@ -173,14 +172,15 @@ TEST_F(ChaosTest, SlabAllocFailureAbortsMidRoundAndResetsClean) {
                       net.audit().messages_sent());
   };
 
-  SyncNetwork ref_net(g, nullptr, "net", 1);
+  const SlotPlan width{.max_fields = 9};
+  SyncNetwork ref_net(g, nullptr, "net", 1, width);
   const auto ref = spam(ref_net, 4);
 
   fault::FaultPlan plan;
   plan.action = fault::Action::kAllocFail;
   plan.fire_at = 2;
   fault::arm("slab.alloc", plan);
-  SyncNetwork net(g, nullptr, "net", 1);
+  SyncNetwork net(g, nullptr, "net", 1, width);
   EXPECT_THROW(spam(net, 4), std::bad_alloc);
   EXPECT_GE(fault::hits("slab.alloc"), 3);
   EXPECT_EQ(fault::fired("slab.alloc"), 1);

@@ -280,7 +280,7 @@ TEST(CsrIo, LargeGraphSmoke) {
     auto lease = pool.network(loaded);
     for (int r = 0; r < 3; ++r) {
       lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-        for (auto& msg : out) msg = Message{v};
+        for (auto&& msg : out) msg.assign({v});
       });
     }
     EXPECT_EQ(lease->rounds_executed(), 3);

@@ -1,11 +1,12 @@
-// Narrow-slot plane tests: 16 B slot layout, delivery semantics (inline and
-// slab-spilled payloads, epoch gating, drain), declared-width enforcement
-// (throws with an actionable message, never truncates, network stays usable
-// after the rollback), format dispatch guards, per-lease width re-declaration,
-// and the memory win the format exists for (>= 2x plane bytes vs wide on the
-// same shape).
+// Slot tests: 16 B slot layout, delivery semantics (inline, slab-spilled
+// and count-saturated payloads of 255+ fields, epoch gating, drain),
+// declared-width enforcement (throws with an actionable message, never
+// truncates, network stays usable after the rollback), widths wider than a
+// slab chunk, per-lease width re-declaration, and the plane memory the
+// 16 B slot buys.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,17 +16,17 @@
 #include "sim/ledger.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
+#include "sim/slab.hpp"
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
 
 namespace dec {
 namespace {
 
-static_assert(sizeof(NarrowSlot) == 16,
-              "the narrow plane's whole point is the 16 B slot");
+static_assert(sizeof(NarrowSlot) == 16, "the slot plane is 16 B per slot");
 
-SlotPlan narrow(int max_fields) {
-  return SlotPlan{SlotFormat::kNarrow, max_fields};
+SlotPlan narrow(int max_fields, PlaneMode mode = PlaneMode::kDouble) {
+  return SlotPlan{.max_fields = max_fields, .mode = mode};
 }
 
 // ------------------------------------------------------------ delivery
@@ -34,7 +35,6 @@ TEST(NarrowSlots, SingleFieldRoundTrip) {
   for (const int threads : {1, 2, 4}) {
     const Graph g = gen::cycle(7);
     SyncNetwork net(g, nullptr, "narrow_echo", threads, narrow(1));
-    EXPECT_EQ(net.slot_format(), SlotFormat::kNarrow);
     EXPECT_EQ(net.declared_fields(), 1);
 
     // Round 0: inbox must read all-empty (epoch gating), then everyone
@@ -98,6 +98,119 @@ TEST(NarrowSlots, SpilledPayloadRoundTrip) {
         EXPECT_EQ(got[2], -w);
       }
     });
+  }
+}
+
+// Payload length per (sender, edge index, round): a mix of inline, plain
+// spilled, and count-saturated (>= 255 fields) payloads around the 254/255
+// boundary, up to the declared width.
+std::size_t long_len(NodeId v, std::size_t i, int r, int declared) {
+  static constexpr std::size_t kLens[] = {1, 2, 254, 255, 256, 0};
+  const std::size_t pick = (static_cast<std::size_t>(v) + 2 * i +
+                            static_cast<std::size_t>(r)) %
+                           7;
+  return pick < 6 ? kLens[pick] : static_cast<std::size_t>(declared);
+}
+
+std::int64_t long_field(NodeId v, std::size_t k, int r) {
+  return static_cast<std::int64_t>(v) * 100000 +
+         static_cast<std::int64_t>(k) * 7 + r;
+}
+
+TEST(NarrowSlots, SaturatedPayloadRoundTrip) {
+  // Declared width 300 > 254: payloads of 255+ fields saturate the 8-bit
+  // count and carry their length in the spill block. Every round reads the
+  // previous one before writing (single-plane safe); on 2/4 shards the
+  // random graph's cross-shard edges read spills from the sender's slab.
+  constexpr int kWidth = 300;
+  Rng rng(17);
+  const Graph g = gen::gnp(48, 0.15, rng);
+  for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+    for (const int threads : {1, 2, 4}) {
+      SyncNetwork net(g, nullptr, "long", threads, narrow(kWidth, mode));
+      std::int64_t expect_msgs = 0;
+      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+      for (int r = 0; r < 5; ++r) {
+        net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+          const auto nb = g.neighbors(v);
+          int& b = bad[static_cast<std::size_t>(v)];
+          for (std::size_t i = 0; r > 0 && i < in.size(); ++i) {
+            const NodeId w = nb[i].neighbor;
+            const auto& wn = g.neighbors(w);
+            std::size_t back = 0;  // v's index in w's neighbor list
+            while (wn[back].neighbor != v) ++back;
+            const std::size_t len = long_len(w, back, r - 1, kWidth);
+            const auto m = in[i];
+            if (m.size() != len) {
+              ++b;
+              continue;
+            }
+            for (std::size_t k = 0; k < len; ++k) {
+              if (m.at(k) != long_field(w, k, r - 1)) ++b;
+            }
+          }
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const std::size_t len = long_len(v, i, r, kWidth);
+            if (len == 0) continue;
+            auto m = out[i];
+            for (std::size_t k = 0; k < len; ++k) m.push(long_field(v, k, r));
+          }
+        });
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          for (std::size_t i = 0; i < g.neighbors(v).size(); ++i) {
+            expect_msgs += long_len(v, i, r, kWidth) > 0 ? 1 : 0;
+          }
+        }
+      }
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+          << "mode " << static_cast<int>(mode) << " threads " << threads;
+      EXPECT_EQ(net.audit().messages_sent(), expect_msgs);
+    }
+  }
+}
+
+TEST(NarrowSlots, SaturatedPayloadClearsAndDrains) {
+  // clear() after a saturated payload starts over in a fresh block, and a
+  // drain resolves saturated spills like a round does.
+  const Graph g = gen::path(2);
+  SyncNetwork net(g, nullptr, "long_drain", 2, narrow(260));
+  net.round_fast([&](NodeId v, const auto&, auto&& out) {
+    auto m = out[0];
+    for (int k = 0; k < 260; ++k) m.push(-1);
+    m.clear();
+    for (int k = 0; k < 258; ++k) m.push(v * 1000 + k);
+  });
+  net.drain_fast([&](NodeId v, const auto& in) {
+    const NodeId w = 1 - v;
+    ASSERT_EQ(in[0].size(), 258u);
+    EXPECT_EQ(in[0].at(0), w * 1000);
+    EXPECT_EQ(in[0].at(257), w * 1000 + 257);
+  });
+}
+
+TEST(NarrowSlots, DeclaredWidthWiderThanASlabChunk) {
+  // A declared width past one slab chunk sizes every spill block beyond the
+  // chunk, so each block gets a chunk of its own.
+  const int width = static_cast<int>(MessageSlab::kChunkFields) + 9;
+  const Graph g = gen::star(4);
+  for (const int threads : {1, 2}) {
+    SyncNetwork net(g, nullptr, "huge", threads, narrow(width));
+    for (int r = 0; r < 3; ++r) {
+      net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+        for (std::size_t i = 0; r > 0 && i < in.size(); ++i) {
+          const NodeId w = g.neighbors(v)[i].neighbor;
+          ASSERT_EQ(in[i].size(), static_cast<std::size_t>(width));
+          EXPECT_EQ(in[i].at(0), w);
+          EXPECT_EQ(in[i].at(static_cast<std::size_t>(width) - 1), w + r - 1);
+        }
+        for (auto&& m : out) {
+          m.push(v);
+          for (int k = 1; k + 1 < width; ++k) m.push(k);
+          m.push(v + r);
+        }
+      });
+    }
+    EXPECT_EQ(net.rounds_executed(), 3);
   }
 }
 
@@ -175,6 +288,32 @@ TEST(NarrowSlots, WidthViolationThrowsActionably) {
   EXPECT_EQ(net.rounds_executed(), 1);
 }
 
+TEST(NarrowSlots, SaturatedWidthViolationCountsTheTrueLength) {
+  // Past 254 fields the slot count saturates; the violation must still
+  // report the true length.
+  const Graph g = gen::path(2);
+  for (const int declared : {255, 300}) {
+    SyncNetwork net(g, nullptr, "long_overflow", 1, narrow(declared));
+    try {
+      net.round_fast([&](NodeId, const auto&, auto&& out) {
+        auto m = out[0];
+        for (int k = 0; k <= declared; ++k) m.push(k);
+      });
+      FAIL() << "over-wide saturated message must throw";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("reached " + std::to_string(declared + 1) +
+                          " fields"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("declared max_fields=" + std::to_string(declared)),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_EQ(net.rounds_executed(), 0);
+  }
+}
+
 TEST(NarrowSlots, WidthViolationThrowsSharded) {
   // The violating node program runs on a pool worker; the throw must cross
   // the round barrier and the round must roll back.
@@ -193,25 +332,6 @@ TEST(NarrowSlots, WidthViolationThrowsSharded) {
     for (auto&& m : out) m.assign({v});
   });
   EXPECT_EQ(net.rounds_executed(), 1);
-}
-
-TEST(NarrowSlots, WidePlaneEnforcesDeclaredWidthToo) {
-  // A positive declared width is enforced on the wide plane as well (audited
-  // at the end of the node step rather than per push).
-  const Graph g = gen::cycle(4);
-  SyncNetwork net(g, nullptr, "wide_declared", 1,
-                  SlotPlan{SlotFormat::kWide, 2});
-  try {
-    net.round_fast([&](NodeId, const Inbox&, Outbox& out) {
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = Message{1, 2, 3};
-    });
-    FAIL() << "wide plane with declared width must also throw";
-  } catch (const CheckError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("declared max_fields=2"), std::string::npos) << what;
-    EXPECT_NE(what.find("never truncates"), std::string::npos);
-  }
-  EXPECT_EQ(net.rounds_executed(), 0);
 }
 
 TEST(NarrowSlots, ArcWidthViolationThrowsActionably) {
@@ -239,27 +359,16 @@ TEST(NarrowSlots, ArcWidthViolationThrowsActionably) {
 TEST(NarrowSlots, PlanValidation) {
   const Graph g = gen::cycle(3);
   EXPECT_THROW(SyncNetwork(g, nullptr, "bad", 1, narrow(0)), CheckError);
-  EXPECT_THROW(SyncNetwork(g, nullptr, "bad", 1, narrow(256)), CheckError);
-  EXPECT_THROW(SyncNetwork(g, nullptr, "bad", 1,
-                           SlotPlan{SlotFormat::kWide, -1}),
-               CheckError);
+  EXPECT_THROW(SyncNetwork(g, nullptr, "bad", 1, narrow(-1)), CheckError);
   EXPECT_NO_THROW(SyncNetwork(g, nullptr, "ok", 1, narrow(255)));
+  EXPECT_NO_THROW(SyncNetwork(g, nullptr, "ok", 1, narrow(256)));
 }
 
-TEST(NarrowSlots, WideOnlyProgramRejectedOnNarrowPlane) {
-  const Graph g = gen::cycle(4);
-  SyncNetwork net(g, nullptr, "guard", 1, narrow(1));
-  EXPECT_THROW(
-      net.round_fast([](NodeId, const Inbox&, Outbox&) {}),
-      CheckError);
-  EXPECT_THROW(net.drain_fast([](NodeId, const Inbox&) {}), CheckError);
-}
-
-TEST(NarrowSlots, RebindRedeclaresWidthButNotFormat) {
+TEST(NarrowSlots, RebindRedeclaresWidthButNotPlaneMode) {
   const Graph g = gen::cycle(5);
   auto topo = NetworkTopology::plan(g, 1);
   SyncNetwork net(g, topo, nullptr, "rebind", narrow(1));
-  // Same format, wider declaration: the spill path must now work.
+  // Same mode, wider declaration: the spill path must now work.
   net.rebind(g, topo, nullptr, "rebind", narrow(3));
   EXPECT_EQ(net.declared_fields(), 3);
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
@@ -268,54 +377,47 @@ TEST(NarrowSlots, RebindRedeclaresWidthButNotFormat) {
   net.drain_fast([&](NodeId, const auto& in) {
     for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(in[i].size(), 3u);
   });
-  // Format is structural: a rebind cannot flip it.
+  // The plane mode is structural: a rebind cannot flip it.
   EXPECT_THROW(net.rebind(g, topo, nullptr, "rebind",
-                          SlotPlan{SlotFormat::kWide, 0}),
+                          narrow(1, PlaneMode::kSingle)),
                CheckError);
 }
 
-// ------------------------------------------------------------- memory win
+// ------------------------------------------------------------- memory
 
-TEST(NarrowSlots, MemoryBytesAtLeastHalved) {
-  // Same shape, same protocol; the narrow run state must carry <= half the
-  // heap bytes of the wide one (16 B vs 64 B slots; slabs empty for width-1
-  // leases). This is the tentpole's headline number.
+TEST(NarrowSlots, MemoryBytesAtMostHalfOfA64ByteSlotPlane) {
+  // Same shape, width-1 protocol: the whole run state must stay within half
+  // the bytes a plane pair of 64 B slots would take on its own (16 B slots;
+  // slabs empty for width-1 leases).
   Rng rng(11);
   const Graph g = gen::random_regular(512, 8, rng);
-  auto run = [&](SlotPlan plan) {
-    SyncNetwork net(g, nullptr, "mem", 1, plan);
-    net.round_fast([&](NodeId v, const auto&, auto&& out) {
-      for (auto&& m : out) m.assign({v});
-    });
-    return net.memory_bytes();
-  };
-  const std::size_t wide = run(SlotPlan{SlotFormat::kWide, 1});
-  const std::size_t nrw = run(narrow(1));
-  EXPECT_GE(wide, 2 * nrw) << "wide=" << wide << " narrow=" << nrw;
+  SyncNetwork net(g, nullptr, "mem", 1, narrow(1));
+  net.round_fast([&](NodeId v, const auto&, auto&& out) {
+    for (auto&& m : out) m.assign({v});
+  });
+  EXPECT_LE(2 * net.memory_bytes(), 2 * net.num_slots() * 64)
+      << net.memory_bytes();
 }
 
-TEST(NarrowSlots, AuditMatchesWidePlane) {
-  // Bits are a function of field values alone, so a protocol audited on the
-  // narrow plane reports exactly the wide plane's numbers.
+TEST(NarrowSlots, AuditMatchesRecordedWidePlane) {
+  // Bits are a function of field values alone. The expected numbers were
+  // recorded from the same protocol on the former 64 B slot plane.
   Rng rng(3);
   const Graph g = gen::gnp(60, 0.1, rng);
-  auto run = [&](SlotPlan plan) {
-    SyncNetwork net(g, nullptr, "audit", 1, plan);
-    for (int r = 0; r < 2; ++r) {
-      net.round_fast([&](NodeId v, const auto&, auto&& out) {
-        std::size_t i = 0;
-        for (auto&& m : out) {
-          if ((v + i) % 3 == 0) {
-            m.assign({v * 1000 + static_cast<std::int64_t>(i)});
-          }
-          ++i;
+  SyncNetwork net(g, nullptr, "audit", 1, narrow(1));
+  for (int r = 0; r < 2; ++r) {
+    net.round_fast([&](NodeId v, const auto&, auto&& out) {
+      std::size_t i = 0;
+      for (auto&& m : out) {
+        if ((v + i) % 3 == 0) {
+          m.assign({v * 1000 + static_cast<std::int64_t>(i)});
         }
-      });
-    }
-    return std::pair<int, std::int64_t>(net.audit().max_bits(),
-                                        net.audit().messages_sent());
-  };
-  EXPECT_EQ(run(SlotPlan{SlotFormat::kWide, 1}), run(narrow(1)));
+        ++i;
+      }
+    });
+  }
+  EXPECT_EQ(net.audit().max_bits(), 17);
+  EXPECT_EQ(net.audit().messages_sent(), 224);
 }
 
 }  // namespace

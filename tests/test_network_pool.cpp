@@ -42,9 +42,13 @@ struct ProtocolTrace {
   auto key() const { return std::tuple(acc, rounds, max_bits, messages); }
 };
 
+// The protocol's declared width: a signature plus 8 spilled fields.
+constexpr SlotPlan kPlan{.max_fields = 9};
+
 // Deterministic multi-round protocol with empty slots, inline payloads, and
 // slab spills; each node folds its inbox into its own accumulator slot, so
-// the trace is shard-confined and bit-identical across engines.
+// the trace is shard-confined and bit-identical across engines. Runs on a
+// network leased with kPlan.
 ProtocolTrace run_protocol(SyncNetwork& net, int rounds) {
   const Graph& g = net.graph();
   ProtocolTrace t;
@@ -62,13 +66,10 @@ ProtocolTrace run_protocol(SyncNetwork& net, int rounds) {
             static_cast<std::int64_t>(v) * 1315423911 +
             static_cast<std::int64_t>(i) * 97 + r;
         if (sig % 3 == 0) continue;  // send nothing on this incidence
-        Message& m = out[i];
-        m = Message{sig};
+        auto m = out[i];
+        m.assign({sig});
         if (sig % 5 == 0) {  // force a slab spill
-          for (int k = 1; k <= 2 * static_cast<int>(Message::kInlineFields);
-               ++k) {
-            m.push(sig + k);
-          }
+          for (int k = 1; k < kPlan.max_fields; ++k) m.push(sig + k);
         }
       }
     });
@@ -123,7 +124,7 @@ TEST(NetworkPool, TopologyMatchesGraphShape) {
 void check_reset_identity(int num_threads) {
   Rng rng(3);
   const Graph g = gen::gnp(70, 0.12, rng);
-  SyncNetwork fresh(g, nullptr, "net", num_threads);
+  SyncNetwork fresh(g, nullptr, "net", num_threads, kPlan);
   const ProtocolTrace ref = run_protocol(fresh, 6);
   EXPECT_GT(ref.messages, 0);
   EXPECT_GT(ref.max_bits, 0);
@@ -138,7 +139,7 @@ void check_reset_identity(int num_threads) {
   // And a pool lease over the same graph shape behaves like fresh too.
   NetworkPool pool(num_threads);
   for (int lease_round = 0; lease_round < 3; ++lease_round) {
-    auto lease = pool.network(g, nullptr, "net");
+    auto lease = pool.network(g, nullptr, "net", kPlan);
     const ProtocolTrace pooled = run_protocol(*lease, 6);
     EXPECT_EQ(ref.key(), pooled.key()) << "lease " << lease_round;
   }
@@ -154,22 +155,19 @@ TEST(NetworkPool, ResetBitIdentity4Shards) { check_reset_identity(4); }
 void check_reset_after_abort(int num_threads) {
   Rng rng(4);
   const Graph g = gen::gnp(50, 0.15, rng);
-  SyncNetwork fresh(g, nullptr, "net", num_threads);
+  SyncNetwork fresh(g, nullptr, "net", num_threads, kPlan);
   const ProtocolTrace ref = run_protocol(fresh, 5);
 
-  SyncNetwork dirty(g, nullptr, "net", num_threads);
+  SyncNetwork dirty(g, nullptr, "net", num_threads, kPlan);
   (void)run_protocol(dirty, 3);  // leave real traffic in both planes
   const auto aborted = [&] {
     dirty.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
       // Write (and spill) into many slots before one node throws, so the
       // aborted round leaves maximal debris for reset() to not leak.
       for (std::size_t i = 0; i < out.size(); ++i) {
-        Message& m = out[i];
-        m = Message{v};
-        for (int k = 0; k < 2 * static_cast<int>(Message::kInlineFields);
-             ++k) {
-          m.push(k);
-        }
+        auto m = out[i];
+        m.assign({v});
+        for (int k = 1; k < kPlan.max_fields; ++k) m.push(k);
       }
       DEC_CHECK(v < g.num_nodes() / 2, "deliberate mid-round failure");
     });
@@ -193,19 +191,19 @@ TEST(NetworkPool, AbortedLeaseIsCleanOnReuse) {
   const Graph g = gen::grid(6, 7);
   NetworkPool pool(2);
   {
-    auto lease = pool.network(g, nullptr, "net");
+    auto lease = pool.network(g, nullptr, "net", kPlan);
     (void)run_protocol(*lease, 2);
     const auto aborted = [&] {
       lease->round_fast([&](NodeId v, const Inbox&, Outbox& out) {
-        out[0] = Message{v};
+        out[0].assign({v});
         DEC_CHECK(v == 0, "deliberate failure");
       });
     };
     EXPECT_THROW(aborted(), CheckError);
   }  // released dirty
-  SyncNetwork fresh(g, nullptr, "net", 2);
+  SyncNetwork fresh(g, nullptr, "net", 2, kPlan);
   const ProtocolTrace ref = run_protocol(fresh, 4);
-  auto lease = pool.network(g, nullptr, "net");
+  auto lease = pool.network(g, nullptr, "net", kPlan);
   EXPECT_EQ(ref.key(), run_protocol(*lease, 4).key());
 }
 
@@ -216,7 +214,9 @@ TEST(NetworkPool, RebindReusesRunStateAcrossShapes) {
   const Graph c = gen::grid(5, 8);
   ProtocolTrace ref_a, ref_b, ref_c;
   {
-    SyncNetwork na(a), nb(b), nc(c);
+    SyncNetwork na(a, nullptr, "net", 1, kPlan);
+    SyncNetwork nb(b, nullptr, "net", 1, kPlan);
+    SyncNetwork nc(c, nullptr, "net", 1, kPlan);
     ref_a = run_protocol(na, 5);
     ref_b = run_protocol(nb, 5);
     ref_c = run_protocol(nc, 5);
@@ -227,7 +227,7 @@ TEST(NetworkPool, RebindReusesRunStateAcrossShapes) {
   const Graph* order[] = {&a, &b, &c, &a, &b};
   const ProtocolTrace* expect[] = {&ref_a, &ref_b, &ref_c, &ref_a, &ref_b};
   for (int i = 0; i < 5; ++i) {
-    auto lease = pool.network(*order[i], nullptr, "net");
+    auto lease = pool.network(*order[i], nullptr, "net", kPlan);
     EXPECT_EQ(expect[i]->key(), run_protocol(*lease, 5).key()) << "step " << i;
   }
   EXPECT_EQ(pool.run_states(), 1u);

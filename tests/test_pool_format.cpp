@@ -1,9 +1,10 @@
-// Pool format safety: the slot-plane format is STRUCTURAL — part of a run
-// state's identity. A narrow run state parked in the arena must never be
-// adopted for a wide lease (or vice versa); the pool reconstructs instead.
-// Pinned directly on SharedNetworkPool's park/adopt, through the NetworkPool
-// view (idle-slot filtering), and under a multi-threaded lease/park/adopt
-// stress that TSan checks for races on the format-filtered scan.
+// Pool plan safety: the plane mode is STRUCTURAL — part of a run state's
+// identity. A single-plane run state parked in the arena must never be
+// adopted for a double-plane lease (or vice versa); the pool reconstructs
+// instead. Pinned directly on SharedNetworkPool's park/adopt for both
+// network kinds, through the NetworkPool view (idle-slot filtering), and
+// under a multi-threaded lease/park/adopt stress that TSan checks for races
+// on the mode-filtered scan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,20 +18,22 @@
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
 #include "sim/topology.hpp"
-#include "util/rng.hpp"
 
 namespace dec {
 namespace {
 
-// One narrow round on a leased network, verifying the lease carries the
-// requested format and delivers correctly on it.
-void echo_round(SyncNetwork& net, SlotFormat format) {
-  ASSERT_EQ(net.slot_format(), format);
+constexpr SlotPlan kSingle{.mode = PlaneMode::kSingle};
+
+// Two rounds on a leased network, verifying the lease carries the
+// requested plane mode and delivers correctly on it (the second round's
+// inbox reads the first round's sends; single-plane safe).
+void echo_round(SyncNetwork& net, PlaneMode mode) {
+  ASSERT_EQ(net.plane_mode(), mode);
   const Graph& g = net.graph();
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
     for (auto&& m : out) m.assign({v});
   });
-  net.drain_fast([&](NodeId v, const auto& in) {
+  net.round_fast([&](NodeId v, const auto& in, auto&&) {
     const auto nb = g.neighbors(v);
     for (std::size_t i = 0; i < in.size(); ++i) {
       ASSERT_FALSE(in[i].empty());
@@ -39,121 +42,111 @@ void echo_round(SyncNetwork& net, SlotFormat format) {
   });
 }
 
-TEST(PoolFormat, SharedParkAdoptFiltersByFormat) {
+TEST(PoolFormat, SharedParkAdoptFiltersByPlaneMode) {
   SharedNetworkPool shared(1);
   const Graph g = gen::cycle(8);
   const auto topo = shared.topology(g);
 
-  auto narrow_net = std::make_unique<SyncNetwork>(
-      g, topo, nullptr, "narrow", SlotPlan{SlotFormat::kNarrow, 1});
-  SyncNetwork* narrow_raw = narrow_net.get();
-  shared.park(std::move(narrow_net));
+  auto single =
+      std::make_unique<SyncNetwork>(g, topo, nullptr, "s", kSingle);
+  SyncNetwork* single_raw = single.get();
+  shared.park(std::move(single));
   EXPECT_EQ(shared.parked_run_states(), 1u);
-
-  // A wide lease must NOT adopt the narrow state.
-  EXPECT_EQ(shared.adopt_network(topo.get(), SlotFormat::kWide,
-                                 PlaneMode::kDouble),
-            nullptr);
+  // A double-plane lease must NOT adopt the single-plane state.
+  EXPECT_EQ(shared.adopt_network(topo.get(), PlaneMode::kDouble), nullptr);
   EXPECT_EQ(shared.parked_run_states(), 1u);
-
-  // A narrow lease gets exactly that state back.
-  auto adopted = shared.adopt_network(topo.get(), SlotFormat::kNarrow,
-                                      PlaneMode::kDouble);
+  // A single-plane lease gets exactly that state back.
+  auto adopted = shared.adopt_network(topo.get(), PlaneMode::kSingle);
   ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(adopted.get(), narrow_raw);
-  EXPECT_EQ(adopted->slot_format(), SlotFormat::kNarrow);
+  EXPECT_EQ(adopted.get(), single_raw);
+  EXPECT_EQ(adopted->plane_mode(), PlaneMode::kSingle);
 
-  // And the mirror direction: a parked wide state never serves narrow.
-  auto wide_net = std::make_unique<SyncNetwork>(g, topo, nullptr, "wide",
-                                                SlotPlan{});
-  shared.park(std::move(wide_net));
-  EXPECT_EQ(shared.adopt_network(topo.get(), SlotFormat::kNarrow,
-                                 PlaneMode::kDouble),
-            nullptr);
-  EXPECT_NE(shared.adopt_network(topo.get(), SlotFormat::kWide,
-                                 PlaneMode::kDouble),
-            nullptr);
+  // Mirror direction: a parked double-plane state never serves single.
+  shared.park(std::make_unique<SyncNetwork>(g, topo, nullptr, "d",
+                                            SlotPlan{}));
+  EXPECT_EQ(shared.adopt_network(topo.get(), PlaneMode::kSingle), nullptr);
+  EXPECT_NE(shared.adopt_network(topo.get(), PlaneMode::kDouble), nullptr);
 }
 
-TEST(PoolFormat, SharedParkAdoptFiltersByFormatDiNetwork) {
+TEST(PoolFormat, SharedParkAdoptFiltersByPlaneModeDiNetwork) {
   SharedNetworkPool shared(1);
   const Digraph dg(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   const auto topo = shared.topology(dg);
-
-  auto narrow_net = std::make_unique<DiNetwork>(
-      dg, topo, nullptr, "narrow", SlotPlan{SlotFormat::kNarrow, 2});
-  shared.park(std::move(narrow_net));
-  EXPECT_EQ(shared.adopt_dinetwork(topo.get(), SlotFormat::kWide,
-                                   PlaneMode::kDouble),
-            nullptr);
-  auto adopted = shared.adopt_dinetwork(topo.get(), SlotFormat::kNarrow,
-                                        PlaneMode::kDouble);
-  ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(adopted->slot_format(), SlotFormat::kNarrow);
+  shared.park(std::make_unique<DiNetwork>(
+      dg, topo, nullptr, "sd",
+      SlotPlan{.max_fields = 2, .mode = PlaneMode::kSingle}));
+  EXPECT_EQ(shared.adopt_dinetwork(topo.get(), PlaneMode::kDouble), nullptr);
+  auto di = shared.adopt_dinetwork(topo.get(), PlaneMode::kSingle);
+  ASSERT_NE(di, nullptr);
+  EXPECT_EQ(di->plane_mode(), PlaneMode::kSingle);
+  shared.park(std::move(di));
+  shared.park(std::make_unique<DiNetwork>(dg, topo, nullptr, "dd"));
+  auto dbl = shared.adopt_dinetwork(topo.get(), PlaneMode::kDouble);
+  ASSERT_NE(dbl, nullptr);
+  EXPECT_EQ(dbl->plane_mode(), PlaneMode::kDouble);
+  EXPECT_EQ(shared.adopt_dinetwork(topo.get(), PlaneMode::kDouble), nullptr);
 }
 
-TEST(PoolFormat, ViewReconstructsOnFormatMiss) {
-  // One view, one graph: a narrow lease released back to the view must not
-  // be handed out again for a wide lease (and vice versa); the view grows a
-  // second run state instead, and both keep working.
+TEST(PoolFormat, ViewReconstructsOnPlaneModeMiss) {
+  // One view, one graph: a single-plane lease released back to the view
+  // must not be handed out again for a double-plane lease (and vice
+  // versa); the view grows a second run state instead, and both keep
+  // working.
   NetworkPool pool(1);
   const Graph g = gen::grid(4, 5);
   {
-    auto lease = pool.network(g, nullptr, "a",
-                              SlotPlan{SlotFormat::kNarrow, 1});
-    echo_round(*lease, SlotFormat::kNarrow);
+    auto lease = pool.network(g, nullptr, "a", kSingle);
+    echo_round(*lease, PlaneMode::kSingle);
   }
   EXPECT_EQ(pool.run_states(), 1u);
   {
-    auto lease = pool.network(g, nullptr, "b", SlotPlan{});
-    echo_round(*lease, SlotFormat::kWide);
+    auto lease = pool.network(g, nullptr, "b");
+    echo_round(*lease, PlaneMode::kDouble);
   }
-  // Format miss -> fresh construction, not reuse of the narrow state.
+  // Mode miss -> fresh construction, not reuse of the single-plane state.
   EXPECT_EQ(pool.run_states(), 2u);
   {
-    // Both formats now warm: leases land on the matching state, no growth.
-    auto narrow = pool.network(g, nullptr, "c",
-                               SlotPlan{SlotFormat::kNarrow, 1});
-    auto wide = pool.network(g, nullptr, "d", SlotPlan{});
-    echo_round(*narrow, SlotFormat::kNarrow);
-    echo_round(*wide, SlotFormat::kWide);
+    // Both modes now warm: leases land on the matching state, no growth.
+    auto single = pool.network(g, nullptr, "c", kSingle);
+    auto dbl = pool.network(g, nullptr, "d");
+    echo_round(*single, PlaneMode::kSingle);
+    echo_round(*dbl, PlaneMode::kDouble);
   }
   EXPECT_EQ(pool.run_states(), 2u);
 }
 
-TEST(PoolFormat, CrossViewLeaseNeverAdoptsOtherFormat) {
-  // View 1 parks a narrow state on destruction; view 2 asks wide. It must
-  // reconstruct (fresh wide state), then a narrow view 3 may adopt the
-  // parked narrow one.
+TEST(PoolFormat, CrossViewLeaseNeverAdoptsOtherPlaneMode) {
+  // View 1 parks a single-plane state on destruction; view 2 asks for two
+  // planes. It must reconstruct, then a single-plane view 3 may adopt the
+  // parked single-plane one.
   SharedNetworkPool shared(1);
   const Graph g = gen::star(12);
   {
     NetworkPool view(shared);
-    auto lease = view.network(g, nullptr, "n",
-                              SlotPlan{SlotFormat::kNarrow, 1});
-    echo_round(*lease, SlotFormat::kNarrow);
+    auto lease = view.network(g, nullptr, "s", kSingle);
+    echo_round(*lease, PlaneMode::kSingle);
   }
   EXPECT_EQ(shared.parked_run_states(), 1u);
   {
     NetworkPool view(shared);
-    auto lease = view.network(g, nullptr, "w", SlotPlan{});
-    echo_round(*lease, SlotFormat::kWide);
+    auto lease = view.network(g, nullptr, "d");
+    echo_round(*lease, PlaneMode::kDouble);
   }
-  // The narrow state was not consumed by the wide lease; both are parked.
+  // The single-plane state was not consumed by the double-plane lease.
   EXPECT_EQ(shared.parked_run_states(), 2u);
   {
     NetworkPool view(shared);
-    auto lease = view.network(g, nullptr, "n2",
-                              SlotPlan{SlotFormat::kNarrow, 1});
-    echo_round(*lease, SlotFormat::kNarrow);
+    auto lease = view.network(g, nullptr, "s2", kSingle);
+    echo_round(*lease, PlaneMode::kSingle);
     EXPECT_EQ(view.run_states(), 1u);  // adopted, not constructed
   }
 }
 
-TEST(PoolFormat, ConcurrentMixedFormatLeaseStress) {
-  // Tenants on their own threads lease alternating formats over one shared
-  // arena, so format-filtered adopt scans race with parks. TSan watches the
-  // arena; the asserts watch that no lease ever carries the wrong format.
+TEST(PoolFormat, ConcurrentMixedPlaneModeLeaseStress) {
+  // Tenants on their own threads lease alternating plane modes over one
+  // shared arena, so mode-filtered adopt scans race with parks. TSan
+  // watches the arena; the asserts watch that no lease ever carries the
+  // wrong mode.
   SharedNetworkPool shared(1);
   constexpr int kThreads = 4;
   constexpr int kIters = 40;
@@ -161,16 +154,15 @@ TEST(PoolFormat, ConcurrentMixedFormatLeaseStress) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&shared, t] {
-      Rng rng(900 + static_cast<std::uint64_t>(t));
       for (int i = 0; i < kIters; ++i) {
         NetworkPool view(shared);
         const Graph g = i % 2 == 0 ? gen::cycle(16 + t)
                                    : gen::grid(3 + t, 4 + i % 3);
-        const SlotFormat fmt = (i + t) % 2 == 0 ? SlotFormat::kNarrow
-                                                : SlotFormat::kWide;
-        const int width = fmt == SlotFormat::kNarrow ? 1 : 0;
-        auto lease = view.network(g, nullptr, "stress", SlotPlan{fmt, width});
-        echo_round(*lease, fmt);
+        const PlaneMode mode = (i + t) % 2 == 0 ? PlaneMode::kSingle
+                                                : PlaneMode::kDouble;
+        auto lease =
+            view.network(g, nullptr, "stress", SlotPlan{.mode = mode});
+        echo_round(*lease, mode);
       }
     });
   }

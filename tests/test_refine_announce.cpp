@@ -1,13 +1,16 @@
-// Regression pin for defective_refine's dirty-flag announce optimization:
-// re-broadcasting only changed colors must not change the algorithm — the
-// audited round count and the final coloring are bit-identical to the full
-// re-broadcast — while the substrate message count drops strictly on any
-// instance where most colors stabilize early (which is the normal case: a
-// class-step only moves an independent set of over-threshold nodes).
+// Regression pin for defective_refine's dirty-flag announce: re-broadcasting
+// only changed colors must not change the algorithm — the final coloring,
+// audited rounds and ledger equal those of the full re-broadcast, recorded
+// below from the former full re-broadcast path (serial and 2/4 shards) —
+// while the substrate message count stays under half of the full
+// re-broadcast's on instances where most colors stabilize early (the normal
+// case: a class-step only moves an independent set of over-threshold
+// nodes).
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <cstdint>
 
+#include "golden_digest.hpp"
 #include "coloring/defective.hpp"
 #include "coloring/linial.hpp"
 #include "graph/generators.hpp"
@@ -15,55 +18,46 @@
 namespace dec {
 namespace {
 
-auto trajectory_key(const DefectiveResult& r) {
-  return std::tuple(r.colors, r.palette, r.rounds, r.max_defect, r.sweeps,
-                    r.converged, r.max_message_bits);
+struct Recorded {
+  std::uint64_t out;        // out_digest of the final coloring
+  std::int64_t rounds;      // audited rounds (= the ledger's refine line)
+  int max_bits;
+  std::int64_t full_messages;   // full re-broadcast
+  std::int64_t dirty_messages;  // dirty-flagged announce
+};
+
+void expect_matches_full_rebroadcast(const Graph& g, int threshold,
+                                     const Recorded& want) {
+  const LinialResult lin = linial_color(g);
+  for (const int threads : {1, 2, 4}) {
+    RoundLedger ledger;
+    const DefectiveResult dirty = defective_refine(
+        g, lin.colors, lin.palette, 4, threshold, 256, &ledger, threads);
+    EXPECT_EQ(out_digest(dirty), want.out) << "threads " << threads;
+    EXPECT_EQ(dirty.rounds, want.rounds) << "threads " << threads;
+    EXPECT_EQ(ledger.component("defective_refine"), want.rounds);
+    EXPECT_EQ(dirty.max_message_bits, want.max_bits);
+    EXPECT_EQ(dirty.messages, want.dirty_messages) << "threads " << threads;
+    // After the first announce round only movers re-broadcast. Most nodes
+    // never move, so the drop is large — assert a conservative 2x.
+    EXPECT_LT(2 * dirty.messages, want.full_messages);
+  }
 }
 
-TEST(RefineDirtyAnnounce, BitIdenticalAndStrictlyFewerMessages) {
+TEST(RefineDirtyAnnounce, MatchesRecordedFullRebroadcastOnRegular) {
   Rng rng(55);
   const Graph g = gen::random_regular(200, 8, rng);
-  const LinialResult lin = linial_color(g);
-  const int threshold = g.max_degree() / 4 + 2;
-
-  RoundLedger ledger_full, ledger_dirty;
-  const DefectiveResult full =
-      defective_refine(g, lin.colors, lin.palette, 4, threshold, 256,
-                       &ledger_full, 1, /*dirty_announce=*/false);
-  const DefectiveResult dirty =
-      defective_refine(g, lin.colors, lin.palette, 4, threshold, 256,
-                       &ledger_dirty, 1, /*dirty_announce=*/true);
-
-  // Same trajectory: rounds, sweeps, and every color bit-identical (the
-  // caches only ever serve values the neighbor would have re-sent).
-  EXPECT_EQ(trajectory_key(full), trajectory_key(dirty));
-  EXPECT_EQ(ledger_full.component("defective_refine"),
-            ledger_dirty.component("defective_refine"));
-
-  // Strictly fewer substrate messages: after the first announce round, only
-  // movers re-broadcast. Most nodes never move, so the drop is large —
-  // assert a conservative 2x, not just strictness.
-  EXPECT_LT(dirty.messages, full.messages);
-  EXPECT_LT(2 * dirty.messages, full.messages);
+  expect_matches_full_rebroadcast(
+      g, g.max_degree() / 4 + 2,
+      {0xd9f2e4a580b85be9ull, 800, 3, 640032, 1664});
 }
 
-TEST(RefineDirtyAnnounce, BitIdenticalUnderParallelEngine) {
+TEST(RefineDirtyAnnounce, MatchesRecordedFullRebroadcastOnGnp) {
   Rng rng(56);
   const Graph g = gen::gnp(120, 0.08, rng);
-  const LinialResult lin = linial_color(g);
-  const int threshold = g.max_degree() / 4 + 1;
-
-  const DefectiveResult full =
-      defective_refine(g, lin.colors, lin.palette, 4, threshold, 256,
-                       nullptr, 1, /*dirty_announce=*/false);
-  for (const int threads : {1, 2, 4}) {
-    const DefectiveResult dirty =
-        defective_refine(g, lin.colors, lin.palette, 4, threshold, 256,
-                         nullptr, threads, /*dirty_announce=*/true);
-    EXPECT_EQ(trajectory_key(full), trajectory_key(dirty))
-        << "threads " << threads;
-    EXPECT_LT(dirty.messages, full.messages) << "threads " << threads;
-  }
+  expect_matches_full_rebroadcast(
+      g, g.max_degree() / 4 + 1,
+      {0x84e4405330d91538ull, 480, 3, 284237, 1338});
 }
 
 }  // namespace

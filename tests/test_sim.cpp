@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -96,82 +97,104 @@ TEST(Message, FieldBitsNegativeAndExtremes) {
   }
 }
 
-TEST(Message, InlineStorageNoSpill) {
-  Message m;
-  for (std::size_t i = 0; i < Message::kInlineFields; ++i) {
-    m.push(static_cast<std::int64_t>(i * 10));
-  }
-  EXPECT_FALSE(m.spilled());
-  EXPECT_EQ(m.size(), Message::kInlineFields);
-  for (std::size_t i = 0; i < Message::kInlineFields; ++i) {
-    EXPECT_EQ(m.at(i), static_cast<std::int64_t>(i * 10));
-  }
-}
-
-TEST(Message, SpillsBeyondInlineCapacity) {
-  Message m;
-  for (std::int64_t i = 0; i < 100; ++i) m.push(i * i);
-  EXPECT_TRUE(m.spilled());
-  EXPECT_EQ(m.size(), 100u);
-  for (std::int64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(m.at(static_cast<std::size_t>(i)), i * i);
-  }
-  m.clear();
-  EXPECT_TRUE(m.empty());
-  m.push(7);  // reuses the spill buffer
-  EXPECT_EQ(m.at(0), 7);
-}
-
-TEST(Message, CopySemantics) {
-  Message wide;
-  for (std::int64_t i = 0; i < 10; ++i) wide.push(i);
-  Message copy(wide);
-  wide.clear();
-  ASSERT_EQ(copy.size(), 10u);
-  EXPECT_EQ(copy.at(9), 9);
-  Message assigned;
-  assigned = copy;
-  EXPECT_EQ(assigned.size(), 10u);
-  assigned = Message{1, 2};
-  EXPECT_EQ(assigned.size(), 2u);
-  EXPECT_EQ(assigned.at(1), 2);
-}
-
-TEST(Message, SlabSpillUsesArenaNotHeap) {
+TEST(MessageSlab, IndexedBlocksRoundTripAndRewind) {
   MessageSlab slab;
-  Message m;
-  m.bind_slab(&slab);
-  for (std::int64_t i = 0; i < 20; ++i) m.push(i);
-  EXPECT_TRUE(m.spilled());
-  EXPECT_GT(slab.used(), 0u);
-  EXPECT_EQ(m.at(19), 19);
-  // After an arena reset the message must drop its (now invalid) block
-  // before reuse; reset_storage is the substrate's lazy-clear primitive.
+  std::vector<std::uint32_t> idx;
+  // Enough small blocks to cross several chunks; none may straddle one.
+  for (std::int64_t i = 0; i < 20000; ++i) {
+    idx.push_back(slab.allocate_index(3));
+    std::int64_t* b = slab.at_index(idx.back());
+    for (int k = 0; k < 3; ++k) b[k] = i * 3 + k;
+  }
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    EXPECT_LE((idx[i] & (MessageSlab::kChunkFields - 1)) + 3,
+              MessageSlab::kChunkFields);
+    const std::int64_t* b = slab.at_index(idx[i]);
+    ASSERT_EQ(b[2], static_cast<std::int64_t>(i) * 3 + 2) << i;
+  }
+  EXPECT_EQ(slab.used(), 60000u);
+  const std::size_t bytes = slab.capacity_bytes();
+  // A rewind keeps the chunks: the same traffic allocates nothing new.
   slab.reset();
-  m.reset_storage();
-  EXPECT_FALSE(m.spilled());
-  EXPECT_TRUE(m.empty());
-  for (std::int64_t i = 0; i < 20; ++i) m.push(i + 1);
-  EXPECT_EQ(m.at(19), 20);
+  EXPECT_EQ(slab.used(), 0u);
+  for (int i = 0; i < 20000; ++i) slab.allocate_index(3);
+  EXPECT_EQ(slab.capacity_bytes(), bytes);
+}
+
+TEST(MessageSlab, BlockPastOneChunkGetsItsOwnChunk) {
+  MessageSlab slab;
+  const std::size_t wide = MessageSlab::kChunkFields + 5;
+  const std::uint32_t a = slab.allocate_index(2);
+  const std::uint32_t b = slab.allocate_index(wide);
+  const std::uint32_t c = slab.allocate_index(2);
+  // The wide block starts a chunk of its own; the next block starts after
+  // it.
+  EXPECT_EQ(b & (MessageSlab::kChunkFields - 1), 0u);
+  EXPECT_NE(b >> MessageSlab::kChunkShift, a >> MessageSlab::kChunkShift);
+  EXPECT_NE(c >> MessageSlab::kChunkShift, b >> MessageSlab::kChunkShift);
+  std::int64_t* wb = slab.at_index(b);
+  for (std::size_t k = 0; k < wide; ++k) wb[k] = static_cast<std::int64_t>(k);
+  slab.at_index(a)[1] = -1;
+  slab.at_index(c)[0] = -2;
+  for (std::size_t k = 0; k < wide; ++k) {
+    ASSERT_EQ(slab.at_index(b)[k], static_cast<std::int64_t>(k));
+  }
+  // After a rewind the retained oversized chunk serves wide blocks again.
+  const std::size_t bytes = slab.capacity_bytes();
+  slab.reset();
+  slab.allocate_index(2);
+  slab.allocate_index(wide);
+  EXPECT_EQ(slab.capacity_bytes(), bytes);
+  // Small blocks filling the oversized chunk must not start past the
+  // offset bits of their index (that would alias an earlier block).
+  slab.reset();
+  std::vector<std::uint32_t> idx;
+  for (std::int64_t i = 0; i < 12000; ++i) {
+    idx.push_back(slab.allocate_index(3));
+    for (int k = 0; k < 3; ++k) slab.at_index(idx.back())[k] = i * 3 + k;
+  }
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_EQ(slab.at_index(idx[i])[k], static_cast<std::int64_t>(i) * 3 + k)
+          << i;
+    }
+  }
+}
+
+TEST(MessageSlab, SpillIndexExhaustionThrowsActionably) {
+  // The 24-bit spill index addresses 2^10 chunks. Chunks are allocated
+  // without zeroing, so this costs address space, not resident memory.
+  MessageSlab slab;
+  for (std::size_t i = 0; i < (std::size_t{1} << 10); ++i) {
+    slab.allocate_index(MessageSlab::kChunkFields);
+  }
+  try {
+    slab.allocate_index(1);
+    FAIL() << "the 2^24-field spill index space must not wrap";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spill arena exhausted"), std::string::npos) << what;
+    EXPECT_NE(what.find("shard the run further"), std::string::npos) << what;
+  }
 }
 
 TEST(Message, MessageBitsAndAudit) {
-  Message m{3, 500};
-  EXPECT_EQ(message_bits(m), field_bits(3) + field_bits(500));
+  const std::int64_t m[] = {3, 500};
   CongestAudit audit;
   audit.observe(m);
-  audit.observe(Message{});  // empty = not sent
+  audit.observe({});  // empty = not sent
   EXPECT_EQ(audit.messages_sent(), 1);
-  EXPECT_EQ(audit.max_bits(), message_bits(m));
+  EXPECT_EQ(audit.max_bits(), field_bits(3) + field_bits(500));
   audit.reset();
   EXPECT_EQ(audit.max_bits(), 0);
 }
 
 TEST(Message, AuditMergeIsOrderIndependent) {
   CongestAudit a, b, merged_ab, merged_ba;
-  a.observe(Message{1000});
-  b.observe(Message{3});
-  b.observe(Message{7});
+  const std::int64_t f1000[] = {1000}, f3[] = {3}, f7[] = {7};
+  a.observe(f1000);
+  b.observe(f3);
+  b.observe(f7);
   merged_ab.merge(a);
   merged_ab.merge(b);
   merged_ba.merge(b);
@@ -186,13 +209,13 @@ TEST(Network, DeliversAlongEdges) {
   const Graph g = gen::path(3);  // 0-1, 1-2
   SyncNetwork net(g);
   // Round 1: everyone sends its id on every incident edge.
-  net.round([](NodeId v, const Inbox& inbox, Outbox& outbox) {
+  net.round_fast([](NodeId v, const Inbox& inbox, Outbox& outbox) {
     EXPECT_TRUE(std::all_of(inbox.begin(), inbox.end(),
-                            [](const Message& m) { return m.empty(); }));
-    for (auto& m : outbox) m = Message{v};
+                            [](const MessageView& m) { return m.empty(); }));
+    for (auto&& m : outbox) m.assign({v});
   });
   // Round 2: check each node received exactly its neighbors' ids.
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     const auto nb = g.neighbors(v);
     ASSERT_EQ(inbox.size(), nb.size());
     for (std::size_t i = 0; i < nb.size(); ++i) {
@@ -208,13 +231,13 @@ TEST(Network, SynchronousSemantics) {
   const Graph g = gen::path(2);
   SyncNetwork net(g);
   bool saw_in_same_round = false;
-  net.round([&](NodeId v, const Inbox& inbox, Outbox& outbox) {
-    if (v == 0) outbox[0] = Message{42};
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox& outbox) {
+    if (v == 0) outbox[0].assign({42});
     if (v == 1 && !inbox[0].empty()) saw_in_same_round = true;
   });
   EXPECT_FALSE(saw_in_same_round);
   bool saw_next_round = false;
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     if (v == 1 && !inbox[0].empty() && inbox[0].at(0) == 42) {
       saw_next_round = true;
     }
@@ -225,12 +248,12 @@ TEST(Network, SynchronousSemantics) {
 TEST(Network, MessagesDoNotPersist) {
   const Graph g = gen::path(2);
   SyncNetwork net(g);
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    if (v == 0) out[0] = Message{1};
+  net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
+    if (v == 0) out[0].assign({1});
   });
-  net.round([](NodeId, const Inbox&, Outbox&) {});
+  net.round_fast([](NodeId, const Inbox&, Outbox&) {});
   // The round-1 message must be gone by round 3.
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     if (v == 1) {
       EXPECT_TRUE(inbox[0].empty());
     }
@@ -238,32 +261,33 @@ TEST(Network, MessagesDoNotPersist) {
 }
 
 TEST(Network, SpilledMessagesDeliverIntact) {
-  // Payloads wider than the inline buffer take the slab-arena path; they
+  // Payloads wider than the inline field take the slab-arena path; they
   // must round-trip bit-exact and must not leak into later rounds.
   const Graph g = gen::star(4);
-  SyncNetwork net(g);
-  const std::size_t wide = Message::kInlineFields * 3;
-  net.round([&](NodeId v, const Inbox&, Outbox& out) {
+  const std::size_t wide = 12;
+  SyncNetwork net(g, nullptr, "network", 1,
+                  SlotPlan{.max_fields = static_cast<int>(wide)});
+  net.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
     if (v == 0) {
       for (std::size_t i = 0; i < out.size(); ++i) {
-        Message& m = out[i];
+        auto m = out[i];
         for (std::size_t k = 0; k < wide; ++k) {
           m.push(static_cast<std::int64_t>(100 * (i + 1) + k));
         }
       }
     }
   });
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     if (v != 0) {
       ASSERT_EQ(inbox.size(), 1u);
-      const Message& m = inbox[0];
+      const auto m = inbox[0];
       ASSERT_EQ(m.size(), wide);
       for (std::size_t k = 0; k < wide; ++k) {
         EXPECT_EQ(m.at(k), static_cast<std::int64_t>(100 * v + k));
       }
     }
   });
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     if (v != 0) EXPECT_TRUE(inbox[0].empty());
   });
 }
@@ -272,16 +296,16 @@ TEST(Network, ChargesLedger) {
   const Graph g = gen::cycle(4);
   RoundLedger l;
   SyncNetwork net(g, &l, "mycomp");
-  net.round([](NodeId, const Inbox&, Outbox&) {});
-  net.round([](NodeId, const Inbox&, Outbox&) {});
+  net.round_fast([](NodeId, const Inbox&, Outbox&) {});
+  net.round_fast([](NodeId, const Inbox&, Outbox&) {});
   EXPECT_EQ(l.component("mycomp"), 2);
 }
 
 TEST(Network, AuditTracksMaxBits) {
   const Graph g = gen::path(2);
   SyncNetwork net(g);
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    if (v == 0) out[0] = Message{1023};
+  net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
+    if (v == 0) out[0].assign({1023});
   });
   EXPECT_EQ(net.audit().max_bits(), field_bits(1023));
   EXPECT_EQ(net.audit().messages_sent(), 1);
@@ -290,14 +314,14 @@ TEST(Network, AuditTracksMaxBits) {
 TEST(Network, PerEdgeChannelsAreIndependent) {
   const Graph g = gen::star(3);  // center 0
   SyncNetwork net(g);
-  net.round([&](NodeId v, const Inbox&, Outbox& out) {
+  net.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
     if (v == 0) {
       for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = Message{static_cast<std::int64_t>(100 + i)};
+        out[i].assign({static_cast<std::int64_t>(100 + i)});
       }
     }
   });
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     if (v != 0) {
       ASSERT_EQ(inbox.size(), 1u);
       ASSERT_FALSE(inbox[0].empty());
@@ -347,7 +371,7 @@ TEST(Network, PeerSlotPairingStar) { check_peer_pairing(gen::star(17)); }
 // engines; states, audits, and round counts must match bit-for-bit.
 void check_engine_equivalence(const Graph& g) {
   auto run = [&](int threads) {
-    SyncNetwork net(g, nullptr, "net", threads);
+    SyncNetwork net(g, nullptr, "net", threads, SlotPlan{.max_fields = 2});
     std::vector<std::int64_t> state(static_cast<std::size_t>(g.num_nodes()));
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       state[static_cast<std::size_t>(v)] = v;
@@ -356,13 +380,13 @@ void check_engine_equivalence(const Graph& g) {
       std::vector<std::int64_t> next(state);
       net.round_fast([&](NodeId v, const Inbox& inbox, Outbox& out) {
         std::int64_t acc = state[static_cast<std::size_t>(v)];
-        for (const Message& m : inbox) {
+        for (const auto& m : inbox) {
           if (!m.empty()) acc += m.at(0) * 31 + m.size();
         }
         next[static_cast<std::size_t>(v)] = acc;
         // Odd nodes stay silent every other round to exercise stale slots.
         if (v % 2 == 0 || r % 2 == 0) {
-          for (auto& m : out) m = Message{acc, v};
+          for (auto&& m : out) m.assign({acc, v});
         }
       });
       state = std::move(next);
@@ -416,25 +440,25 @@ TEST(ParallelNetwork, PropagatesNodeProgramExceptions) {
 void check_abort_recovery(int threads) {
   const Graph g = gen::cycle(8);
   SyncNetwork net(g, nullptr, "net", threads);
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v + 100};
+  net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
+    for (auto&& m : out) m.assign({v + 100});
   });
   EXPECT_THROW(net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
-                 for (auto& m : out) m = Message{v + 200};
+                 for (auto&& m : out) m.assign({v + 200});
                  DEC_CHECK(v < 4, "boom mid-round");
                }),
                CheckError);
   EXPECT_EQ(net.rounds_executed(), 1);
   EXPECT_EQ(net.audit().messages_sent(), 16);  // only the successful round
   // The aborted round's writes are gone; the round-1 delivery is intact.
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     for (std::size_t i = 0; i < inbox.size(); ++i) {
       ASSERT_FALSE(inbox[i].empty());
       EXPECT_EQ(inbox[i].at(0), g.neighbors(v)[i].neighbor + 100);
     }
   });
-  net.round([](NodeId, const Inbox& inbox, Outbox&) {
-    for (const Message& m : inbox) EXPECT_TRUE(m.empty());
+  net.round_fast([](NodeId, const Inbox& inbox, Outbox&) {
+    for (const auto& m : inbox) EXPECT_TRUE(m.empty());
   });
   EXPECT_EQ(net.audit().messages_sent(), 16);
 }
@@ -446,18 +470,19 @@ TEST(ParallelNetwork, AbortedRoundRollsBackParallel) {
 }
 
 // Stronger than per-engine recovery: after an identical scripted history —
-// including a round that throws mid-flight with wide (slab-spilled) partial
-// writes — the serial and parallel engines must be in bit-identical states:
-// same delivered payloads afterwards, same audit, same round count.
+// including a round that throws mid-flight with multi-field (slab-spilled)
+// partial writes — the serial and parallel engines must be in
+// bit-identical states: same delivered payloads afterwards, same audit,
+// same round count.
 void run_abort_script(SyncNetwork& net, const Graph& g,
                       std::vector<std::int64_t>* delivered,
                       std::int64_t* audit_msgs, int* audit_bits) {
-  const std::size_t wide = Message::kInlineFields * 2;
+  const std::size_t wide = 8;
   net.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v * 3 + 1};
+    for (auto&& m : out) m.assign({v * 3 + 1});
   });
   EXPECT_THROW(net.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
-                 for (auto& m : out) {
+                 for (auto&& m : out) {
                    for (std::size_t i = 0; i < wide; ++i) m.push(v + 1000);
                  }
                  DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
@@ -465,11 +490,11 @@ void run_abort_script(SyncNetwork& net, const Graph& g,
                CheckError);
   net.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
     std::int64_t acc = 0;
-    for (const Message& m : in) {
+    for (const auto& m : in) {
       acc = acc * 31 + (m.empty() ? -1 : m.at(0));
     }
     if (v % 2 == 0) {
-      for (auto& m : out) m = Message{acc, v};
+      for (auto&& m : out) m.assign({acc, v});
     }
   });
   // Collect into per-node slots (the network's own slot plane gives the
@@ -491,9 +516,10 @@ TEST(ParallelNetwork, AbortRollbackMatchesSerialEngine) {
   std::vector<std::int64_t> serial_d, parallel_d;
   std::int64_t serial_msgs = 0, parallel_msgs = 0;
   int serial_bits = 0, parallel_bits = 0;
-  SyncNetwork serial(g);
+  const SlotPlan plan{.max_fields = 8};
+  SyncNetwork serial(g, nullptr, "network", 1, plan);
   run_abort_script(serial, g, &serial_d, &serial_msgs, &serial_bits);
-  ParallelSyncNetwork parallel(g, nullptr, "network", 4);
+  SyncNetwork parallel(g, nullptr, "network", 4, plan);
   run_abort_script(parallel, g, &parallel_d, &parallel_msgs, &parallel_bits);
   EXPECT_EQ(serial_d, parallel_d);
   EXPECT_EQ(serial_msgs, parallel_msgs);
@@ -506,8 +532,8 @@ TEST(Network, DrainReadsLastDeliveryWithoutCharging) {
   const Graph g = gen::path(3);
   RoundLedger ledger;
   SyncNetwork net(g, &ledger, "comp");
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v + 50};
+  net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
+    for (auto&& m : out) m.assign({v + 50});
   });
   // The drain sees exactly what a following round's inbox would, repeatably,
   // and costs nothing.
@@ -531,12 +557,12 @@ TEST(Network, DrainBeforeAnyRoundSeesOnlyEmpty) {
   const Graph g = gen::cycle(5);
   SyncNetwork net(g);
   net.drain_fast([](NodeId, const Inbox& in) {
-    for (const Message& m : in) EXPECT_TRUE(m.empty());
+    for (const auto& m : in) EXPECT_TRUE(m.empty());
   });
   EXPECT_EQ(net.rounds_executed(), 0);
 }
 
-// --- Mail summary (Inbox/NarrowInbox::any()) -------------------------------
+// --- Mail summary (Inbox::any()) -------------------------------------------
 
 // What node `u` does on edge `e` in round `r` of a scripted sparse history:
 // 0 nothing, 1 one field, 2 a multi-field payload (slab spill on either
@@ -557,7 +583,7 @@ int mail_action(std::uint64_t seed, int r, NodeId u, EdgeId e) {
   return roll < 3 ? 1 : roll < 5 ? 2 : roll < 6 ? 3 : 0;
 }
 
-constexpr std::size_t kSpillFields = 6;  // past both inline capacities
+constexpr std::size_t kSpillFields = 6;  // past the inline field
 
 // One scripted round: every node first audits its inbox against round r - 1
 // of the script (any() must equal "some neighbor touched my slot", and a
@@ -600,10 +626,8 @@ void mail_round(SyncNetwork& net, const Graph& g, std::uint64_t seed, int r,
 
 std::vector<SlotPlan> mail_plans() {
   std::vector<SlotPlan> plans;
-  for (const SlotFormat f : {SlotFormat::kWide, SlotFormat::kNarrow}) {
-    for (const PlaneMode m : {PlaneMode::kDouble, PlaneMode::kSingle}) {
-      plans.push_back({f, static_cast<int>(kSpillFields), m});
-    }
+  for (const PlaneMode m : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+    plans.push_back({.max_fields = static_cast<int>(kSpillFields), .mode = m});
   }
   return plans;
 }
@@ -620,8 +644,7 @@ TEST(MailSummary, SoundUnderRandomSparseSends) {
       // several times over, starting from the fresh state.
       for (int r = 0; r < 7; ++r) mail_round(net, g, 7, r, &bad, &quiet);
       EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-          << "format " << static_cast<int>(plan.format) << " mode "
-          << static_cast<int>(plan.mode) << " threads " << threads;
+          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
       // The summary must actually gate work, not read `true` everywhere.
       EXPECT_GT(quiet, 2 * g.num_nodes());
     }
@@ -652,11 +675,11 @@ TEST(MailSummary, FirstRoundAfterResetAndRebindIsQuiet) {
 TEST(MailSummary, AbortedRoundLeavesNoPhantomMail) {
   Rng rng(53);
   const Graph g = gen::random_regular(120, 6, rng);
-  for (const SlotFormat f : {SlotFormat::kWide, SlotFormat::kNarrow}) {
+  {
     for (const int threads : {1, 2, 4}) {
       // Double planes only: a mid-round abort poisons a single plane.
       SyncNetwork net(g, nullptr, "mail", threads,
-                      SlotPlan{f, static_cast<int>(kSpillFields)});
+                      SlotPlan{.max_fields = static_cast<int>(kSpillFields)});
       std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
       std::int64_t quiet = 0;
       mail_round(net, g, 17, 0, &bad, &quiet);
@@ -749,7 +772,7 @@ TEST(MailSummary, DrainBoxesAreConservative) {
 TEST(MailSummary, MemoryBytesCountsTags) {
   const Graph g = gen::cycle(100);
   SyncNetwork net(g, nullptr, "mail", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle});
+                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
   // Two 4 B tags per node on top of the 16 B/slot plane (2 slots/node).
   EXPECT_GE(net.memory_bytes(),
             100 * (2 * sizeof(NarrowSlot) + 2 * sizeof(std::uint32_t)));
@@ -882,8 +905,7 @@ TEST(ActiveRound, VisitsWakeUnionReceiversBitIdenticalToFullVisit) {
           active_mail_round(active, g, 23, r, policy, &bad);
         }
         EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-            << "format " << static_cast<int>(plan.format) << " mode "
-            << static_cast<int>(plan.mode) << " threads " << threads
+            << "mode " << static_cast<int>(plan.mode) << " threads " << threads
             << " policy " << static_cast<int>(policy);
         EXPECT_EQ(summarize(full, full_ledger),
                   summarize(active, active_ledger));
@@ -998,8 +1020,7 @@ TEST(ActiveRound, SpilledPayloadsCrossShardsOnCallerThread) {
       EXPECT_GT(n3, n2);
       EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
       EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-          << "format " << static_cast<int>(plan.format) << " mode "
-          << static_cast<int>(plan.mode) << " threads " << threads;
+          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
     }
   }
 }
@@ -1027,8 +1048,7 @@ TEST(ActiveRound, FirstRoundAfterResetAndRebindVisitsOnlyWake) {
         active_mail_round(net, large, 37, r, WakePolicy::kDuplicates, &bad);
       }
       EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes())
-          << "format " << static_cast<int>(plan.format) << " mode "
-          << static_cast<int>(plan.mode) << " threads " << threads;
+          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
     }
   }
 }
@@ -1066,8 +1086,7 @@ TEST(ActiveRound, AbortedRoundReexecutesWithTheSameVisitSet) {
         active_mail_round(net, g, 41, r, WakePolicy::kSenders, &bad);
       }
       EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-          << "format " << static_cast<int>(plan.format) << " mode "
-          << static_cast<int>(plan.mode) << " threads " << threads;
+          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
     }
   }
 }
@@ -1125,7 +1144,7 @@ TEST(ActiveRound, IsolatedNodesEmptyGraphAndEmptyUnion) {
 TEST(ActiveRound, MemoryBytesCountsVisitState) {
   const Graph g = gen::cycle(100);
   SyncNetwork net(g, nullptr, "mail", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle});
+                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
   // Two mail tags and one visit tag per node on top of the plane.
   EXPECT_GE(net.memory_bytes(),
             100 * (2 * sizeof(NarrowSlot) + 3 * sizeof(std::uint32_t)));

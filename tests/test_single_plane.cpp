@@ -4,12 +4,12 @@
 // opted in (Linial, defective precolor + refine) must produce the same
 // outputs, audited rounds, message widths/counts, and full ledger breakdowns
 // under kSingle as under kDouble — fresh and pooled, serial and 2/4-shard,
-// across random/grid/star families with >= 20 seeds each, on both slot
-// formats. The mode's safety rails are pinned too: drain on a single plane
-// throws an actionable error, a write-before-read hazard throws instead of
-// returning the node's own message, an aborted round poisons the state
-// until reset(), pool adoption never crosses plane modes, and memory_bytes
-// counts exactly the planes that exist.
+// across random/grid/star families with >= 20 seeds each. The mode's
+// safety rails are pinned too: drain on a single plane throws an actionable
+// error, a write-before-read hazard throws instead of returning the node's
+// own message, an aborted round poisons the state until reset(), and
+// memory_bytes counts exactly the planes that exist. Pool adoption never
+// crossing plane modes is pinned by tests/test_pool_format.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include "sim/ledger.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
-#include "sim/shared_pool.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -56,19 +55,22 @@ auto defective_key(const DefectiveResult& r) {
 // staleness — shows up as a differing log. Reads strictly precede writes in
 // the program, so it is single-plane safe; an odd round count ends on the
 // swapped parity.
-std::vector<std::int64_t> echo_log(const Graph& g, SlotPlan plan, int rounds,
-                                   int num_threads, NetworkPool* pool) {
+std::vector<std::uint64_t> echo_log(const Graph& g, SlotPlan plan, int rounds,
+                                    int num_threads, NetworkPool* pool) {
   ScopedNetwork scope(pool, g, nullptr, "echo", num_threads, nullptr, plan);
   SyncNetwork& net = *scope;
   const std::size_t ns = net.num_slots();
-  std::vector<std::int64_t> log(static_cast<std::size_t>(rounds) * ns, -1);
+  std::vector<std::uint64_t> log(static_cast<std::size_t>(rounds) * ns, 0);
   for (int r = 0; r < rounds; ++r) {
     net.round_fast([&, r](NodeId v, const auto& in, auto&& out) {
       if (r > 0) {
         for (std::size_t i = 0; i < in.size(); ++i) {
           const auto& m = in[i];
-          std::int64_t acc = 1234567;
-          for (const std::int64_t f : m.fields()) acc = acc * 31 + f;
+          // Unsigned: the hash wraps by design.
+          std::uint64_t acc = 1234567;
+          for (const std::int64_t f : m.fields()) {
+            acc = acc * 31 + static_cast<std::uint64_t>(f);
+          }
           log[static_cast<std::size_t>(r - 1) * ns + net.slot(v, i)] = acc;
         }
       }
@@ -82,10 +84,8 @@ std::vector<std::int64_t> echo_log(const Graph& g, SlotPlan plan, int rounds,
         const auto ii = static_cast<std::int64_t>(i);
         if (kind == 1) {
           m.assign({vv * 1000 + r});
-        } else if (kind == 2 || plan.format == SlotFormat::kNarrow) {
-          m.assign({vv, r, ii});  // narrow spill (count >= 2 hits the slab)
         } else {
-          m.assign({vv, r, 1, 2, 3, 4, 5, 6, ii});  // wide spill (> inline)
+          m.assign({vv, r, ii});  // spill (count >= 2 hits the slab)
         }
       }
     });
@@ -100,7 +100,7 @@ void expect_echo_equivalence(SlotPlan double_plan, SlotPlan single_plan) {
     for (int seed = 0; seed < 4; ++seed) {
       Rng rng(9000 + 100 * family + static_cast<std::uint64_t>(seed));
       const Graph g = family_graph(family, seed, rng);
-      const std::vector<std::int64_t> baseline =
+      const std::vector<std::uint64_t> baseline =
           echo_log(g, double_plan, 7, 1, nullptr);
       EXPECT_EQ(baseline, echo_log(g, single_plan, 7, 1, nullptr))
           << "fresh serial, family " << family << " seed " << seed;
@@ -118,47 +118,39 @@ void expect_echo_equivalence(SlotPlan double_plan, SlotPlan single_plan) {
   }
 }
 
-TEST(SinglePlane, EchoEquivalenceWide) {
-  expect_echo_equivalence(SlotPlan{SlotFormat::kWide, 0, PlaneMode::kDouble},
-                          SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle});
-}
-
-TEST(SinglePlane, EchoEquivalenceNarrow) {
+TEST(SinglePlane, EchoEquivalence) {
   expect_echo_equivalence(
-      SlotPlan{SlotFormat::kNarrow, 3, PlaneMode::kDouble},
-      SlotPlan{SlotFormat::kNarrow, 3, PlaneMode::kSingle});
+      SlotPlan{.max_fields = 3},
+      SlotPlan{.max_fields = 3, .mode = PlaneMode::kSingle});
 }
 
 TEST(SinglePlane, LinialBitIdentity) {
   NetworkPool pools[] = {NetworkPool(1), NetworkPool(2), NetworkPool(4)};
   const int threads[] = {1, 2, 4};
-  const SlotFormat formats[] = {SlotFormat::kWide, SlotFormat::kNarrow};
   for (int family = 0; family < 3; ++family) {
     for (int seed = 0; seed < 20; ++seed) {
       Rng rng(8000 + 100 * family + static_cast<std::uint64_t>(seed));
       const Graph g = family_graph(family, seed, rng);
-      for (const SlotFormat fmt : formats) {
-        RoundLedger double_ledger;
-        const LinialResult dbl =
-            linial_color(g, &double_ledger, {}, 0, 1, nullptr, nullptr, fmt,
-                         PlaneMode::kDouble);
-        RoundLedger fresh_ledger;
-        const LinialResult fresh =
-            linial_color(g, &fresh_ledger, {}, 0, 1, nullptr, nullptr, fmt,
+      RoundLedger double_ledger;
+      const LinialResult dbl = linial_color(g, &double_ledger, {}, 0, 1,
+                                            nullptr, nullptr,
+                                            PlaneMode::kDouble);
+      RoundLedger fresh_ledger;
+      const LinialResult fresh = linial_color(g, &fresh_ledger, {}, 0, 1,
+                                              nullptr, nullptr,
+                                              PlaneMode::kSingle);
+      EXPECT_EQ(linial_key(dbl), linial_key(fresh))
+          << "family " << family << " seed " << seed << " fresh";
+      EXPECT_EQ(double_ledger.breakdown(), fresh_ledger.breakdown());
+      for (int ti = 0; ti < 3; ++ti) {
+        RoundLedger ledger;
+        const LinialResult single =
+            linial_color(g, &ledger, {}, 0, threads[ti], &pools[ti], nullptr,
                          PlaneMode::kSingle);
-        EXPECT_EQ(linial_key(dbl), linial_key(fresh))
-            << "family " << family << " seed " << seed << " fresh";
-        EXPECT_EQ(double_ledger.breakdown(), fresh_ledger.breakdown());
-        for (int ti = 0; ti < 3; ++ti) {
-          RoundLedger ledger;
-          const LinialResult single =
-              linial_color(g, &ledger, {}, 0, threads[ti], &pools[ti],
-                           nullptr, fmt, PlaneMode::kSingle);
-          EXPECT_EQ(linial_key(dbl), linial_key(single))
-              << "family " << family << " seed " << seed << " threads "
-              << threads[ti];
-          EXPECT_EQ(double_ledger.breakdown(), ledger.breakdown());
-        }
+        EXPECT_EQ(linial_key(dbl), linial_key(single))
+            << "family " << family << " seed " << seed << " threads "
+            << threads[ti];
+        EXPECT_EQ(double_ledger.breakdown(), ledger.breakdown());
       }
     }
   }
@@ -167,28 +159,25 @@ TEST(SinglePlane, LinialBitIdentity) {
 TEST(SinglePlane, DefectiveBitIdentity) {
   NetworkPool pools[] = {NetworkPool(1), NetworkPool(2), NetworkPool(4)};
   const int threads[] = {1, 2, 4};
-  const SlotFormat formats[] = {SlotFormat::kWide, SlotFormat::kNarrow};
   for (int family = 0; family < 3; ++family) {
     for (int seed = 0; seed < 20; ++seed) {
       Rng rng(5000 + 100 * family + static_cast<std::uint64_t>(seed));
       const Graph g = family_graph(family, seed, rng);
       if (g.max_degree() < 2) continue;
       const LinialResult lin = linial_color(g);
-      for (const SlotFormat fmt : formats) {
-        RoundLedger double_ledger;
-        const DefectiveResult dbl = defective_4_coloring(
-            g, lin.colors, lin.palette, 0.5, &double_ledger, 1, nullptr,
-            nullptr, fmt, PlaneMode::kDouble);
-        for (int ti = 0; ti < 3; ++ti) {
-          RoundLedger ledger;
-          const DefectiveResult single = defective_4_coloring(
-              g, lin.colors, lin.palette, 0.5, &ledger, threads[ti],
-              &pools[ti], nullptr, fmt, PlaneMode::kSingle);
-          EXPECT_EQ(defective_key(dbl), defective_key(single))
-              << "family " << family << " seed " << seed << " threads "
-              << threads[ti];
-          EXPECT_EQ(double_ledger.breakdown(), ledger.breakdown());
-        }
+      RoundLedger double_ledger;
+      const DefectiveResult dbl = defective_4_coloring(
+          g, lin.colors, lin.palette, 0.5, &double_ledger, 1, nullptr,
+          nullptr, PlaneMode::kDouble);
+      for (int ti = 0; ti < 3; ++ti) {
+        RoundLedger ledger;
+        const DefectiveResult single = defective_4_coloring(
+            g, lin.colors, lin.palette, 0.5, &ledger, threads[ti],
+            &pools[ti], nullptr, PlaneMode::kSingle);
+        EXPECT_EQ(defective_key(dbl), defective_key(single))
+            << "family " << family << " seed " << seed << " threads "
+            << threads[ti];
+        EXPECT_EQ(double_ledger.breakdown(), ledger.breakdown());
       }
     }
   }
@@ -196,31 +185,28 @@ TEST(SinglePlane, DefectiveBitIdentity) {
 
 TEST(SinglePlane, DrainThrowsActionable) {
   const Graph g = gen::cycle(8);
-  for (const SlotPlan plan :
-       {SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle},
-        SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle}}) {
-    SyncNetwork net(g, nullptr, "echo", 1, plan);
-    net.round_fast([](NodeId v, const auto&, auto&& out) {
-      for (auto&& m : out) m.assign({static_cast<std::int64_t>(v)});
-    });
-    try {
-      net.drain_fast([](NodeId, const auto&) {});
-      FAIL() << "drain on a single-plane lease must throw";
-    } catch (const CheckError& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("drain on a single-plane lease"), std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("component 'echo'"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("after round 1"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("PlaneMode::kDouble"), std::string::npos) << msg;
-    }
+  SyncNetwork net(g, nullptr, "echo", 1,
+                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
+  net.round_fast([](NodeId v, const auto&, auto&& out) {
+    for (auto&& m : out) m.assign({static_cast<std::int64_t>(v)});
+  });
+  try {
+    net.drain_fast([](NodeId, const auto&) {});
+    FAIL() << "drain on a single-plane lease must throw";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("drain on a single-plane lease"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("component 'echo'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("after round 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("PlaneMode::kDouble"), std::string::npos) << msg;
   }
 }
 
 TEST(SinglePlane, DrainThrowsOnDiNetwork) {
   const Digraph dg(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   DiNetwork din(dg, nullptr, "game", 1,
-                SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle});
+                SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
   EXPECT_EQ(din.plane_mode(), PlaneMode::kSingle);
   din.round_fast([](NodeId, const auto&, auto&& out) {
     out.along(0, {7});
@@ -238,29 +224,26 @@ TEST(SinglePlane, DrainThrowsOnDiNetwork) {
 
 TEST(SinglePlane, WriteBeforeReadHazardThrows) {
   const Graph g = gen::cycle(8);
-  for (const SlotPlan plan :
-       {SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle},
-        SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle}}) {
-    SyncNetwork net(g, nullptr, "echo", 1, plan);
-    try {
-      net.round_fast([](NodeId, const auto& in, auto&& out) {
-        out[0].assign({1});  // write the slot that backs inbox entry 0...
-        (void)in[0].empty();  // ...then read it: the hazard
-      });
-      FAIL() << "single-plane write-before-read must throw";
-    } catch (const CheckError& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("read-after-write hazard"), std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("component 'echo'"), std::string::npos) << msg;
-    }
+  SyncNetwork net(g, nullptr, "echo", 1,
+                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
+  try {
+    net.round_fast([](NodeId, const auto& in, auto&& out) {
+      out[0].assign({1});  // write the slot that backs inbox entry 0...
+      (void)in[0].empty();  // ...then read it: the hazard
+    });
+    FAIL() << "single-plane write-before-read must throw";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("read-after-write hazard"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("component 'echo'"), std::string::npos) << msg;
   }
 }
 
 TEST(SinglePlane, AbortPoisonsUntilReset) {
   const Graph g = gen::cycle(8);
   SyncNetwork net(g, nullptr, "poisoned", 1,
-                  SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle});
+                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
   // A clean first round, so the abort below lands mid-protocol.
   net.round_fast([](NodeId v, const auto&, auto&& out) {
     for (auto&& m : out) m.assign({static_cast<std::int64_t>(v)});
@@ -302,105 +285,16 @@ TEST(SinglePlane, AbortPoisonsUntilReset) {
   });
 }
 
-TEST(SinglePlane, SharedPoolNeverCrossesPlaneModes) {
-  SharedNetworkPool shared(1);
-  const Graph g = gen::cycle(8);
-  const auto topo = shared.topology(g);
-
-  auto single = std::make_unique<SyncNetwork>(
-      g, topo, nullptr, "s", SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle});
-  SyncNetwork* single_raw = single.get();
-  shared.park(std::move(single));
-  // A double-plane lease must NOT adopt the single-plane state.
-  EXPECT_EQ(shared.adopt_network(topo.get(), SlotFormat::kWide,
-                                 PlaneMode::kDouble),
-            nullptr);
-  auto adopted = shared.adopt_network(topo.get(), SlotFormat::kWide,
-                                      PlaneMode::kSingle);
-  ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(adopted.get(), single_raw);
-  EXPECT_EQ(adopted->plane_mode(), PlaneMode::kSingle);
-
-  // Mirror direction: a parked double-plane state never serves single.
-  shared.park(std::make_unique<SyncNetwork>(g, topo, nullptr, "d",
-                                            SlotPlan{}));
-  EXPECT_EQ(shared.adopt_network(topo.get(), SlotFormat::kWide,
-                                 PlaneMode::kSingle),
-            nullptr);
-  EXPECT_NE(shared.adopt_network(topo.get(), SlotFormat::kWide,
-                                 PlaneMode::kDouble),
-            nullptr);
-
-  // Same contract on the directed adapter.
-  const Digraph dg(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  const auto dtopo = shared.topology(dg);
-  shared.park(std::make_unique<DiNetwork>(
-      dg, dtopo, nullptr, "sd",
-      SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle}));
-  EXPECT_EQ(shared.adopt_dinetwork(dtopo.get(), SlotFormat::kWide,
-                                   PlaneMode::kDouble),
-            nullptr);
-  auto di = shared.adopt_dinetwork(dtopo.get(), SlotFormat::kWide,
-                                   PlaneMode::kSingle);
-  ASSERT_NE(di, nullptr);
-  EXPECT_EQ(di->plane_mode(), PlaneMode::kSingle);
-  shared.park(std::move(di));
-  shared.park(std::make_unique<DiNetwork>(dg, dtopo, nullptr, "dd",
-                                          SlotPlan{}));
-  EXPECT_EQ(shared.adopt_dinetwork(dtopo.get(), SlotFormat::kNarrow,
-                                   PlaneMode::kSingle),
-            nullptr);
-}
-
-TEST(SinglePlane, ViewReconstructsOnPlaneModeMiss) {
-  NetworkPool pool(1);
-  const Graph g = gen::grid(4, 5);
-  {
-    auto lease = pool.network(g, nullptr, "a",
-                              SlotPlan{SlotFormat::kWide, 0,
-                                       PlaneMode::kSingle});
-    EXPECT_EQ(lease->plane_mode(), PlaneMode::kSingle);
-  }
-  EXPECT_EQ(pool.run_states(), 1u);
-  {
-    // Mode miss -> fresh construction, not reuse of the single-plane state.
-    auto lease = pool.network(g, nullptr, "b", SlotPlan{});
-    EXPECT_EQ(lease->plane_mode(), PlaneMode::kDouble);
-  }
-  EXPECT_EQ(pool.run_states(), 2u);
-  {
-    // Both modes now warm: leases land on the matching state, no growth.
-    auto single = pool.network(g, nullptr, "c",
-                               SlotPlan{SlotFormat::kWide, 0,
-                                        PlaneMode::kSingle});
-    auto dbl = pool.network(g, nullptr, "d", SlotPlan{});
-    EXPECT_EQ(single->plane_mode(), PlaneMode::kSingle);
-    EXPECT_EQ(dbl->plane_mode(), PlaneMode::kDouble);
-  }
-  EXPECT_EQ(pool.run_states(), 2u);
-}
-
 TEST(SinglePlane, MemoryBytesCountsExactlyOnePlane) {
   Rng rng(42);
   const Graph g = gen::gnp(200, 0.05, rng);
-  const SyncNetwork wide_double(g, nullptr, "wd", 1,
-                                SlotPlan{SlotFormat::kWide, 0,
-                                         PlaneMode::kDouble});
-  const SyncNetwork wide_single(g, nullptr, "ws", 1,
-                                SlotPlan{SlotFormat::kWide, 0,
-                                         PlaneMode::kSingle});
+  const SyncNetwork two(g, nullptr, "d", 1, SlotPlan{});
+  const SyncNetwork one(g, nullptr, "s", 1,
+                        SlotPlan{.mode = PlaneMode::kSingle});
   // The plane pair dominates a fresh run state, so dropping one plane must
   // show up as (well over) a 25% cut, not just "somewhat smaller".
-  EXPECT_LE(wide_single.memory_bytes() * 4, wide_double.memory_bytes() * 3);
-  const SyncNetwork narrow_double(g, nullptr, "nd", 1,
-                                  SlotPlan{SlotFormat::kNarrow, 1,
-                                           PlaneMode::kDouble});
-  const SyncNetwork narrow_single(g, nullptr, "ns", 1,
-                                  SlotPlan{SlotFormat::kNarrow, 1,
-                                           PlaneMode::kSingle});
-  EXPECT_LE(narrow_single.memory_bytes() * 4,
-            narrow_double.memory_bytes() * 3);
-  EXPECT_GT(narrow_single.memory_bytes(), 0u);
+  EXPECT_LE(one.memory_bytes() * 4, two.memory_bytes() * 3);
+  EXPECT_GT(one.memory_bytes(), 0u);
 }
 
 }  // namespace

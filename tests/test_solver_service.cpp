@@ -570,7 +570,7 @@ TEST(SharedNetworkPool, ViewsParkAndAdoptRunStates) {
     NetworkPool view(shared);
     auto lease = view.network(g);
     lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-      for (auto& m : out) m = Message{v};
+      for (auto&& m : out) m.assign({v});
     });
   }  // view destroyed: its run state parks in the shared arena
   EXPECT_EQ(shared.parked_run_states(), 1u);
@@ -595,7 +595,7 @@ TEST(SharedNetworkPool, TenantsOnDistinctThreadsShareWarmStates) {
     NetworkPool view(shared);
     auto lease = view.network(g);
     lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-      for (auto& m : out) m = Message{v};
+      for (auto&& m : out) m.assign({v});
     });
   };
   std::thread(run_tenant).join();
