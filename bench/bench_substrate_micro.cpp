@@ -2,6 +2,7 @@
 // simulator round overhead, generators, and the hot validation predicates.
 #include <benchmark/benchmark.h>
 
+#include "coloring/baselines.hpp"
 #include "coloring/defective.hpp"
 #include "coloring/linial.hpp"
 #include "core/defective2ec.hpp"
@@ -12,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "graph/line_graph.hpp"
 #include "graph/properties.hpp"
+#include "graph/subgraph.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
@@ -47,6 +49,44 @@ void BM_LineGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LineGraph)->Arg(1000)->Arg(4000);
+
+// The (Δ̄+1)-edge coloring of one bipartite leaf, isolated: the split-0
+// bipartite subgraph of random_regular(10^4, 16) exactly as
+// congest_edge_coloring's level 0 cuts it (defective 4-coloring classes
+// {0,1} vs {2,3}), colored by edge_color_fast_2delta on a fresh arena per
+// run, as each solve's leaf is — L(G) construction, the Linial lease and
+// rounds, both reductions and the checks (Arg is the shard count).
+void BM_LineGraphEdgeColoring(benchmark::State& state) {
+  Rng rng(9);
+  const Graph g = gen::random_regular(10000, 16, rng);
+  const LinialResult lin = linial_color(g);
+  // congest_edge_coloring's level-0 ε for Δ = 16: 1 / (2 · (log2 Δ − 1)).
+  const DefectiveResult classes =
+      defective_4_coloring(g, lin.colors, lin.palette, 1.0 / 6.0);
+  std::vector<bool> take(static_cast<std::size_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    take[static_cast<std::size_t>(e)] =
+        (classes.colors[static_cast<std::size_t>(u)] >= 2) !=
+        (classes.colors[static_cast<std::size_t>(v)] >= 2);
+  }
+  const EdgeSubgraph leaf = edge_subgraph(g, take);
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    NetworkPool pool(threads);
+    const EdgeColoringResult r =
+        edge_color_fast_2delta(leaf.graph, nullptr, threads, &pool);
+    benchmark::DoNotOptimize(r.palette);
+  }
+  state.SetItemsProcessed(state.iterations() * leaf.graph.num_edges());
+  state.counters["edges"] = static_cast<double>(leaf.graph.num_edges());
+  state.counters["engine_threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_LineGraphEdgeColoring)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Topology planning alone: what a NetworkPool cache hit saves per network.
 void BM_TopologyPlan(benchmark::State& state) {

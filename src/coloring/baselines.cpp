@@ -12,7 +12,9 @@
 
 namespace dec {
 
-EdgeColoringResult edge_color_fast_2delta(const Graph& g, RoundLedger* ledger) {
+EdgeColoringResult edge_color_fast_2delta(const Graph& g, RoundLedger* ledger,
+                                          int num_threads, NetworkPool* pool,
+                                          CancelToken* cancel) {
   EdgeColoringResult res;
   if (g.num_edges() == 0) {
     res.palette = 0;
@@ -20,7 +22,8 @@ EdgeColoringResult edge_color_fast_2delta(const Graph& g, RoundLedger* ledger) {
   }
   const int target = g.max_edge_degree() + 1;  // = 2Δ-1 on Δ-regular graphs
   const Graph lg = line_graph(g);
-  const LinialResult lin = linial_color(lg, ledger);
+  const LinialResult lin =
+      linial_color(lg, ledger, {}, 0, num_threads, pool, cancel);
   res.rounds += lin.rounds;
 
   if (lg.max_degree() == 0) {

@@ -23,66 +23,55 @@ ReductionResult ap_reduce(const Graph& g, const std::vector<Color>& input,
   ReductionResult res;
   res.palette = static_cast<int>(q);
 
+  // shown[v] is what v announces: its final color once settled, otherwise
+  // this round's candidate b + a·t (mod q), advanced by a after each round.
+  // A node is blocked iff some neighbor shows its candidate — a settled
+  // neighbor holding it, or an unsettled one trying it (symmetric
+  // deferral). Constant lines (a = 0) are settled from the start; adjacent
+  // constant lines have distinct b because the input is proper.
   std::vector<std::int64_t> line_a(static_cast<std::size_t>(n));
-  std::vector<std::int64_t> line_b(static_cast<std::size_t>(n));
-  std::vector<Color> final_color(static_cast<std::size_t>(n), kUncolored);
+  std::vector<std::int64_t> shown(static_cast<std::size_t>(n));
+  std::vector<NodeId> unsettled;
   for (NodeId v = 0; v < n; ++v) {
-    line_a[static_cast<std::size_t>(v)] = input[static_cast<std::size_t>(v)] / q;
-    line_b[static_cast<std::size_t>(v)] = input[static_cast<std::size_t>(v)] % q;
-    if (line_a[static_cast<std::size_t>(v)] == 0) {
-      // Constant lines are settled from the start; adjacent constant lines
-      // have distinct b because the input is proper.
-      final_color[static_cast<std::size_t>(v)] =
-          static_cast<Color>(line_b[static_cast<std::size_t>(v)]);
-    }
+    const std::size_t i = static_cast<std::size_t>(v);
+    line_a[i] = input[i] / q;
+    shown[i] = input[i] % q;
+    if (line_a[i] != 0) unsettled.push_back(v);
   }
 
+  // Each round scans only the unsettled nodes against the start-of-round
+  // `shown` (what neighbors announced last round); settlers keep their
+  // candidate as final color, the rest advance after the scan.
   for (std::int64_t t = 0; t < q; ++t) {
-    // Snapshot of the settled state at the start of the round (what
-    // neighbors announced last round).
-    const std::vector<Color> settled_snapshot = final_color;
-    std::vector<Color> settling(static_cast<std::size_t>(n), kUncolored);
-    for (NodeId v = 0; v < n; ++v) {
-      if (settled_snapshot[static_cast<std::size_t>(v)] != kUncolored) continue;
-      const std::int64_t cand = (line_b[static_cast<std::size_t>(v)] +
-                                 line_a[static_cast<std::size_t>(v)] * t) % q;
+    std::size_t kept = 0;
+    for (const NodeId v : unsettled) {
+      const std::int64_t cand = shown[static_cast<std::size_t>(v)];
       bool blocked = false;
       for (const Incidence& inc : g.neighbors(v)) {
-        const std::size_t u = static_cast<std::size_t>(inc.neighbor);
-        if (settled_snapshot[u] != kUncolored) {
-          if (settled_snapshot[u] == static_cast<Color>(cand)) {
-            blocked = true;
-            break;
-          }
-        } else {
-          const std::int64_t u_cand = (line_b[u] + line_a[u] * t) % q;
-          if (u_cand == cand) {  // symmetric deferral
-            blocked = true;
-            break;
-          }
+        if (shown[static_cast<std::size_t>(inc.neighbor)] == cand) {
+          blocked = true;
+          break;
         }
       }
-      if (!blocked) settling[static_cast<std::size_t>(v)] = static_cast<Color>(cand);
+      if (blocked) unsettled[kept++] = v;
     }
-    for (NodeId v = 0; v < n; ++v) {
-      if (settling[static_cast<std::size_t>(v)] != kUncolored) {
-        final_color[static_cast<std::size_t>(v)] =
-            settling[static_cast<std::size_t>(v)];
-      }
+    unsettled.resize(kept);
+    for (const NodeId v : unsettled) {
+      const std::size_t i = static_cast<std::size_t>(v);
+      shown[i] += line_a[i];
+      if (shown[i] >= q) shown[i] -= q;
     }
     ++res.rounds;
     if (ledger != nullptr) ledger->charge("ap_reduce", 1);
-    if (std::none_of(final_color.begin(), final_color.end(),
-                     [](Color c) { return c == kUncolored; })) {
-      break;
-    }
+    if (unsettled.empty()) break;
   }
 
+  DEC_CHECK(unsettled.empty(), "ap_reduce failed to settle within q rounds");
+  res.colors.resize(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
-    DEC_CHECK(final_color[static_cast<std::size_t>(v)] != kUncolored,
-              "ap_reduce failed to settle within q rounds");
+    res.colors[static_cast<std::size_t>(v)] =
+        static_cast<Color>(shown[static_cast<std::size_t>(v)]);
   }
-  res.colors = std::move(final_color);
   DEC_CHECK(is_proper_vertex_coloring(g, res.colors),
             "ap_reduce produced an improper coloring");
   return res;
@@ -101,20 +90,31 @@ ReductionResult greedy_reduce(const Graph& g, const std::vector<Color>& input,
   res.colors = input;
   res.palette = std::min(input_palette, target);
 
-  std::vector<bool> used(static_cast<std::size_t>(target), false);
+  // Bucket the nodes to recolor by input color once, node ids ascending. A
+  // re-picked node lands below target and never re-enters a bucket, so the
+  // buckets stay exact for every round.
+  std::vector<std::vector<NodeId>> bucket(
+      static_cast<std::size_t>(std::max(0, input_palette - target)));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const Color c = input[static_cast<std::size_t>(v)];
+    if (c >= target) bucket[static_cast<std::size_t>(c - target)].push_back(v);
+  }
+
+  // used[c] == stamp marks color c as taken around the node being served.
+  std::vector<std::uint32_t> used(static_cast<std::size_t>(target), 0);
+  std::uint32_t stamp = 0;
   for (int c = input_palette - 1; c >= target; --c) {
     // All nodes of color c re-pick simultaneously; they are pairwise
     // non-adjacent because the coloring stays proper throughout.
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (res.colors[static_cast<std::size_t>(v)] != c) continue;
-      std::fill(used.begin(), used.end(), false);
+    for (const NodeId v : bucket[static_cast<std::size_t>(c - target)]) {
+      ++stamp;
       for (const Incidence& inc : g.neighbors(v)) {
         const Color nc = res.colors[static_cast<std::size_t>(inc.neighbor)];
-        if (nc >= 0 && nc < target) used[static_cast<std::size_t>(nc)] = true;
+        if (nc >= 0 && nc < target) used[static_cast<std::size_t>(nc)] = stamp;
       }
       Color pick = kUncolored;
       for (int cand = 0; cand < target; ++cand) {
-        if (!used[static_cast<std::size_t>(cand)]) {
+        if (used[static_cast<std::size_t>(cand)] != stamp) {
           pick = cand;
           break;
         }

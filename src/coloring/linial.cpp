@@ -33,16 +33,19 @@ LinialStep linial_step_params(std::int64_t m, int max_degree) {
 
 namespace {
 
-/// Evaluate the base-q-digit polynomial of `color` at point r over GF(q).
-std::int64_t eval_digit_poly(std::int64_t color, std::int64_t q, int d,
-                             std::int64_t r) {
-  // Horner on digits c_d .. c_0 where color = sum c_i q^i.
-  std::int64_t digits[65];
-  std::int64_t c = color;
+/// Write the d+1 base-q digits c_0 .. c_d of `color` to `digits`.
+void decode_digits(std::int64_t color, std::int64_t q, int d,
+                   std::int64_t* digits) {
   for (int i = 0; i <= d; ++i) {
-    digits[i] = c % q;
-    c /= q;
+    digits[i] = color % q;
+    color /= q;
   }
+}
+
+/// Evaluate the polynomial with digits c_0 .. c_d at r over GF(q) (Horner
+/// from c_d down).
+std::int64_t eval_digits(const std::int64_t* digits, std::int64_t q, int d,
+                         std::int64_t r) {
   std::int64_t acc = 0;
   for (int i = d; i >= 0; --i) {
     acc = (acc * r + digits[i]) % q;
@@ -120,25 +123,38 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
 
   for (const LinialStep step : schedule) {
     std::vector<std::int64_t> next(work);
+    const std::size_t width = static_cast<std::size_t>(step.d) + 1;
     net.round_fast([&](NodeId v, const auto& inbox, auto&& outbox) {
-      const std::int64_t mine = work[static_cast<std::size_t>(v)];
+      // Decode every polynomial's digits once per visit: own first, then
+      // one block per neighbor. Per-worker scratch keeps the heap off the
+      // round path.
+      thread_local std::vector<std::int64_t> digits;
+      const std::size_t need = width * (inbox.size() + 1);
+      if (digits.size() < need) digits.resize(need);
+      decode_digits(work[static_cast<std::size_t>(v)], step.q, step.d,
+                    digits.data());
+      std::int64_t* nbr = digits.data() + width;
+      for (const auto& msg : inbox) {
+        DEC_CHECK(!msg.empty(), "Linial expects a color from every neighbor");
+        decode_digits(msg.at(0), step.q, step.d, nbr);
+        nbr += width;
+      }
       // Find r with no collision against any neighbor polynomial.
       std::int64_t chosen_r = -1;
       for (std::int64_t r = 0; r < step.q && chosen_r < 0; ++r) {
-        const std::int64_t my_val = eval_digit_poly(mine, step.q, step.d, r);
+        const std::int64_t my_val =
+            eval_digits(digits.data(), step.q, step.d, r);
         bool clash = false;
-        for (const auto& msg : inbox) {
-          DEC_CHECK(!msg.empty(), "Linial expects a color from every neighbor");
-          if (eval_digit_poly(msg.at(0), step.q, step.d, r) == my_val) {
-            clash = true;
-            break;
-          }
+        for (std::size_t i = 1; i <= inbox.size() && !clash; ++i) {
+          clash = eval_digits(digits.data() + i * width, step.q, step.d, r) ==
+                  my_val;
         }
         if (!clash) chosen_r = r;
       }
       DEC_CHECK(chosen_r >= 0,
                 "Linial: no collision-free evaluation point (q > Δ·d violated?)");
-      const std::int64_t val = eval_digit_poly(mine, step.q, step.d, chosen_r);
+      const std::int64_t val =
+          eval_digits(digits.data(), step.q, step.d, chosen_r);
       next[static_cast<std::size_t>(v)] = chosen_r * step.q + val;
       for (auto&& msg : outbox) {
         msg.assign({next[static_cast<std::size_t>(v)]});

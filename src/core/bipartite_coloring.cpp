@@ -5,43 +5,13 @@
 #include <cstdio>
 #include <string>
 
-#include "coloring/color_reduction.hpp"
-#include "coloring/linial.hpp"
+#include "coloring/baselines.hpp"
 #include "core/defective2ec.hpp"
-#include "graph/line_graph.hpp"
 #include "sim/pool.hpp"
-#include "util/prime.hpp"
 
 namespace dec {
 
 namespace {
-
-/// (d+1)-edge coloring of a (sub)graph via Linial-on-line-graph + the
-/// arithmetic-progression reduction + greedy reduction. Returns rounds.
-std::int64_t color_leaf_part(const Graph& sub, std::vector<Color>& out,
-                             RoundLedger* ledger, int num_threads,
-                             NetworkPool* pool, CancelToken* cancel) {
-  std::int64_t rounds = 0;
-  if (sub.num_edges() == 0) return rounds;
-  const Graph lg = line_graph(sub);
-  const LinialResult lin =
-      linial_color(lg, ledger, {}, 0, num_threads, pool, cancel);
-  rounds += lin.rounds;
-  if (lg.max_degree() == 0) {
-    out.assign(static_cast<std::size_t>(sub.num_edges()), 0);
-    return rounds;
-  }
-  const std::int64_t q = static_cast<std::int64_t>(
-      next_prime(static_cast<std::uint64_t>(2 * lg.max_degree() + 2)));
-  DEC_CHECK(lin.palette <= q * q, "Linial palette exceeds ap_reduce domain");
-  const ReductionResult ap = ap_reduce(lg, lin.colors, q, ledger);
-  rounds += ap.rounds;
-  const ReductionResult fin =
-      greedy_reduce(lg, ap.colors, ap.palette, lg.max_degree() + 1, ledger);
-  rounds += fin.rounds;
-  out = fin.colors;
-  return rounds;
-}
 
 /// The leaf-degree failure, actionable: which part broke the bound, by how
 /// much, and the β that set the bound.
@@ -188,14 +158,12 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
                                  res.leaf_degree_bound, mode, beta, chi,
                                  dbar));
     RoundLedger local;
-    std::vector<Color> sub_colors;
-    leaf_rounds = std::max(
-        leaf_rounds,
-        color_leaf_part(sub, sub_colors, &local, num_threads, pool, cancel));
-    leaf_rounds = std::max(leaf_rounds, local.total());
+    const EdgeColoringResult leaf =
+        edge_color_fast_2delta(sub, &local, num_threads, pool, cancel);
+    leaf_rounds = std::max({leaf_rounds, leaf.rounds, local.total()});
     for (std::size_t i = 0; i < members.size(); ++i) {
       res.colors[static_cast<std::size_t>(members[i])] =
-          p * range + sub_colors[i];
+          p * range + leaf.colors[i];
     }
   }
   res.rounds += leaf_rounds;

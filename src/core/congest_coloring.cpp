@@ -115,13 +115,13 @@ CongestColoringResult congest_edge_coloring(const Graph& g, double eps,
   }
 
   // Tail: the leftover graph has small degree; finish with the
-  // O(Δ_tail + log* n) baseline on a fresh range.
+  // O(Δ_tail + log* n) baseline on a fresh range, on the solve's arena.
   EdgeSubgraph tail = edge_subgraph(g, uncolored);
   res.tail_degree = tail.graph.max_degree();
   if (tail.graph.num_edges() > 0) {
     RoundLedger tail_ledger;
-    const EdgeColoringResult t =
-        edge_color_fast_2delta(tail.graph, &tail_ledger);
+    const EdgeColoringResult t = edge_color_fast_2delta(
+        tail.graph, &tail_ledger, num_threads, pool, cancel);
     res.rounds += t.rounds;
     if (ledger != nullptr) ledger->charge("tail", t.rounds);
     for (std::size_t i = 0; i < tail.members.size(); ++i) {

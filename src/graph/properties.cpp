@@ -28,14 +28,19 @@ bool is_complete_proper_vertex_coloring(const Graph& g,
 bool is_proper_edge_coloring(const Graph& g, const std::vector<Color>& color) {
   DEC_REQUIRE(color.size() == static_cast<std::size_t>(g.num_edges()),
               "color vector has wrong length");
-  // Two edges are adjacent iff they share a node; check per node.
-  std::unordered_set<Color> seen;
+  // Two edges are adjacent iff they share a node; check per node by sorting
+  // the node's incident colors in a buffer reused across nodes.
+  std::vector<Color> seen;
+  seen.reserve(static_cast<std::size_t>(g.max_degree()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     seen.clear();
     for (const Incidence& inc : g.neighbors(v)) {
       const Color c = color[static_cast<std::size_t>(inc.edge)];
-      if (c == kUncolored) continue;
-      if (!seen.insert(c).second) return false;
+      if (c != kUncolored) seen.push_back(c);
+    }
+    std::sort(seen.begin(), seen.end());
+    if (std::adjacent_find(seen.begin(), seen.end()) != seen.end()) {
+      return false;
     }
   }
   return true;

@@ -6,29 +6,27 @@ namespace dec {
 
 namespace {
 
-/// FNV-1a over the shape: node count then endpoint pairs. A hit is verified
-/// against the stored edge list, so the hash only has to be selective, not
+/// Multiplicative hash over the shape, one step per endpoint pair (node
+/// count first), finished with a 64-bit avalanche so the shard index, taken
+/// from the low bits, depends on every pair. A hit is verified against the
+/// stored edge list, so the hash only has to be selective, not
 /// collision-free.
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kPrime;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-
 template <class ShapeView>
 std::uint64_t shape_fingerprint(NodeId n, const ShapeView& pairs) {
-  std::uint64_t h = fnv1a(kFnvBasis, static_cast<std::uint64_t>(n));
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = static_cast<std::uint64_t>(static_cast<std::uint32_t>(n));
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const auto [a, b] = pairs[i];
-    h = fnv1a(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))
-                  << 32) |
-                     static_cast<std::uint64_t>(static_cast<std::uint32_t>(b)));
+    h = (h ^ ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))
+               << 32) |
+              static_cast<std::uint64_t>(static_cast<std::uint32_t>(b)))) *
+        kMul;
   }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
   return h;
 }
 

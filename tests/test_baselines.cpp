@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "coloring/baselines.hpp"
+#include "golden_digest.hpp"
 #include "graph/generators.hpp"
 #include "util/logstar.hpp"
 
@@ -15,6 +16,40 @@ TEST(Baselines, Fast2DeltaProperAndTight) {
     const auto r = edge_color_fast_2delta(g);
     EXPECT_TRUE(is_complete_proper_edge_coloring(g, r.colors));
     EXPECT_EQ(r.palette, 2 * d - 1);
+  }
+}
+
+// Golden pin: colors, palette, rounds and ledger recorded from the
+// per-round full sweeps of the reductions and the sort-based line graph.
+TEST(Baselines, Fast2DeltaMatchesRecordedColorsAndRounds) {
+  Rng rng(130);
+  std::vector<std::pair<const char*, Graph>> cases;
+  for (const int d : {4, 8, 16}) {
+    cases.emplace_back("regular", gen::random_regular(30 * d, d, rng));
+  }
+  cases.emplace_back("gnp", gen::gnp(150, 0.06, rng));
+  cases.emplace_back("star", gen::star(9));
+  cases.emplace_back("matching", Graph(4, {{0, 1}, {2, 3}}));
+  const std::int64_t want_rounds[] = {16, 24, 46, 44, 12, 0};
+  const int want_palette[] = {7, 15, 31, 33, 9, 1};
+  const std::uint64_t want_colors[] = {
+      12156436291805361398ull, 4999455272534675609ull,
+      16744236653501185007ull, 7689882106571237569ull,
+      383858329251072002ull,   10017002007989796321ull};
+  const std::uint64_t want_ledger[] = {
+      10807892607518670201ull, 15415783104122503009ull,
+      9689265861463734811ull,  8744725827193559871ull,
+      11242839234491416607ull, 1469598103934665603ull};
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [name, g] = cases[i];
+    RoundLedger ledger;
+    const auto r = edge_color_fast_2delta(g, &ledger);
+    Fnv colors;
+    colors.add_all(r.colors);
+    EXPECT_EQ(r.rounds, want_rounds[i]) << name << " case " << i;
+    EXPECT_EQ(r.palette, want_palette[i]) << name << " case " << i;
+    EXPECT_EQ(colors.h, want_colors[i]) << name << " case " << i;
+    EXPECT_EQ(ledger_digest(ledger), want_ledger[i]) << name << " case " << i;
   }
 }
 

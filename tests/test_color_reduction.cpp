@@ -3,6 +3,7 @@
 
 #include "coloring/color_reduction.hpp"
 #include "coloring/linial.hpp"
+#include "golden_digest.hpp"
 #include "graph/generators.hpp"
 #include "util/prime.hpp"
 
@@ -26,6 +27,73 @@ TEST(ApReduce, ReducesToQColors) {
   EXPECT_TRUE(is_complete_proper_vertex_coloring(g, r.colors));
   for (const Color c : r.colors) EXPECT_LT(c, q);
   EXPECT_LE(r.rounds, q);
+}
+
+std::int64_t reduction_prime(const Graph& g) {
+  return static_cast<std::int64_t>(
+      next_prime(static_cast<std::uint64_t>(2 * g.max_degree() + 2)));
+}
+
+std::uint64_t colors_digest(const std::vector<Color>& colors) {
+  Fnv f;
+  f.add_all(colors);
+  return f.h;
+}
+
+// Golden pins: colors and charged rounds recorded from the round sweeps
+// that re-scanned every node each round. The reductions must reproduce
+// them exactly, including the one round charged when every node starts
+// settled.
+TEST(ApReduce, MatchesRecordedColorsAndRounds) {
+  struct Case {
+    const char* name;
+    Graph g;
+    std::vector<Color> input;
+  };
+  Rng rng(20);
+  std::vector<Case> cases;
+  {
+    Graph g = gen::random_regular(300, 6, rng);
+    std::vector<Color> in = linial_color(g).colors;
+    cases.push_back({"regular300x6", std::move(g), std::move(in)});
+  }
+  {
+    Graph g = gen::complete(12);
+    std::vector<Color> in(12);
+    for (int i = 0; i < 12; ++i) in[static_cast<std::size_t>(i)] = i;
+    cases.push_back({"complete12", std::move(g), std::move(in)});
+  }
+  {
+    Graph g = gen::gnp(400, 0.03, rng);
+    std::vector<Color> in = linial_color(g).colors;
+    cases.push_back({"gnp400", std::move(g), std::move(in)});
+  }
+  {
+    Graph g = gen::random_regular(2000, 12, rng);
+    std::vector<Color> in = linial_color(g).colors;
+    cases.push_back({"regular2000x12", std::move(g), std::move(in)});
+  }
+  {
+    // Every color is below q, so every line is constant: all nodes start
+    // settled and the reduction still charges its first round.
+    Graph g = gen::random_regular(200, 8, rng);
+    std::vector<Color> in = vertex_color_delta_plus_one(g).colors;
+    cases.push_back({"all_settled", std::move(g), std::move(in)});
+  }
+  const std::int64_t want_rounds[] = {3, 1, 5, 6, 1};
+  const std::uint64_t want_digest[] = {
+      1612655347906437248ull, 1478710850635942255ull, 12708147986929628725ull,
+      5540143411772614111ull, 10578131764067605550ull};
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    RoundLedger ledger;
+    const ReductionResult r =
+        ap_reduce(c.g, c.input, reduction_prime(c.g), &ledger);
+    EXPECT_EQ(r.rounds, want_rounds[i]) << c.name;
+    EXPECT_EQ(colors_digest(r.colors), want_digest[i]) << c.name;
+    EXPECT_EQ(ledger.component("ap_reduce"), r.rounds) << c.name;
+    EXPECT_EQ(r.palette, reduction_prime(c.g)) << c.name;
+  }
 }
 
 TEST(ApReduce, RejectsBadParameters) {
@@ -61,6 +129,54 @@ TEST(GreedyReduce, HitsDeltaPlusOne) {
   EXPECT_TRUE(is_complete_proper_vertex_coloring(g, r.colors));
   for (const Color c : r.colors) EXPECT_LT(c, target);
   EXPECT_EQ(r.rounds, lin.palette - target);
+}
+
+TEST(GreedyReduce, MatchesRecordedColorsAndRounds) {
+  struct Case {
+    const char* name;
+    Graph g;
+    std::vector<Color> input;
+    int palette;
+    int target;
+  };
+  Rng rng(21);
+  std::vector<Case> cases;
+  {
+    Graph g = gen::gnp(120, 0.08, rng);
+    const LinialResult lin = linial_color(g);
+    const int target = g.max_degree() + 1;
+    cases.push_back({"gnp120", std::move(g), lin.colors, lin.palette, target});
+  }
+  {
+    Graph g = gen::random_regular(1000, 10, rng);
+    const LinialResult lin = linial_color(g);
+    const ReductionResult ap = ap_reduce(g, lin.colors, reduction_prime(g));
+    const int target = g.max_degree() + 1;
+    cases.push_back(
+        {"regular1000x10", std::move(g), ap.colors, ap.palette, target});
+  }
+  {
+    // A target above Δ+1 leaves some colors free in every neighborhood.
+    Graph g = gen::random_regular(500, 6, rng);
+    const LinialResult lin = linial_color(g);
+    const int target = g.max_degree() + 5;
+    cases.push_back(
+        {"regular500x6_wide", std::move(g), lin.colors, lin.palette, target});
+  }
+  const std::int64_t want_rounds[] = {99, 12, 158};
+  const std::uint64_t want_digest[] = {12903779887152718027ull,
+                                       17461876392855498441ull,
+                                       12734630930707775511ull};
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    RoundLedger ledger;
+    const ReductionResult r =
+        greedy_reduce(c.g, c.input, c.palette, c.target, &ledger);
+    EXPECT_EQ(r.rounds, want_rounds[i]) << c.name;
+    EXPECT_EQ(colors_digest(r.colors), want_digest[i]) << c.name;
+    EXPECT_EQ(ledger.component("greedy_reduce"), r.rounds) << c.name;
+    EXPECT_EQ(r.palette, std::min(c.palette, c.target)) << c.name;
+  }
 }
 
 TEST(GreedyReduce, RejectsTargetBelowDeltaPlusOne) {

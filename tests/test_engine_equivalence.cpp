@@ -12,11 +12,13 @@
 #include <tuple>
 #include <vector>
 
+#include "coloring/baselines.hpp"
 #include "coloring/defective.hpp"
 #include "coloring/linial.hpp"
 #include "core/defective2ec.hpp"
 #include "core/token_dropping.hpp"
 #include "graph/generators.hpp"
+#include "sim/pool.hpp"
 
 namespace dec {
 namespace {
@@ -142,6 +144,24 @@ void check_d2ec_equivalence(const BipartiteGraph& bg,
                                   threads);
     EXPECT_EQ(d2ec_key(serial), d2ec_key(parallel)) << "threads " << threads;
     EXPECT_EQ(ledgers[0].breakdown(), ledgers[i + 1].breakdown())
+        << "threads " << threads;
+  }
+}
+
+// The (Δ̄+1)-edge coloring as the pipeline runs it: leased from a pool at
+// 1, 2 and 4 shards, against the serial unpooled reference.
+void check_fast_2delta_equivalence(const Graph& g) {
+  RoundLedger serial_ledger;
+  const EdgeColoringResult serial = edge_color_fast_2delta(g, &serial_ledger);
+  for (const int threads : {1, 2, 4}) {
+    NetworkPool pool(threads);
+    RoundLedger ledger;
+    const EdgeColoringResult pooled =
+        edge_color_fast_2delta(g, &ledger, threads, &pool);
+    EXPECT_EQ(std::tie(serial.colors, serial.palette, serial.rounds),
+              std::tie(pooled.colors, pooled.palette, pooled.rounds))
+        << "threads " << threads;
+    EXPECT_EQ(serial_ledger.breakdown(), ledger.breakdown())
         << "threads " << threads;
   }
 }
@@ -338,6 +358,24 @@ TEST(EngineEquivalence, Defective2ECStar) {
     const auto bg = bipartite_of(gen::star(25 + 3 * seed));
     check_d2ec_equivalence(bg, seeded_lambda(bg.graph, rng),
                            seed % 2 == 0 ? 1.0 : 0.5);
+  }
+}
+
+TEST(EngineEquivalence, Fast2DeltaRandom) {
+  for (int seed = 0; seed < 10; ++seed) {
+    Rng rng(520 + static_cast<std::uint64_t>(seed));
+    check_fast_2delta_equivalence(
+        gen::gnp(40 + 7 * seed, 0.08 + 0.01 * (seed % 4), rng));
+  }
+}
+
+TEST(EngineEquivalence, Fast2DeltaRegularGridStar) {
+  for (int seed = 0; seed < 6; ++seed) {
+    Rng rng(560 + static_cast<std::uint64_t>(seed));
+    check_fast_2delta_equivalence(
+        gen::random_regular(60 + 10 * seed, 4 + seed, rng));
+    check_fast_2delta_equivalence(gen::grid(4 + seed, 6 + seed % 3));
+    check_fast_2delta_equivalence(gen::star(10 + 5 * seed));
   }
 }
 

@@ -2,6 +2,8 @@
 // line graph/properties/io.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "graph/bipartite.hpp"
@@ -244,6 +246,102 @@ TEST(Properties, ProperEdgeColoring) {
   EXPECT_FALSE(is_complete_proper_edge_coloring(g, {0, kUncolored, 0}));
 }
 
+// Reference predicate: every pair of distinct edges, adjacent iff they
+// share an endpoint.
+bool all_pairs_proper_edge_coloring(const Graph& g,
+                                    const std::vector<Color>& color) {
+  for (EdgeId a = 0; a < g.num_edges(); ++a) {
+    for (EdgeId b = a + 1; b < g.num_edges(); ++b) {
+      const auto [u, v] = g.endpoints(a);
+      const auto [x, y] = g.endpoints(b);
+      const bool adjacent = u == x || u == y || v == x || v == y;
+      const Color ca = color[static_cast<std::size_t>(a)];
+      if (adjacent && ca != kUncolored &&
+          ca == color[static_cast<std::size_t>(b)]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// First-fit sequential edge coloring: proper, palette <= 2Δ-1.
+std::vector<Color> first_fit_edge_coloring(const Graph& g) {
+  std::vector<Color> color(static_cast<std::size_t>(g.num_edges()),
+                           kUncolored);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    for (Color c = 0;; ++c) {
+      bool taken = false;
+      for (const NodeId w : {u, v}) {
+        for (const Incidence& inc : g.neighbors(w)) {
+          taken = taken || color[static_cast<std::size_t>(inc.edge)] == c;
+        }
+      }
+      if (!taken) {
+        color[static_cast<std::size_t>(e)] = c;
+        break;
+      }
+    }
+  }
+  return color;
+}
+
+TEST(Properties, ProperEdgeColoringMatchesAllPairsCheck) {
+  Rng rng(17);
+  int proper = 0, improper = 0, partial = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const Graph g = trial % 3 == 0
+                        ? gen::random_regular(12 + 2 * (trial % 5),
+                                              3 + trial % 4, rng)
+                        : gen::gnp(10 + trial % 17, 0.3, rng);
+    if (g.num_edges() < 2) continue;
+    std::vector<std::vector<Color>> cases;
+    const std::vector<Color> base = first_fit_edge_coloring(g);
+    cases.push_back(base);
+    // Proper but partly uncolored.
+    std::vector<Color> holes = base;
+    for (auto& c : holes) {
+      if (rng.next_below(3) == 0) c = kUncolored;
+    }
+    cases.push_back(holes);
+    // One edge copies an adjacent edge's color: improper.
+    std::vector<Color> clash = base;
+    const EdgeId e = static_cast<EdgeId>(
+        rng.next_below(static_cast<std::uint64_t>(g.num_edges())));
+    const auto [u, v] = g.endpoints(e);
+    for (const NodeId w : {u, v}) {
+      for (const Incidence& inc : g.neighbors(w)) {
+        if (inc.edge != e) {
+          clash[static_cast<std::size_t>(e)] =
+              clash[static_cast<std::size_t>(inc.edge)];
+        }
+      }
+    }
+    cases.push_back(clash);
+    // Random colors from a small palette, some uncolored: mostly improper.
+    std::vector<Color> noise(static_cast<std::size_t>(g.num_edges()));
+    for (auto& c : noise) {
+      c = static_cast<Color>(rng.next_below(5)) - 1;  // -1 is kUncolored
+    }
+    cases.push_back(noise);
+    for (const auto& c : cases) {
+      const bool want = all_pairs_proper_edge_coloring(g, c);
+      const bool complete =
+          std::find(c.begin(), c.end(), kUncolored) == c.end();
+      EXPECT_EQ(is_proper_edge_coloring(g, c), want) << "trial " << trial;
+      EXPECT_EQ(is_complete_proper_edge_coloring(g, c), want && complete)
+          << "trial " << trial;
+      (want ? proper : improper) += 1;
+      partial += complete ? 0 : 1;
+    }
+  }
+  // Every kind of input was exercised.
+  EXPECT_GT(proper, 100);
+  EXPECT_GT(improper, 100);
+  EXPECT_GT(partial, 100);
+}
+
 TEST(Properties, Defects) {
   const Graph g = gen::star(3);
   const auto vd = vertex_defects(g, {0, 0, 0, 1});
@@ -331,6 +429,63 @@ TEST(LineGraph, StarBecomesComplete) {
   const Graph lg = line_graph(star);
   EXPECT_EQ(lg.num_nodes(), 4);
   EXPECT_EQ(lg.num_edges(), 6);  // K4
+}
+
+// Reference L(G): all pairs of distinct edges sharing an endpoint.
+std::set<std::pair<NodeId, NodeId>> all_pairs_line_edges(const Graph& g) {
+  std::set<std::pair<NodeId, NodeId>> out;
+  for (EdgeId a = 0; a < g.num_edges(); ++a) {
+    for (EdgeId b = a + 1; b < g.num_edges(); ++b) {
+      const auto [u, v] = g.endpoints(a);
+      const auto [x, y] = g.endpoints(b);
+      if (u == x || u == y || v == x || v == y) out.emplace(a, b);
+    }
+  }
+  return out;
+}
+
+void expect_line_graph_matches_all_pairs(const Graph& g, const char* name) {
+  const Graph lg = line_graph(g);
+  ASSERT_EQ(lg.num_nodes(), g.num_edges()) << name;
+  const auto& edges = lg.edge_list();
+  // Canonical: (a, b) with a < b, strictly increasing, hence unique.
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_LT(edges[i].first, edges[i].second) << name << " edge " << i;
+    if (i > 0) {
+      EXPECT_LT(edges[i - 1], edges[i]) << name << " edge " << i;
+    }
+  }
+  const std::set<std::pair<NodeId, NodeId>> got(edges.begin(), edges.end());
+  EXPECT_EQ(got, all_pairs_line_edges(g)) << name;
+  EXPECT_EQ(got.size(), edges.size()) << name;
+  for (NodeId a = 0; a < lg.num_nodes(); ++a) {
+    EXPECT_EQ(lg.degree(a), g.edge_degree(a)) << name << " node " << a;
+    const auto nb = lg.neighbors(a);
+    EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end(),
+                               [](const Incidence& x, const Incidence& y) {
+                                 return x.neighbor < y.neighbor;
+                               }))
+        << name << " node " << a;
+    for (const Incidence& inc : nb) {
+      const std::pair<NodeId, NodeId> pair{std::min(a, inc.neighbor),
+                                           std::max(a, inc.neighbor)};
+      EXPECT_EQ(lg.endpoints(inc.edge), pair) << name << " node " << a;
+    }
+  }
+}
+
+TEST(LineGraph, MatchesAllPairsReferenceAndIsCanonical) {
+  Rng rng(19);
+  expect_line_graph_matches_all_pairs(gen::gnp(40, 0.15, rng), "gnp");
+  expect_line_graph_matches_all_pairs(gen::gnp(25, 0.5, rng), "dense gnp");
+  expect_line_graph_matches_all_pairs(gen::star(7), "star");
+  expect_line_graph_matches_all_pairs(gen::random_regular(30, 5, rng),
+                                      "regular");
+  expect_line_graph_matches_all_pairs(gen::empty(4), "empty");
+  expect_line_graph_matches_all_pairs(Graph(2, {{0, 1}}), "single edge");
+  // Edge ids not in canonical order: L(G) node ids follow g's edge ids.
+  expect_line_graph_matches_all_pairs(
+      Graph(5, {{3, 4}, {0, 2}, {2, 3}, {1, 2}, {0, 4}}), "unsorted ids");
 }
 
 TEST(LineGraph, EmptyAndSingleEdge) {
