@@ -417,30 +417,6 @@ void BM_BalancedOrientation(benchmark::State& state) {
 BENCHMARK(BM_BalancedOrientation)->Args({256, 1});
 BENCHMARK(BM_BalancedOrientation)->Args({256, 2})->UseRealTime();
 
-// Same instance with the network arena disabled: every phase rebuilds its
-// game DiNetwork (and the solver its SyncNetwork) from scratch. Results are
-// bit-identical; the delta to BM_BalancedOrientation is the pooled-arena
-// construction saving.
-void BM_BalancedOrientationUnpooled(benchmark::State& state) {
-  const auto bg = gen::regular_bipartite(
-      static_cast<NodeId>(state.range(0)), 32);
-  const std::vector<double> eta(
-      static_cast<std::size_t>(bg.graph.num_edges()), 0.0);
-  OrientationParams p;
-  p.nu = 0.125;
-  p.pooled = false;
-  std::int64_t rounds = 0;
-  for (auto _ : state) {
-    const BalancedOrientationResult r =
-        balanced_orientation(bg.graph, bg.parts, eta, p, nullptr, 1);
-    rounds = r.rounds;
-    benchmark::DoNotOptimize(r.max_excess);
-  }
-  state.SetItemsProcessed(state.iterations() * rounds * 2 *
-                          bg.graph.num_edges());
-}
-BENCHMARK(BM_BalancedOrientationUnpooled)->Arg(256);
-
 // Generalized defective 2-edge coloring (Lemma 5.3 reduction onto the
 // balanced orientation; Args are {n_per_side, threads}).
 void BM_Defective2EC(benchmark::State& state) {

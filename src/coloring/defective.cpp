@@ -12,6 +12,10 @@ namespace dec {
 
 namespace {
 
+// Both stages send one field per edge per round and never drain.
+constexpr SlotPlan kSingleFieldPlan{.max_fields = 1,
+                                    .mode = PlaneMode::kSingle};
+
 std::int64_t eval_digit_poly(std::int64_t color, std::int64_t q, int d,
                              std::int64_t r) {
   std::int64_t digits[65];
@@ -86,15 +90,13 @@ DefectiveResult precolor_message_passing(const Graph& g,
                                          const PrecolorParams& p,
                                          RoundLedger* ledger,
                                          int num_threads, NetworkPool* pool,
-                                         CancelToken* cancel,
-                                         PlaneMode plane_mode) {
+                                         CancelToken* cancel) {
   const NodeId n = g.num_nodes();
   DefectiveResult res;
   res.palette = static_cast<int>(p.q * p.q);
   res.colors.resize(static_cast<std::size_t>(n));
   ScopedNetwork net_scope(pool, g, ledger, "defective_precolor", num_threads,
-                          cancel,
-                          SlotPlan{.max_fields = 1, .mode = plane_mode});
+                          cancel, kSingleFieldPlan);
   SyncNetwork& net = *net_scope;
   // The one round: every node announces its input color on every edge.
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
@@ -150,8 +152,8 @@ DefectiveResult refine_message_passing(const Graph& g,
                                        int num_classes, int num_colors,
                                        int move_threshold, int max_sweeps,
                                        RoundLedger* ledger, int num_threads,
-                                       NetworkPool* pool, CancelToken* cancel,
-                                       PlaneMode plane_mode) {
+                                       NetworkPool* pool,
+                                       CancelToken* cancel) {
   const NodeId n = g.num_nodes();
   DefectiveResult res;
   res.palette = num_colors;
@@ -162,8 +164,7 @@ DefectiveResult refine_message_passing(const Graph& g,
   }
 
   ScopedNetwork net_scope(pool, g, ledger, "defective_refine", num_threads,
-                          cancel,
-                          SlotPlan{.max_fields = 1, .mode = plane_mode});
+                          cancel, kSingleFieldPlan);
   SyncNetwork& net = *net_scope;
 
   // Per-node neighbor-color cache, laid out on the network's own slot plane
@@ -320,8 +321,7 @@ DefectiveResult defective_precolor(const Graph& g,
                                    const std::vector<Color>& input,
                                    int input_palette, int target_defect,
                                    RoundLedger* ledger, int num_threads,
-                                   NetworkPool* pool, CancelToken* cancel,
-                                   PlaneMode plane_mode) {
+                                   NetworkPool* pool, CancelToken* cancel) {
   DEC_REQUIRE(target_defect >= 1, "target defect must be >= 1");
   DEC_REQUIRE(is_proper_vertex_coloring(g, input), "input must be proper");
   for (const Color c : input) {
@@ -332,8 +332,7 @@ DefectiveResult defective_precolor(const Graph& g,
   const PrecolorParams p = precolor_params(m, delta, target_defect);
 
   DefectiveResult res =
-      precolor_message_passing(g, input, p, ledger, num_threads, pool, cancel,
-                               plane_mode);
+      precolor_message_passing(g, input, p, ledger, num_threads, pool, cancel);
   res.max_defect = max_of(vertex_defects(g, res.colors));
   DEC_CHECK(res.max_defect <= target_defect,
             "defective precolor exceeded its defect target");
@@ -345,8 +344,7 @@ DefectiveResult defective_refine(const Graph& g,
                                  int num_classes, int num_colors,
                                  int move_threshold, int max_sweeps,
                                  RoundLedger* ledger, int num_threads,
-                                 NetworkPool* pool, CancelToken* cancel,
-                                 PlaneMode plane_mode) {
+                                 NetworkPool* pool, CancelToken* cancel) {
   DEC_REQUIRE(num_colors >= 2, "refine needs at least two colors");
   DEC_REQUIRE(move_threshold >= (g.max_degree() / num_colors) + 1,
               "threshold too tight: moving nodes could never settle");
@@ -359,7 +357,7 @@ DefectiveResult defective_refine(const Graph& g,
   DefectiveResult res =
       refine_message_passing(g, classes, num_classes, num_colors,
                              move_threshold, max_sweeps, ledger, num_threads,
-                             pool, cancel, plane_mode);
+                             pool, cancel);
   res.max_defect = max_of(vertex_defects(g, res.colors));
   if (!res.converged) {
     // The cap was generous; reaching it without meeting the contract means a
@@ -374,8 +372,7 @@ DefectiveResult defective_4_coloring(const Graph& g,
                                      const std::vector<Color>& input,
                                      int input_palette, double eps,
                                      RoundLedger* ledger, int num_threads,
-                                     NetworkPool* pool, CancelToken* cancel,
-                                     PlaneMode plane_mode) {
+                                     NetworkPool* pool, CancelToken* cancel) {
   DEC_REQUIRE(eps > 0.0 && eps <= 1.0, "eps must be in (0, 1]");
   const int delta = g.max_degree();
   const int target = static_cast<int>(eps * delta) + delta / 2;
@@ -406,8 +403,7 @@ DefectiveResult defective_4_coloring(const Graph& g,
   // Half the ε budget to the precoloring defect, half to the refine margin.
   const int pre_defect = std::max(1, static_cast<int>(eps * delta / 2.0));
   DefectiveResult pre = defective_precolor(g, input, input_palette, pre_defect,
-                                           ledger, num_threads, pool, cancel,
-                                           plane_mode);
+                                           ledger, num_threads, pool, cancel);
 
   const int margin = std::max(1, static_cast<int>(eps * delta / 4.0));
   // At small Δ the flat +margin +pre_defect headroom can exceed the Lemma
@@ -420,7 +416,7 @@ DefectiveResult defective_4_coloring(const Graph& g,
       64 + static_cast<int>(16.0 / (eps * eps) / std::max(1, delta));
   DefectiveResult ref =
       defective_refine(g, pre.colors, pre.palette, 4, threshold, max_sweeps,
-                       ledger, num_threads, pool, cancel, plane_mode);
+                       ledger, num_threads, pool, cancel);
   ref.rounds += pre.rounds;
   ref.max_message_bits = std::max(ref.max_message_bits, pre.max_message_bits);
   ref.messages += pre.messages;
@@ -433,10 +429,7 @@ DefectiveResult defective_split_coloring(const Graph& g,
                                          const std::vector<Color>& input,
                                          int input_palette, int num_colors,
                                          int target_defect,
-                                         RoundLedger* ledger,
-                                         int num_threads, NetworkPool* pool,
-                                         CancelToken* cancel,
-                                         PlaneMode plane_mode) {
+                                         RoundLedger* ledger) {
   const int delta = g.max_degree();
   DEC_REQUIRE(target_defect >= delta / num_colors + 1,
               "target defect below the pigeonhole floor");
@@ -449,14 +442,13 @@ DefectiveResult defective_split_coloring(const Graph& g,
   // Precolor to O((Δ/p)²) classes with p = half the defect budget (when
   // possible), then refine.
   const int pre_defect = std::max(1, target_defect / 2);
-  DefectiveResult pre = defective_precolor(g, input, input_palette, pre_defect,
-                                           ledger, num_threads, pool, cancel,
-                                           plane_mode);
+  DefectiveResult pre =
+      defective_precolor(g, input, input_palette, pre_defect, ledger);
   const int threshold = std::max(delta / num_colors + 1,
                                  target_defect - pre_defect);
   DefectiveResult ref =
       defective_refine(g, pre.colors, pre.palette, num_colors, threshold, 256,
-                       ledger, num_threads, pool, cancel, plane_mode);
+                       ledger);
   ref.rounds += pre.rounds;
   ref.max_message_bits = std::max(ref.max_message_bits, pre.max_message_bits);
   ref.messages += pre.messages;

@@ -20,7 +20,9 @@
 //
 // `defective_4_coloring` composes the two per Lemma 6.2: an (εΔ + ⌊Δ/2⌋)-
 // defective 4-coloring, given an O(Δ²)-coloring, with rounds O(classes/ε²)
-// charged honestly (DESIGN.md §4.3 documents the substitution).
+// charged honestly. The substitution is block 2: threshold local search
+// stands in for [11]'s Refine procedure, and its rounds are the ones the
+// simulator executes.
 // Both building blocks run as genuine node programs on SyncNetwork:
 // precolor is one real color-exchange round, refine is two real rounds per
 // class-step (announce, then intent/move-arbitration), each with per-round
@@ -65,16 +67,15 @@ struct DefectiveResult {
 /// (a color or an intent bit), so they lease with declared slot width 1.
 /// Both stages are drain-free (every round reads its whole inbox before
 /// writing; the final consume steps run on local state, not on a drain),
-/// so they default to the single message plane (PlaneMode::kSingle) —
-/// bit-identical to kDouble with half the plane memory.
+/// so they always run on the single message plane (PlaneMode::kSingle):
+/// half the plane memory of the swap pair.
 DefectiveResult defective_precolor(const Graph& g,
                                    const std::vector<Color>& input,
                                    int input_palette, int target_defect,
                                    RoundLedger* ledger = nullptr,
                                    int num_threads = 1,
                                    NetworkPool* pool = nullptr,
-                                   CancelToken* cancel = nullptr,
-                                   PlaneMode plane_mode = PlaneMode::kSingle);
+                                   CancelToken* cancel = nullptr);
 
 /// Threshold local search over the classes of `classes` (any coloring with
 /// values in [0, num_classes); independence not required). Produces a
@@ -87,8 +88,7 @@ DefectiveResult defective_refine(const Graph& g,
                                  RoundLedger* ledger = nullptr,
                                  int num_threads = 1,
                                  NetworkPool* pool = nullptr,
-                                 CancelToken* cancel = nullptr,
-                                 PlaneMode plane_mode = PlaneMode::kSingle);
+                                 CancelToken* cancel = nullptr);
 
 /// Lemma 6.2: (εΔ + ⌊Δ/2⌋)-defective 4-coloring from a proper O(Δ²)-coloring.
 DefectiveResult defective_4_coloring(const Graph& g,
@@ -97,20 +97,15 @@ DefectiveResult defective_4_coloring(const Graph& g,
                                      RoundLedger* ledger = nullptr,
                                      int num_threads = 1,
                                      NetworkPool* pool = nullptr,
-                                     CancelToken* cancel = nullptr,
-                                     PlaneMode plane_mode = PlaneMode::kSingle);
+                                     CancelToken* cancel = nullptr);
 
 /// General split: num_colors-coloring with defect ≤ target_defect, where
 /// target_defect must be ≥ ceil(Δ/num_colors) + 1. Used by Theorem D.4's
-/// "defect ≤ Δ/c with O(1) colors" step.
+/// "defect ≤ Δ/c with O(1) colors" step. Serial and unpooled.
 DefectiveResult defective_split_coloring(const Graph& g,
                                          const std::vector<Color>& input,
                                          int input_palette, int num_colors,
                                          int target_defect,
-                                         RoundLedger* ledger = nullptr,
-                                         int num_threads = 1,
-                                         NetworkPool* pool = nullptr,
-                                         CancelToken* cancel = nullptr,
-                                         PlaneMode plane_mode = PlaneMode::kSingle);
+                                         RoundLedger* ledger = nullptr);
 
 }  // namespace dec

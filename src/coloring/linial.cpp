@@ -58,7 +58,7 @@ std::int64_t eval_digits(const std::int64_t* digits, std::int64_t q, int d,
 LinialResult linial_color(const Graph& g, RoundLedger* ledger,
                           std::vector<Color> initial, std::int64_t id_space,
                           int num_threads, NetworkPool* pool,
-                          CancelToken* cancel, PlaneMode plane_mode) {
+                          CancelToken* cancel) {
   const NodeId n = g.num_nodes();
   if (initial.empty()) {
     initial.resize(static_cast<std::size_t>(n));
@@ -89,9 +89,10 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   // ScopedNetwork resolves the 0-means-hardware convention itself. Every
   // Linial message is exactly one color, so the declared slot width is 1;
   // the solver is drain-free (reads its whole inbox before writing, never
-  // drains), so it runs single-plane by default.
+  // drains), so it runs on the single plane.
   ScopedNetwork net_scope(pool, g, ledger, "linial", num_threads, cancel,
-                          SlotPlan{.max_fields = 1, .mode = plane_mode});
+                          SlotPlan{.max_fields = 1,
+                                   .mode = PlaneMode::kSingle});
   SyncNetwork& net = *net_scope;
   std::int64_t m = id_space;
 
@@ -177,12 +178,9 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   return res;
 }
 
-LinialResult linial_edge_color(const Graph& g, RoundLedger* ledger,
-                               int num_threads, NetworkPool* pool,
-                               CancelToken* cancel, PlaneMode plane_mode) {
+LinialResult linial_edge_color(const Graph& g, RoundLedger* ledger) {
   const Graph lg = line_graph(g);
-  LinialResult res = linial_color(lg, ledger, {}, 0, num_threads, pool, cancel,
-                                  plane_mode);
+  LinialResult res = linial_color(lg, ledger);
   DEC_CHECK(is_proper_edge_coloring(g, res.colors),
             "line-graph coloring is not a proper edge coloring");
   return res;

@@ -51,25 +51,20 @@ LinialStep linial_step_params(std::int64_t m, int max_degree);
 /// the same graph (congest coloring's Linial + defective stages) share one
 /// topology plan and buffer arena this way.
 /// Linial announces exactly one color per edge per round, so the lease
-/// declares slot width 1. `plane_mode` picks the plane count: every Linial
-/// round reads its whole inbox before writing and the solver never drains,
-/// so it is drain-free and defaults to the single plane (PlaneMode::kSingle)
-/// — bit-identical to kDouble with half the plane memory.
+/// declares slot width 1. Every round reads its whole inbox before writing
+/// and the solver never drains, so it always runs on the single message
+/// plane (PlaneMode::kSingle): half the plane memory of the swap pair.
 LinialResult linial_color(const Graph& g, RoundLedger* ledger = nullptr,
                           std::vector<Color> initial = {},
                           std::int64_t id_space = 0, int num_threads = 1,
                           NetworkPool* pool = nullptr,
-                          CancelToken* cancel = nullptr,
-                          PlaneMode plane_mode = PlaneMode::kSingle);
+                          CancelToken* cancel = nullptr);
 
 /// Run Linial on the line graph of g, producing a proper *edge* coloring of g
 /// with O(Δ̄²) colors in O(log* m) rounds. (In LOCAL/CONGEST a node simulates
 /// its incident edges at constant overhead, so charging the line-graph rounds
-/// directly is faithful.)
-LinialResult linial_edge_color(const Graph& g, RoundLedger* ledger = nullptr,
-                               int num_threads = 1,
-                               NetworkPool* pool = nullptr,
-                               CancelToken* cancel = nullptr,
-                               PlaneMode plane_mode = PlaneMode::kSingle);
+/// directly is faithful.) Serial and unpooled; the pooled, sharded
+/// line-graph path is `edge_color_fast_2delta`.
+LinialResult linial_edge_color(const Graph& g, RoundLedger* ledger = nullptr);
 
 }  // namespace dec

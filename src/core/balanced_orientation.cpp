@@ -64,7 +64,7 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
   // per-phase token dropping game lease from it, so phase φ+1's game reuses
   // phase φ's buffers instead of rebuilding planes, slabs, and thread pools.
   std::optional<NetworkPool> own_pool;
-  if (pool == nullptr && params.pooled) {
+  if (pool == nullptr) {
     own_pool.emplace(num_threads);
     pool = &*own_pool;
   }

@@ -64,8 +64,8 @@ struct BalancedOrientationResult {
 /// Compute a balanced orientation w.r.t. `eta` (size m). ε = 8ν.
 /// `num_threads` > 1 runs the node programs on the parallel round engine.
 /// `pool` (optional) is the network arena the solver's own network and every
-/// per-phase game lease from; when null (and params.pooled), the solver
-/// creates one internally so all its phases still share a single arena.
+/// per-phase game lease from; when null, the solver creates one internally
+/// so all its phases still share a single arena.
 BalancedOrientationResult balanced_orientation(const Graph& g,
                                                const Bipartition& parts,
                                                const std::vector<double>& eta,

@@ -10,7 +10,8 @@
 // The level count adapts to the additive β of the mode in use: we split only
 // while another level strictly shrinks the total palette bound 2^l·(D_l+1)
 // (theory mode reproduces Appendix C's χ/k formulas as closely as the
-// formulas allow at finite Δ; see DESIGN.md §4.1).
+// formulas allow at finite Δ; there its β exceeds Δ̄ itself, so the
+// recurrence often stops at k = 0 — core/params.hpp).
 #pragma once
 
 #include <vector>

@@ -1,6 +1,6 @@
 // The paper's parameter formulas (Eqs. (4)–(7), Theorem 5.6, Appendix C/D).
 //
-// Two modes (DESIGN.md §4.1):
+// Two modes:
 //  * theory   — the literal constants from the paper. These make the additive
 //               guarantees vacuous at laptop-scale Δ (β = C·ln³Δ̄/ε⁵ exceeds
 //               Δ̄ itself), but tests use them to verify we compute exactly
@@ -21,11 +21,6 @@ struct OrientationParams {
   double nu = 0.125;          // ν ∈ (0, 1/8] (Eq. 4)
   ParamMode mode = ParamMode::kPractical;
   std::int64_t max_phases = 0;  // 0 = derive from ν and Δ̄
-  // Reuse one NetworkPool arena for the per-phase token dropping games (and
-  // lease the solver's own network from it). Results are bit-identical
-  // either way; false rebuilds every network from scratch, kept so the
-  // regression benches/tests can pin the equivalence and the reuse win.
-  bool pooled = true;
 };
 
 /// α_v(φ) of Eq. (5): max{1, (1/4)·(ν²/ln Δ̄)·(d⁻ + 1)} in theory mode.

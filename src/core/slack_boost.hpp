@@ -6,7 +6,7 @@
 // edge degree at most Δ̄/k_target, spending O(S² log k)·T(Δ̄, S, C) rounds
 // plus O(log k · log* X) for the defective precolorings.
 //
-// Mechanism (DESIGN.md §4.2): stages halve the maximum uncolored degree D.
+// Mechanism: stages halve the maximum uncolored degree D.
 // Within a stage, a defective precoloring of the *line graph* splits the
 // uncolored edges into O(S²) classes with at most d' = ⌈D/(4S)⌉ same-class
 // neighbors each. Classes are processed sequentially; an edge whose

@@ -242,9 +242,9 @@ ServiceStats SolverService::stats() const {
                          : 0.0;
     s.max_queue_wait_ms = static_cast<double>(wait_ns_max_) / 1e6;
   }
-  // One coherent snapshot of the cache counters: hit rate, plans_built and
-  // plans_shared all derive from a single atomic load, so the rate always
-  // equals shared / (built + shared) for the very numbers reported.
+  // Read the cache counters once: hit rate, plans_built and plans_shared
+  // all derive from that one pair, so the rate always equals
+  // shared / (built + shared) for the very numbers reported.
   const SharedNetworkPool::TopologyCounters counters =
       shared_pool_.topology_counters();
   s.plans_built = counters.misses;

@@ -95,7 +95,7 @@ std::shared_ptr<const Topo> SharedNetworkPool::find_or_plan(
   // Lock-free fast path over the entries published so far.
   const std::uint32_t seen = sh.count.load(std::memory_order_acquire);
   if (auto topo = scan(0, seen)) {
-    lookups_.fetch_add(kHitUnit, std::memory_order_relaxed);
+    hits_.fetch_add(1, std::memory_order_relaxed);
     return topo;
   }
 
@@ -105,10 +105,10 @@ std::shared_ptr<const Topo> SharedNetworkPool::find_or_plan(
   // exactly-once contract (and waste the work).
   const std::uint32_t now = sh.count.load(std::memory_order_acquire);
   if (auto topo = scan(seen, now)) {
-    lookups_.fetch_add(kHitUnit, std::memory_order_relaxed);
+    hits_.fetch_add(1, std::memory_order_relaxed);
     return topo;
   }
-  lookups_.fetch_add(kMissUnit, std::memory_order_relaxed);
+  misses_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<const Topo> topo = plan();
   if (now < kMaxCachedPerShard) {
     sh.entries[now] = {fp, materialize(shape), n, topo};

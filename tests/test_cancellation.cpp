@@ -372,10 +372,8 @@ TEST(LeaseAbandonment, AllFiveSolversParkCleanStateOnAbort) {
       "balanced_orientation",
       orientation_key(balanced_orientation(bg.graph, bg.parts, eta, op)),
       [&](NetworkPool* pool, CancelToken* cancel) {
-        OrientationParams p = op;
-        p.pooled = pool != nullptr;
         return orientation_key(balanced_orientation(bg.graph, bg.parts, eta,
-                                                    p, nullptr, 1, pool,
+                                                    op, nullptr, 1, pool,
                                                     cancel));
       },
       3);

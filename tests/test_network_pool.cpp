@@ -425,18 +425,16 @@ TEST(PooledSolvers, BalancedOrientationAndDefective2EC) {
 
       OrientationParams p;
       p.nu = seed % 2 == 0 ? 0.125 : 0.0625;
-      p.pooled = false;  // reference: every network built from scratch
+      // Reference: the solver's own internal arena, cold on every call.
       RoundLedger ref_ledger;
       const BalancedOrientationResult ref = balanced_orientation(
           bg.graph, bg.parts, eta, p, &ref_ledger, 1);
 
-      OrientationParams pp = p;
-      pp.pooled = true;
       const int threads[] = {1, 2, 4};
       for (int ti = 0; ti < 3; ++ti) {
         RoundLedger ledger;
         const BalancedOrientationResult pooled = balanced_orientation(
-            bg.graph, bg.parts, eta, pp, &ledger, threads[ti], &pools[ti]);
+            bg.graph, bg.parts, eta, p, &ledger, threads[ti], &pools[ti]);
         EXPECT_EQ(orientation_key(ref), orientation_key(pooled))
             << "family " << family << " seed " << seed << " threads "
             << threads[ti];

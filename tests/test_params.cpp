@@ -75,8 +75,8 @@ TEST(Params, AlphaDominatesDeltaPhi) {
 }
 
 TEST(Params, BetaTheoryIsHuge) {
-  // β = 28·ln³Δ̄/ε⁵ dwarfs Δ̄ at laptop scale — the vacuity DESIGN.md §4.1
-  // documents.
+  // β = 28·ln³Δ̄/ε⁵ dwarfs Δ̄ at laptop scale — the vacuity that practical
+  // mode exists to avoid (core/params.hpp).
   const double b = beta_of(1.0, 254.0, ParamMode::kTheory);
   EXPECT_GT(b, 254.0);
   const double b_small_eps = beta_of(0.25, 254.0, ParamMode::kTheory);

@@ -4,20 +4,32 @@
 // instead. Pinned directly on SharedNetworkPool's park/adopt for both
 // network kinds, through the NetworkPool view (idle-slot filtering), and
 // under a multi-threaded lease/park/adopt stress that TSan checks for races
-// on the mode-filtered scan.
+// on the mode-filtered scan. The plane each solver leases is pinned by what
+// its view parks: the drain-free solvers (Linial, defective precolor +
+// refine, and the line-graph edge coloring built on Linial) park only
+// single-plane states; token dropping and balanced orientation, whose
+// pipelined phases drain, park only double-plane ones.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "coloring/baselines.hpp"
+#include "coloring/defective.hpp"
+#include "coloring/linial.hpp"
+#include "core/balanced_orientation.hpp"
+#include "core/token_dropping.hpp"
 #include "graph/generators.hpp"
 #include "sim/dinetwork.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
 #include "sim/topology.hpp"
+#include "util/rng.hpp"
 
 namespace dec {
 namespace {
@@ -167,6 +179,75 @@ TEST(PoolFormat, ConcurrentMixedPlaneModeLeaseStress) {
     });
   }
   for (auto& w : workers) w.join();
+}
+
+// Runs `solve` on a view over a fresh shared arena, destroys the view (its
+// run states park in the arena), and returns the arena for inspection.
+std::unique_ptr<SharedNetworkPool> parked_after(
+    const std::function<void(NetworkPool*)>& solve) {
+  auto shared = std::make_unique<SharedNetworkPool>(1);
+  {
+    NetworkPool view(*shared);
+    solve(&view);
+  }
+  EXPECT_GT(shared->parked_run_states(), 0u);
+  return shared;
+}
+
+TEST(PoolFormat, DrainFreeSolversLeaseOnlyTheSinglePlane) {
+  Rng rng(31);
+  const Graph g = gen::gnp(60, 0.1, rng);
+  const LinialResult lin = linial_color(g);
+  const std::function<void(NetworkPool*)> solvers[] = {
+      [&](NetworkPool* pool) { linial_color(g, nullptr, {}, 0, 1, pool); },
+      [&](NetworkPool* pool) {
+        defective_4_coloring(g, lin.colors, lin.palette, 0.5, nullptr, 1,
+                             pool);
+      },
+      [&](NetworkPool* pool) { edge_color_fast_2delta(g, nullptr, 1, pool); },
+  };
+  for (std::size_t i = 0; i < std::size(solvers); ++i) {
+    const auto shared = parked_after(solvers[i]);
+    EXPECT_EQ(shared->adopt_network(nullptr, PlaneMode::kDouble), nullptr)
+        << "solver " << i;
+    EXPECT_EQ(shared->adopt_dinetwork(nullptr, PlaneMode::kDouble), nullptr)
+        << "solver " << i;
+    EXPECT_NE(shared->adopt_network(nullptr, PlaneMode::kSingle), nullptr)
+        << "solver " << i;
+  }
+}
+
+TEST(PoolFormat, DrainingSolversLeaseOnlyTheDoublePlane) {
+  Rng rng(32);
+  const Graph support = gen::gnp(40, 0.15, rng);
+  std::vector<std::pair<NodeId, NodeId>> arcs;
+  for (EdgeId e = 0; e < support.num_edges(); ++e) {
+    arcs.push_back(support.endpoints(e));
+  }
+  const Digraph game(support.num_nodes(), std::move(arcs));
+  TokenDroppingParams tp;
+  tp.k = 6;
+  const std::vector<int> init(static_cast<std::size_t>(game.num_nodes()), 3);
+  const auto games = parked_after([&](NetworkPool* pool) {
+    run_token_dropping(game, init, tp, nullptr, 1, pool);
+  });
+  EXPECT_EQ(games->adopt_dinetwork(nullptr, PlaneMode::kSingle), nullptr);
+  EXPECT_EQ(games->adopt_network(nullptr, PlaneMode::kSingle), nullptr);
+  EXPECT_NE(games->adopt_dinetwork(nullptr, PlaneMode::kDouble), nullptr);
+
+  const auto bg = gen::regular_bipartite(24, 6);
+  const std::vector<double> eta(
+      static_cast<std::size_t>(bg.graph.num_edges()), 0.0);
+  const auto orientation = parked_after([&](NetworkPool* pool) {
+    balanced_orientation(bg.graph, bg.parts, eta, OrientationParams{},
+                         nullptr, 1, pool);
+  });
+  EXPECT_EQ(orientation->adopt_network(nullptr, PlaneMode::kSingle), nullptr);
+  EXPECT_EQ(orientation->adopt_dinetwork(nullptr, PlaneMode::kSingle),
+            nullptr);
+  EXPECT_NE(orientation->adopt_network(nullptr, PlaneMode::kDouble), nullptr);
+  EXPECT_NE(orientation->adopt_dinetwork(nullptr, PlaneMode::kDouble),
+            nullptr);
 }
 
 }  // namespace

@@ -562,6 +562,34 @@ TEST(SharedNetworkPool, ConcurrentTenantsPlanEachShapeOnce) {
   EXPECT_EQ(pool.cached_topologies(), 1u);
 }
 
+TEST(SharedNetworkPool, ConcurrentLookupsCountEveryHitAndMiss) {
+  // Threads look up a rotating set of shapes, so first lookups race with
+  // repeat ones. Every lookup is counted exactly once: as a miss for each
+  // shape's one plan, as a hit otherwise.
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 2000;
+  constexpr int kShapes = 6;
+  std::vector<Graph> shapes;
+  for (int s = 0; s < kShapes; ++s) shapes.push_back(gen::cycle(8 + s));
+  SharedNetworkPool pool(1);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kLookups; ++i) {
+          pool.topology(shapes[static_cast<std::size_t>((i + t) % kShapes)]);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  const SharedNetworkPool::TopologyCounters c = pool.topology_counters();
+  EXPECT_EQ(c.hits + c.misses, std::int64_t{kThreads} * kLookups);
+  EXPECT_EQ(c.misses, kShapes);
+  EXPECT_EQ(pool.cached_topologies(), static_cast<std::size_t>(kShapes));
+}
+
 TEST(SharedNetworkPool, ViewsParkAndAdoptRunStates) {
   Rng rng(48);
   const Graph g = gen::gnp(40, 0.15, rng);
