@@ -167,28 +167,6 @@ void BM_NetworkRoundNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundNarrow)->Arg(1000)->Arg(10000);
 
-// BM_NetworkRoundNarrow on a single message plane (PlaneMode::kSingle): the
-// same echo delivered via parity-alternating slot ownership instead of the
-// plane swap — the minimum-memory delivery path. Compare items/s against
-// BM_NetworkRoundNarrow for the round-path cost of the mode (target: none)
-// and bytes_per_node for its plane-memory win.
-void BM_NetworkRoundSinglePlaneNarrow(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{.mode = PlaneMode::kSingle});
-  for (auto _ : state) {
-    net.round_fast([](NodeId v, const auto&, auto&& out) {
-      for (auto&& m : out) m.assign({v});
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-  state.counters["bytes_per_node"] = static_cast<double>(net.memory_bytes()) /
-                                     static_cast<double>(g.num_nodes());
-}
-BENCHMARK(BM_NetworkRoundSinglePlaneNarrow)->Arg(1000)->Arg(10000);
-
 // Quiet rounds: 1% of nodes send, and every node folds its inbox only when
 // its mail summary (in.any()) says something arrived — the shape of
 // defective refine's sparse announce and intent rounds. Items are nodes

@@ -12,9 +12,8 @@ namespace dec {
 
 namespace {
 
-// Both stages send one field per edge per round and never drain.
-constexpr SlotPlan kSingleFieldPlan{.max_fields = 1,
-                                    .mode = PlaneMode::kSingle};
+// Both stages send one field per edge per round.
+constexpr SlotPlan kSingleFieldPlan{.max_fields = 1};
 
 std::int64_t eval_digit_poly(std::int64_t color, std::int64_t q, int d,
                              std::int64_t r) {
@@ -106,9 +105,8 @@ DefectiveResult precolor_message_passing(const Graph& g,
   });
   // Receiving and the polynomial evaluation are local, hence free. What the
   // announce round delivered on edge (u, v) is input[u] verbatim, so the
-  // consume step reads the input vector directly instead of draining the
-  // delivered plane — value-identical, and drain-free makes the solver
-  // eligible for the single message plane.
+  // consume step reads the input vector directly — value-identical to
+  // reading the delivered messages, which no later round exists to read.
   for (NodeId v = 0; v < n; ++v) {
     const auto nb = g.neighbors(v);
     res.colors[static_cast<std::size_t>(v)] = precolor_choose(
@@ -128,9 +126,9 @@ DefectiveResult precolor_message_passing(const Graph& g,
 // applies the moves arbitrated in the previous step's round B and announces
 // colors; round B refreshes each node's neighbor-color cache and lets this
 // class's over-threshold members broadcast an intent. The final step's
-// in-flight move decisions are consumed by a free drain. Movers within a
-// class-step are pairwise non-adjacent (smallest-id priority), so the
-// one-round lag changes no color any decision reads.
+// in-flight move decisions are consumed locally after the loop. Movers
+// within a class-step are pairwise non-adjacent (smallest-id priority), so
+// the one-round lag changes no color any decision reads.
 //
 // The announce round is dirty-flagged: a node re-broadcasts its color only
 // if it changed since its last announcement; receivers read unchanged
@@ -292,10 +290,9 @@ DefectiveResult refine_message_passing(const Graph& g,
   // receive-side computation and costs no round. Message presence on edge
   // (u, v) in the final intent round is exactly intent[u] — only the final
   // class-step's over-threshold members sent, and each set its own flag —
-  // so the arbitration reads the intact intent flags directly instead of
-  // draining the delivered plane: value-identical to the drained form, and
-  // drain-free makes the solver eligible for the single message plane. The
-  // flags are cleared only after every node has arbitrated, because each
+  // so the arbitration reads the intact intent flags directly:
+  // value-identical to reading the delivered messages. The flags are
+  // cleared only after every node has arbitrated, because each
   // decision reads the neighbors' flags.
   for (NodeId v = 0; v < n; ++v) {
     if (intent[static_cast<std::size_t>(v)] == 0) continue;

@@ -65,10 +65,6 @@ struct DefectiveResult {
 /// q² where q = next_prime(max(2, ceil(Δ·d / target_defect))).
 /// All defective stages announce exactly one field per edge per round
 /// (a color or an intent bit), so they lease with declared slot width 1.
-/// Both stages are drain-free (every round reads its whole inbox before
-/// writing; the final consume steps run on local state, not on a drain),
-/// so they always run on the single message plane (PlaneMode::kSingle):
-/// half the plane memory of the swap pair.
 DefectiveResult defective_precolor(const Graph& g,
                                    const std::vector<Color>& input,
                                    int input_palette, int target_defect,

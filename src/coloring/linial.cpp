@@ -87,12 +87,9 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   }
 
   // ScopedNetwork resolves the 0-means-hardware convention itself. Every
-  // Linial message is exactly one color, so the declared slot width is 1;
-  // the solver is drain-free (reads its whole inbox before writing, never
-  // drains), so it runs on the single plane.
+  // Linial message is exactly one color, so the declared slot width is 1.
   ScopedNetwork net_scope(pool, g, ledger, "linial", num_threads, cancel,
-                          SlotPlan{.max_fields = 1,
-                                   .mode = PlaneMode::kSingle});
+                          SlotPlan{.max_fields = 1});
   SyncNetwork& net = *net_scope;
   std::int64_t m = id_space;
 

@@ -51,9 +51,7 @@ LinialStep linial_step_params(std::int64_t m, int max_degree);
 /// the same graph (congest coloring's Linial + defective stages) share one
 /// topology plan and buffer arena this way.
 /// Linial announces exactly one color per edge per round, so the lease
-/// declares slot width 1. Every round reads its whole inbox before writing
-/// and the solver never drains, so it always runs on the single message
-/// plane (PlaneMode::kSingle): half the plane memory of the swap pair.
+/// declares slot width 1.
 LinialResult linial_color(const Graph& g, RoundLedger* ledger = nullptr,
                           std::vector<Color> initial = {},
                           std::int64_t id_space = 0, int num_threads = 1,

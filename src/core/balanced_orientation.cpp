@@ -95,9 +95,9 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
   std::vector<char> inc_unoriented(net.num_slots(), 1);
 
   // Per-edge orientation record. head_of[e] is written by the edge's unique
-  // accepting endpoint (round B) or its unique leftover head (final drain);
-  // phase_of[e] by the same writer. Flips are applied serially between
-  // rounds from the game's delivered tokens.
+  // accepting endpoint (round B), or serially after the leftover round for
+  // a leftover edge; phase_of[e] by the round-B writer. Flips are applied
+  // serially between rounds from the game's delivered tokens.
   std::vector<NodeId> head_of(static_cast<std::size_t>(m), kInvalidNode);
   std::vector<std::int64_t> phase_of(static_cast<std::size_t>(m), -1);
 
@@ -301,9 +301,12 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
 
   // Leftover pass: by Lemma 5.4 the unoriented remainder is (near) a
   // matching; orient each edge toward its smaller-id endpoint. One genuine
-  // round (the larger endpoint cedes the head role), then a free drain in
-  // which each head records its adoptions. The final accept round's
-  // notifications may still be in flight, so they are consumed first.
+  // round, in which the final accept round's notifications are consumed
+  // first and then the larger endpoint of each unoriented edge cedes the
+  // head role. Receiving the cession is free and local: after that round
+  // both endpoints agree on which edges are unoriented, so the heads adopt
+  // exactly the edges still unoriented on both sides, at their smaller
+  // endpoint — what the cessions in flight say.
   res.leftover_edges = m - num_oriented;
   if (res.leftover_edges > 0) {
     net.round_fast([&](NodeId v, const auto& in, auto&& out) {
@@ -314,18 +317,19 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
         if (nb[i].neighbor < v) out[i].assign({1});
       }
     });
-    net.drain_fast([&](NodeId v, const auto& in) {
+    for (NodeId v = 0; v < n; ++v) {
       const auto nb = g.neighbors(v);
       for (std::size_t i = 0; i < nb.size(); ++i) {
-        if (inc_unoriented[net.slot(v, i)] == 0) continue;
-        if (in[i].empty()) continue;  // only larger neighbors ceded
+        const std::size_t s = net.slot(v, i);
+        if (nb[i].neighbor < v || inc_unoriented[s] == 0) continue;
+        if (inc_unoriented[net.peer_slot(s)] == 0) continue;  // not ceded
         const EdgeId e = nb[i].edge;
         head_of[static_cast<std::size_t>(e)] = v;
         res.leftover_edge[static_cast<std::size_t>(e)] = 1;
         ++x[static_cast<std::size_t>(v)];
-        inc_unoriented[net.slot(v, i)] = 0;
+        inc_unoriented[s] = 0;
       }
-    });
+    }
   }
 
   // Materialize the Orientation from the per-edge records and cross-check

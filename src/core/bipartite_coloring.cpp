@@ -107,6 +107,12 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
   for (int level = 0; level < k; ++level) {
     const int num_parts = 1 << level;
     std::int64_t level_rounds = 0;
+    // The level writes its children's labels into next_part and moves it
+    // in at the end: relabelling part in place would hand part p's blue
+    // edges (label 2p+1) to the not-yet-visited part 2p+1 of the same level,
+    // which would split them again. Every edge lies in some part, so every
+    // entry is written.
+    std::vector<int> next_part(part.size());
     for (int p = 0; p < num_parts; ++p) {
       // Collect this part's edges and build the edge-induced subgraph on the
       // original node ids (so the Bipartition carries over).
@@ -127,11 +133,12 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
           sub, parts, lambda, chi, mode, &local, num_threads, pool, cancel);
       level_rounds = std::max(level_rounds, local.total());
       for (std::size_t i = 0; i < members.size(); ++i) {
-        // Red stays at index 2p, blue moves to 2p+1.
-        part[static_cast<std::size_t>(members[i])] =
+        // Red goes to child 2p, blue to child 2p+1.
+        next_part[static_cast<std::size_t>(members[i])] =
             2 * p + (split.is_red[i] != 0 ? 0 : 1);
       }
     }
+    part = std::move(next_part);
     res.rounds += level_rounds;
     if (ledger != nullptr) ledger->charge("bipartite_split", level_rounds);
   }

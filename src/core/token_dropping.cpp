@@ -33,11 +33,14 @@ bool sender_less(std::int64_t deg_a, std::int64_t alpha_a, NodeId node_a,
 //       by the announced deg/α key and request along the chosen in-arcs;
 //   R3 (accept):   senders grant the first x'_u requests in (receiver id,
 //       arc id) order, send the token along the arc, and retire the arc.
-// The final phase's accepts are consumed by a free drain. Activity,
-// passivity, and token counts live in shared arrays but every slot is
-// written only by its owning node (receiver in R1, sender in R3 — never the
-// same round), so the program is race-free on the parallel engine and
-// serial and parallel runs are bit-identical.
+// The final phase's accepts have no next R1 to arrive in. Receiving is free
+// and local, and every granted arc records the phase that granted it, so
+// after the loop each head credits the arcs the last R3 granted — exactly
+// the accepts that round sent. Activity, passivity, and token counts live
+// in shared arrays but every slot is written only by its owning node
+// (receiver in R1, sender in R3 — never the same round), so the program is
+// race-free on the parallel engine and serial and parallel runs are
+// bit-identical.
 TokenDroppingResult token_dropping_message_passing(
     const Digraph& game, std::vector<int> x0, int k, int delta,
     const std::vector<int>& alpha, RoundLedger* ledger, int num_threads,
@@ -47,9 +50,9 @@ TokenDroppingResult token_dropping_message_passing(
 
   std::vector<int> x = std::move(x0);                      // active tokens
   std::vector<int> y(static_cast<std::size_t>(n), 0);      // passive tokens
-  // vector<char>, not vector<bool>: adjacent arcs' flags must be writable
-  // from different shards without sharing a packed byte.
-  std::vector<char> passive(static_cast<std::size_t>(game.num_arcs()), 0);
+  // Per arc: 0 while active, else the phase whose R3 granted its token (the
+  // arc is passive from then on). Written only by the arc's sender in R3.
+  std::vector<int> passive(static_cast<std::size_t>(game.num_arcs()), 0);
   std::vector<std::int64_t> moved(static_cast<std::size_t>(n), 0);
 
   // Widest per-arc payload is R1's {deg, α} announcement.
@@ -57,16 +60,13 @@ TokenDroppingResult token_dropping_message_passing(
                             cancel, SlotPlan{.max_fields = 2});
   DiNetwork& net = *net_scope;
 
-  // Receive-side half of a transfer: the accept that was in flight arrives
-  // and the token materializes. The arc's passivity was already recorded by
-  // its sender in R3 (the only writer of that flag), so receivers touch only
-  // their own token count — R1 reads `passive` concurrently for the
-  // announcements and must see no same-round writes.
-  auto consume_accepts = [&](NodeId v, const auto& in) {
-    const std::size_t in_deg = game.in(v).size();
-    for (std::size_t j = 0; j < in_deg; ++j) {
-      if (!in.along(j).empty()) ++x[static_cast<std::size_t>(v)];
-    }
+  // Receive-side half of a transfer: `arrived` tokens materialize at v. The
+  // arcs' passivity was already recorded by their senders in R3 (the only
+  // writers of that flag), so receivers touch only their own token count —
+  // R1 reads `passive` concurrently for the announcements and must see no
+  // same-round writes.
+  auto credit_arrivals = [&](NodeId v, int arrived) {
+    x[static_cast<std::size_t>(v)] += arrived;
     DEC_CHECK(x[static_cast<std::size_t>(v)] >= 0, "negative active tokens");
     DEC_CHECK(x[static_cast<std::size_t>(v)] +
                       y[static_cast<std::size_t>(v)] <=
@@ -78,7 +78,12 @@ TokenDroppingResult token_dropping_message_passing(
   for (std::int64_t t = 1; t <= num_phases; ++t) {
     // R1: arrivals, activity, retirement, announcements.
     net.round_fast([&](NodeId v, const auto& in, DiOutbox& out) {
-      consume_accepts(v, in);
+      const std::size_t in_deg = game.in(v).size();
+      int arrived = 0;
+      for (std::size_t j = 0; j < in_deg; ++j) {
+        if (!in.along(j).empty()) ++arrived;
+      }
+      credit_arrivals(v, arrived);
       // Activity needs no shared flag: it is conveyed to the only parties
       // who care (the heads of still-active out-arcs) by the announcement.
       if (x[static_cast<std::size_t>(v)] <
@@ -159,7 +164,7 @@ TokenDroppingResult token_dropping_message_passing(
         const Prop& p = props[static_cast<std::size_t>(i)];
         DEC_CHECK(passive[static_cast<std::size_t>(p.arc)] == 0,
                   "token moved over an already-passive edge");
-        passive[static_cast<std::size_t>(p.arc)] = 1;
+        passive[static_cast<std::size_t>(p.arc)] = static_cast<int>(t);
         out.along(p.j, {1});
       }
       x[static_cast<std::size_t>(v)] -= q;
@@ -167,8 +172,17 @@ TokenDroppingResult token_dropping_message_passing(
     });
     ++res.phases;
   }
-  // The final phase's accepts are still in flight; receiving them is free.
-  net.drain_fast(consume_accepts);
+  // The final phase's accepts are still in flight; receiving them is free:
+  // each head credits its in-arcs that the last R3 granted. (With no phase
+  // at all nothing was granted; active arcs hold 0, never a phase number.)
+  for (NodeId v = 0; v < n; ++v) {
+    int arrived = 0;
+    for (const auto& arc : game.in(v)) {
+      const int granted_in = passive[static_cast<std::size_t>(arc.edge)];
+      if (granted_in != 0 && granted_in == num_phases) ++arrived;
+    }
+    credit_arrivals(v, arrived);
+  }
 
   res.rounds = net.rounds_executed();
   res.max_message_bits = net.audit().max_bits();

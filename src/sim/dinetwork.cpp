@@ -28,7 +28,7 @@ SlotPlan support_plan(const DiTopology& topo, SlotPlan arc_plan) {
   DEC_REQUIRE(support_w <= std::numeric_limits<int>::max(),
               "framed support width overflows the declared-width range — "
               "declare a narrower arc plan");
-  return {arc_plan.format, static_cast<int>(support_w), arc_plan.mode};
+  return {.max_fields = static_cast<int>(support_w)};
 }
 
 }  // namespace
@@ -91,8 +91,6 @@ void DiNetwork::rebind(const Digraph& dg,
                        SlotPlan arc_plan) {
   DEC_REQUIRE(topo != nullptr, "null topology");
   DEC_REQUIRE(topo->matches(dg), "topology does not fit the digraph");
-  DEC_REQUIRE(arc_plan.mode == net_.plane_mode(),
-              "rebind cannot change a network's plane mode");
   dg_ = &dg;
   arc_declared_ = arc_plan.max_fields;
   const SlotPlan sp = support_plan(*topo, arc_plan);

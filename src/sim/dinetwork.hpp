@@ -141,14 +141,16 @@ class DiNetwork {
   void rebind(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
               RoundLedger* ledger = nullptr, std::string component = "dinetwork");
 
-  /// rebind() that also re-declares the per-arc slot plan (plane mode must
-  /// match this run state's — see SyncNetwork's five-arg rebind).
+  /// rebind() that also re-declares the per-arc slot plan.
   void rebind(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
               RoundLedger* ledger, std::string component, SlotPlan arc_plan);
 
   /// Execute one synchronous round: `fn(v, const DiInbox&, DiOutbox&)` per
   /// node, then lane packing onto the support network's slots. Charges one
-  /// round.
+  /// round. Arc programs meet the support network's read-before-write rule
+  /// by construction: every inbox read happens in `fn`, and DiOutbox sends
+  /// go to per-arc scratch that pack() writes to the support outbox only
+  /// after `fn` returns.
   template <class F>
   void round_fast(F&& fn) {
     net_.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
@@ -157,16 +159,6 @@ class DiNetwork {
       DiOutbox dout(this, v);
       fn(v, din, dout);
       pack(v, out);
-    });
-  }
-
-  /// Read-only visit of the last round's deliveries (no sends, no round
-  /// charged) — see SyncNetwork::drain_fast.
-  template <class F>
-  void drain_fast(F&& fn) {
-    net_.drain_fast([&](NodeId v, const Inbox& in) {
-      const DiInbox din(this, v, &in);
-      fn(v, din);
     });
   }
 
@@ -180,16 +172,10 @@ class DiNetwork {
   const Digraph& digraph() const { return *dg_; }
   int num_threads() const { return net_.num_threads(); }
 
-  /// Plane mode of the support network (structural — pool identity). On
-  /// kSingle, drain_fast throws: the mode is forwarded verbatim into the
-  /// support SyncNetwork, which owns the ban. round_fast arc programs are
-  /// single-plane-safe by construction — every inbox read happens in the
-  /// node callback, before pack() writes the support outbox.
-  PlaneMode plane_mode() const { return net_.plane_mode(); }
   /// Declared per-arc max field count of the current lease.
   int declared_arc_fields() const { return arc_declared_; }
 
-  /// Heap bytes of this run state: the support network's planes/slabs plus
+  /// Heap bytes of this run state: the support network's plane/slabs plus
   /// the adapter's lane-packing scratch (both scale with the arc count, so
   /// bytes/node counters must include them).
   std::size_t memory_bytes() const {
@@ -243,7 +229,7 @@ class DiNetwork {
 
   /// Slice one arc's sub-channel out of a support-slot payload. The
   /// returned ArcView points into plane or slab storage, which outlives the
-  /// by-value MessageView.
+  /// by-value MessageView (until the node's own pack() writes the slot).
   ArcView extract(const MessageView& m, const DiTopology::ArcRef& ref) const {
     if (m.empty()) return {};
     const auto f = m.fields();

@@ -21,38 +21,28 @@
 
 namespace dec {
 
-/// Slot format of a SyncNetwork's message planes. One format remains — the
+/// Slot format of a SyncNetwork's message plane. One format remains — the
 /// 16 B NarrowSlot — so this is a tag, kept because SlotPlan spells it.
 enum class SlotFormat : std::uint8_t {
   kNarrow,  // 16 B NarrowSlot: one inline int64, slab-indexed overflow
 };
 
-/// Plane mode of a SyncNetwork's message storage. The mode is structural:
-/// chosen at construction, immutable for the life of the run state, and
-/// part of the pool's park/adopt identity (a single-plane run state is never
-/// adopted for a double-plane lease or vice versa — see
-/// sim/shared_pool.hpp). kDouble keeps the classic swapped inbox/outbox
-/// plane pair. kSingle allocates ONE plane and delivers by alternating slot
-/// ownership with round parity (docs/ARCHITECTURE.md "Plane modes"): in
-/// even rounds every node reads and writes its own CSR slots, in odd rounds
-/// it reads and writes the peer slots through the precomputed permutation,
-/// so each slot has exactly one accessing node per round and last round's
-/// write is exactly where this round's read looks. Drain (`drain_fast`)
-/// re-reads delivered messages after the round and is therefore impossible
-/// on a single plane — it throws. Only drain-free protocols may opt in.
+/// Plane mode of a SyncNetwork's message storage. One mode remains — a
+/// single plane whose slot ownership alternates with round parity
+/// (docs/ARCHITECTURE.md "Message plane") — so this is a tag, kept while
+/// callers outside the library (perfbench/probes.cpp) still spell it.
 enum class PlaneMode : std::uint8_t {
-  kDouble,  // two planes, swap at the barrier (the general default)
-  kSingle,  // one plane, parity-alternating slot ownership; drain banned
+  kSingle,  // one plane, parity-alternating slot ownership
 };
 
 /// Per-lease slot plan: the protocol's declared maximum per-message field
-/// count (any width >= 1; it sizes the slab spill blocks) and the plane
-/// mode. Exceeding the declared width throws — the substrate never
-/// truncates a message. `format` is the one-value SlotFormat tag.
+/// count (any width >= 1; it sizes the slab spill blocks). Exceeding the
+/// declared width throws — the substrate never truncates a message.
+/// `format` and `mode` are the one-value SlotFormat and PlaneMode tags.
 struct SlotPlan {
   SlotFormat format = SlotFormat::kNarrow;
   int max_fields = 1;
-  PlaneMode mode = PlaneMode::kDouble;
+  PlaneMode mode = PlaneMode::kSingle;
 };
 
 /// The 16 B message slot (docs/ARCHITECTURE.md "Slot format"). One int64

@@ -35,7 +35,6 @@ SyncNetwork::SyncNetwork(const Graph& g,
   DEC_REQUIRE(topo_ != nullptr, "null topology");
   DEC_REQUIRE(topo_->matches(g), "topology does not fit the graph");
   validate_plan(plan);
-  mode_ = plan.mode;
   declared_fields_ = plan.max_fields;
   bind_ledger(ledger, std::move(component));
   bind_plan();
@@ -50,7 +49,7 @@ void SyncNetwork::bind_ledger(RoundLedger* ledger, std::string component) {
   }
 }
 
-// Fit the run state to topo_: size the buffer planes and the shard set.
+// Fit the run state to topo_: size the plane and the shard set.
 // Reuses existing vector capacity — a pooled network that has seen a larger
 // plan allocates nothing here. Stale slots keep their old epoch tags
 // (always below any future read epoch, so they read as empty) and may hold
@@ -62,12 +61,7 @@ void SyncNetwork::bind_plan() {
   iota_ = topo_->iota_map().data();
   shard_begin_ = topo_->shard_begin().data();
 
-  // A single-plane state sizes only the `a` plane — that IS the memory
-  // win — and in_/out_ both point at it (point_planes).
-  const std::size_t slots = topo_->num_slots();
-  buf_a_.resize(slots);
-  if (mode_ == PlaneMode::kDouble) buf_b_.resize(slots);
-  point_planes();
+  plane_.resize(topo_->num_slots());
   // Both mail halves; surviving tags are stale (at most the last write
   // epoch, below every future read epoch), like surviving slots.
   mail_.resize(2 * static_cast<std::size_t>(topo_->num_nodes()));
@@ -97,30 +91,19 @@ void SyncNetwork::bind_plan() {
   reset();
 }
 
-// Restore the canonical plane orientation: out_ is the `a` plane, parity
-// even. In double mode this undoes any odd number of swaps a previous run
-// left behind (the planes are symmetric, but the slab-parity bookkeeping is
-// not once a single flag tracks both); in single mode both pointers share
-// the one plane and the flag simply restarts the parity at even.
-void SyncNetwork::point_planes() {
-  out_ = buf_a_.data();
-  in_ = mode_ == PlaneMode::kDouble ? buf_b_.data() : buf_a_.data();
-  out_is_a_ = true;
-}
-
 void SyncNetwork::reset() {
-  // One bump strands every tag either plane can carry: the last finished
-  // round wrote epoch E (now sitting in the inbox plane), the next round
-  // will read epoch E + 1 and write E + 2. Epochs never rewind (see the
-  // header), so slots from any earlier run stay unreadable forever.
+  // One bump strands every tag the plane can carry: the last finished round
+  // wrote epoch E (its deliveries), the next round will read epoch E + 1 and
+  // write E + 2. Epochs never rewind (see the header), so slots from any
+  // earlier run stay unreadable forever. rounds_ = 0 restarts the parity at
+  // even, so pooled runs match fresh ones.
   ++epoch_;
   rounds_ = 0;
   audit_.reset();
   poisoned_ = false;
-  point_planes();  // restart at parity even; pooled runs match fresh ones
   for (Shard& sh : shards_) {
-    sh.slab_a.reset();
-    sh.slab_b.reset();
+    sh.slab[0].reset();
+    sh.slab[1].reset();
     sh.touched.clear();
     sh.audit.reset();
     // The lists name receivers of rounds before the reset; the first round
@@ -156,11 +139,6 @@ void SyncNetwork::rebind(const Graph& g,
                          RoundLedger* ledger, std::string component,
                          SlotPlan plan) {
   validate_plan(plan);
-  // The plane mode is structural — pooled leases filter by it before
-  // adopting a parked run state, so a mismatch here is a pool bug, not a
-  // user error.
-  DEC_REQUIRE(plan.mode == mode_,
-              "rebind cannot change a network's plane mode");
   declared_fields_ = plan.max_fields;
   rebind(g, std::move(topo), ledger, std::move(component));
 }
@@ -174,35 +152,34 @@ void SyncNetwork::begin_round() {
   DEC_FAULT_POINT_CTX("network.round", cancel_);
   if (poisoned_) {
     DEC_REQUIRE(false,
-                "round on a poisoned single-plane network: component '" +
+                "round on a poisoned network: component '" +
                     component_ + "' aborted round " + std::to_string(rounds_) +
                     " after writing slots, overwriting last round's deliveries "
                     "in place — reset() (or release the lease) before reuse");
   }
   ++epoch_;
-  // The buffer about to be written was the inbox two rounds ago; its spill
-  // arenas can be rewound now that that round's reads are long done. Stale
-  // slots may index into the rewound arena, but a stale slot is stamped
-  // (count and spill zeroed) before first use and never read through an
-  // Inbox.
+  // This round's parity slab last held the spills of two rounds ago, whose
+  // reads are long done, so it can be rewound. Stale slots may index into
+  // the rewound arena, but a stale slot is stamped (count and spill zeroed)
+  // before first use and never read through an Inbox.
   // The receiver list of this round's parity still names the receivers of
   // two rounds ago; nobody reads those again.
   for (Shard& sh : shards_) {
-    (out_is_a_ ? sh.slab_a : sh.slab_b).reset();
+    sh.slab[parity()].reset();
     sh.recv[epoch_ & 1u].clear();
   }
 }
 
 // A node program threw mid-round (DEC_CHECK is the library's failure mode).
-// Undo the partial round so the network stays usable: un-stamp and empty
-// every slot written this round (epoch 0 is never a write epoch, so the
-// slots read as stale/empty and lazily reset on their next use), drop the
-// per-shard audit/touched state, and rewind the epoch. The inbox buffer is
-// untouched, so the previous round's delivery is still readable. The mail
-// tags the round stamped are zeroed with one sweep of its half, dense mark
-// included (error path only): its write epoch is reused by the re-executed
-// round — or, after reset(), becomes a read epoch — and must not report
-// phantom mail. For the same reason the round's receiver appends are
+// Undo the partial round: un-stamp and empty every slot written this round
+// (epoch 0 is never a write epoch, so the slots read as stale/empty and
+// lazily reset on their next use), drop the per-shard audit/touched state,
+// and rewind the epoch. If no slot was written, the previous round's
+// delivery is still readable and the network stays usable; otherwise it
+// poisons itself (see below). The mail tags the round stamped are zeroed
+// with one sweep of its half, dense mark included (error path only): its
+// write epoch is reused by the re-executed round — or, after reset(),
+// becomes a read epoch — and must not report phantom mail. For the same reason the round's receiver appends are
 // dropped and its visit tags zeroed: a re-executed active round must collect
 // the same visit set, and a node still tagged with the reused epoch would
 // read as already collected and be skipped. Last round's receiver list (the
@@ -216,7 +193,7 @@ void SyncNetwork::abort_round() {
     touched_any = touched_any || !sh.touched.empty();
     // Zeroing the header un-stamps the slot (epoch 0 is never a write
     // epoch) and drops count and spill index in one store.
-    for (const std::uint32_t s : sh.touched) out_[s].header_ = 0;
+    for (const std::uint32_t s : sh.touched) plane_[s].header_ = 0;
     sh.touched.clear();
     sh.audit.reset();
   }
@@ -225,13 +202,13 @@ void SyncNetwork::abort_round() {
     mail_dense_[epoch_ & 1u] = 0;
   }
   --epoch_;
-  // On a single plane the slots just un-stamped WERE last round's delivered
-  // messages (this round's writes land in place); they are gone, so the
-  // "exact post-last-round state" contract is unrecoverable. Poison instead
-  // of failing silently: the next begin_round throws until reset(). Aborts
+  // The slots just un-stamped WERE last round's delivered messages (this
+  // round's writes land in place); they are gone, so the "exact
+  // post-last-round state" contract is unrecoverable. Poison instead of
+  // failing silently: the next begin_round throws until reset(). Aborts
   // that never touched a slot (cancellation and fault points fire at the
   // barrier, before any write) leave the state exact and do not poison.
-  if (mode_ == PlaneMode::kSingle && touched_any) poisoned_ = true;
+  if (touched_any) poisoned_ = true;
 }
 
 void SyncNetwork::finish_round() {
@@ -240,19 +217,17 @@ void SyncNetwork::finish_round() {
     sh.audit.reset();
     sh.touched.clear();
   }
-  // Delivery: the peer permutation is baked into Inbox reads, so handing the
-  // written buffer to the readers is a pointer swap.
-  std::swap(in_, out_);
-  out_is_a_ = !out_is_a_;
+  // Delivery: the next round's parity reads exactly the slots this round
+  // wrote, so counting the round (which flips the parity) is all it takes.
   ++rounds_;
   if (counter_.has_value()) counter_->charge(1);
 }
 
 // The graph's adjacency shares the plan's CSR slot indexing, so a
-// sender-side slot s goes to adj[s].neighbor; in a single plane's odd rounds
-// the touched slot is the receiver's own and its peer is the sender-side
-// slot. Shards sending to one receiver store the same value concurrently, so
-// the store is a relaxed atomic: race-free, and a plain mov on x86.
+// sender-side slot s goes to adj[s].neighbor; in odd rounds the touched slot
+// is the receiver's own and its peer is the sender-side slot. Shards sending
+// to one receiver store the same value concurrently, so the store is a
+// relaxed atomic: race-free, and a plain mov on x86.
 //
 // The tag read before the store deduplicates the receiver list within the
 // shard: a receiver is appended only by a stamp that found its tag stale.
@@ -358,26 +333,14 @@ void SyncNetwork::throw_active_contract(NodeId v) const {
 }
 #endif
 
-void SyncNetwork::throw_single_plane_drain() const {
+void SyncNetwork::throw_read_after_write(NodeId v, std::size_t entry) const {
   const std::string msg =
-      "drain on a single-plane lease: component '" + component_ +
-      "' after round " + std::to_string(rounds_) +
-      " — a single plane overwrites last round's deliveries in place, so "
-      "drain_fast has nothing stable to re-read; pipelined "
-      "protocols that re-read deliveries need PlaneMode::kDouble";
-  DEC_REQUIRE(false, msg);
-  std::abort();  // unreachable: DEC_REQUIRE(false, ...) always throws
-}
-
-void SyncNetwork::throw_single_plane_hazard(NodeId v,
-                                            std::size_t entry) const {
-  const std::string msg =
-      "single-plane read-after-write hazard: component '" + component_ +
-      "' round " + std::to_string(rounds_) + ", node " + std::to_string(v) +
+      "read-after-write hazard: component '" + component_ + "' round " +
+      std::to_string(rounds_) + ", node " + std::to_string(v) +
       " read inbox entry " + std::to_string(entry) +
-      " after writing the outbox slot that shares its storage — single-plane "
-      "node programs must read every inbox entry they need before writing "
-      "the outbox (or use PlaneMode::kDouble)";
+      " after writing the outbox slot that shares its storage — node "
+      "programs must read every inbox entry they need before writing the "
+      "outbox";
   DEC_CHECK(false, msg);
   std::abort();  // unreachable: DEC_CHECK(false, ...) always throws
 }

@@ -23,11 +23,11 @@
 // The round hot path is allocation-free: every slot is a 16 B NarrowSlot
 // (one inline field; wider payloads spill to a per-shard MessageSlab, sized
 // by the lease's declared width), slot validity is epoch-tagged (no clear
-// sweeps), and delivery is a buffer-pointer swap through the peer
-// permutation — or, for drain-free leases on PlaneMode::kSingle, a single
-// plane whose slot ownership alternates with round parity (no swap, half
-// the plane memory; see docs/ARCHITECTURE.md "Plane modes"). Serial and
-// sharded execution are bit-identical in both modes.
+// sweeps), and delivery needs no copy or swap: the run state owns ONE
+// message plane whose slot ownership alternates with round parity, so last
+// round's write sits exactly where this round's read looks (see
+// docs/ARCHITECTURE.md "Message plane"). Serial and sharded execution are
+// bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +52,6 @@
 namespace dec {
 
 class SyncNetwork;
-
-/// Epoch value that can never tag a slot mid-round (4G rounds away from any
-/// real epoch): disables the single-plane read-after-write hazard check on
-/// double-plane boxes without costing a mode branch on the hot path.
-inline constexpr std::uint32_t kNoHazardEpoch = 0xffffffffu;
 
 /// By-value read view of one slot's payload: empty, or the fields a
 /// neighbor sent (inline or in the slab).
@@ -84,16 +79,14 @@ class MessageView {
 /// VALUE; `const auto&` at call sites binds it.
 ///
 /// Addressing is uniform — entry i reads buf_[map_[i]], with the round's
-/// base slot folded into buf_ at construction. Peer-delivered rounds
-/// (double planes, odd single-plane rounds) pass the plane base and the
-/// node's peer-permutation slice; direct rounds (even single-plane rounds)
-/// pass the node's first slot and the topology's tiny iota map. One L1-hot
-/// map load instead of a plane-mode branch keeps the read path free of mode
-/// tests. A slot tagged with the WRITE epoch on a single plane means the
-/// program wrote this entry's outbox slot before reading the inbox entry —
-/// that read-after-write hazard throws instead of returning the node's own
-/// message; on double planes hazard_ is kNoHazardEpoch and the check is one
-/// never-taken compare on the stale path only.
+/// base slot folded into buf_ at construction. Odd rounds pass the plane
+/// base and the node's peer-permutation slice; even rounds pass the node's
+/// first slot and the topology's tiny iota map. One L1-hot map load instead
+/// of a parity branch keeps the read path free of parity tests. A slot
+/// tagged with this round's WRITE epoch (epoch_ + 1) means the program wrote
+/// this entry's outbox slot, which shares the entry's storage, before
+/// reading the entry — that read-after-write hazard throws instead of
+/// returning the node's own message. The check sits on the stale path only.
 ///
 /// any() is the node's O(1) mail summary (docs/ARCHITECTURE.md "Mail
 /// summary"): false guarantees every entry reads empty this round, so a
@@ -129,20 +122,18 @@ class Inbox {
   friend class SyncNetwork;
   Inbox(const SyncNetwork* net, const NarrowSlot* buf,
         const std::uint32_t* map, std::size_t n, std::uint32_t epoch,
-        std::uint32_t base = 0, std::uint32_t hazard = kNoHazardEpoch,
-        NodeId v = 0, bool any = true)
+        std::uint32_t base, NodeId v, bool any)
       : net_(net), buf_(buf), map_(map), n_(n), epoch_(epoch), base_(base),
-        hazard_(hazard), v_(v), any_(any) {}
+        v_(v), any_(any) {}
 
   const SyncNetwork* net_;    // resolves slab spills of multi-field payloads
   const NarrowSlot* buf_;     // plane base + round base slot
   const std::uint32_t* map_;  // peer permutation slice / iota map
   std::size_t n_;
-  std::uint32_t epoch_;
-  std::uint32_t base_ = 0;  // global-index reconstruction (spill path only)
-  std::uint32_t hazard_ = kNoHazardEpoch;  // write epoch on a single plane
-  NodeId v_ = 0;
-  bool any_ = true;  // mail summary; conservative for drain boxes
+  std::uint32_t epoch_;   // read epoch; epoch_ + 1 is the round's write epoch
+  std::uint32_t base_;    // global-index reconstruction (spill path only)
+  NodeId v_;
+  bool any_;  // mail summary
 };
 
 /// Write proxy for one outbox slot (returned BY VALUE by
@@ -183,13 +174,12 @@ class MessageRef {
 /// Write view of one node's outgoing slots for the current round. Slots are
 /// lazily stamped on first touch (the epoch-tag stamp doubles as the
 /// clear), so untouched slots cost nothing and there is no per-round clear
-/// sweep. Addressing mirrors Inbox (peer permutation off the plane base in a
-/// single plane's odd rounds, the iota map off the node's first slot
-/// otherwise); base_ reconstructs the global index for the touched list.
-/// Spills go to the EXECUTING shard's write arena: on a single plane, odd
-/// rounds write slots in other shards' ranges, and two shards must never
-/// allocate from one arena concurrently. Iteration yields proxies by value
-/// — range-for with `auto&&`.
+/// sweep. Addressing mirrors Inbox (peer permutation off the plane base in
+/// odd rounds, the iota map off the node's first slot in even ones); base_
+/// reconstructs the global index for the touched list. Spills go to the
+/// EXECUTING shard's write arena: odd rounds write slots in other shards'
+/// ranges, and two shards must never allocate from one arena concurrently.
+/// Iteration yields proxies by value — range-for with `auto&&`.
 class Outbox {
  public:
   MessageRef operator[](std::size_t i) {
@@ -254,8 +244,7 @@ class SyncNetwork {
   /// (rounds still counted locally). `num_threads` > 1 shards the nodes over
   /// the parallel round engine (0 = hardware concurrency is resolved by the
   /// callers that accept it, see resolve_num_threads). `plan` declares the
-  /// protocol's max per-message field count and picks the plane mode
-  /// (structural — immutable for this run state's lifetime).
+  /// protocol's max per-message field count.
   explicit SyncNetwork(const Graph& g, RoundLedger* ledger = nullptr,
                        std::string component = "network", int num_threads = 1,
                        SlotPlan plan = {});
@@ -268,9 +257,10 @@ class SyncNetwork {
               SlotPlan plan = {});
 
   /// Return to the just-constructed state in O(num_shards): one epoch bump
-  /// invalidates every slot of both buffer planes (including the last
-  /// delivered inbox), slabs rewind, rounds/audit clear. No slot sweeps, no
-  /// replanning, no allocation.
+  /// invalidates every slot of the plane (including the last delivered
+  /// inbox), slabs rewind, rounds/audit clear, and a poisoned state (see
+  /// abort_round) becomes usable again. No slot sweeps, no replanning, no
+  /// allocation.
   void reset();
 
   /// reset() plus re-pointing the ledger charge line (pooled networks are
@@ -284,10 +274,8 @@ class SyncNetwork {
   void rebind(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
               RoundLedger* ledger = nullptr, std::string component = "network");
 
-  /// rebind() that also re-declares the per-lease slot plan. The plane MODE
-  /// is structural and must equal this run state's (the pool filters by
-  /// mode before ever calling this); only the declared max field count may
-  /// change between leases.
+  /// rebind() that also re-declares the per-lease slot plan (the declared
+  /// max field count may change between leases).
   void rebind(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
               RoundLedger* ledger, std::string component, SlotPlan plan);
 
@@ -295,7 +283,12 @@ class SyncNetwork {
   /// `fn(v, const Inbox&, Outbox&)` runs once per node. `fn` stays a
   /// concrete callable — no type erasure on the per-node call. With
   /// num_threads > 1, `fn` is invoked concurrently from pool workers and
-  /// must confine writes to its own node's state and outbox.
+  /// must confine writes to its own node's state and outbox. Each inbox
+  /// entry shares its storage with one outbox slot, so a program must read
+  /// every entry it needs before writing the outbox (a read after the write
+  /// throws). A program that throws mid-round after writing has overwritten
+  /// some of last round's deliveries: the network then refuses further
+  /// rounds until reset() (or a pool re-lease).
   template <class F>
   void round_fast(F&& fn) {
     begin_round();
@@ -345,37 +338,6 @@ class SyncNetwork {
     finish_round();
   }
 
-  /// Read-only visit of the messages delivered by the last executed round:
-  /// `fn(v, const Inbox&)` runs for every node, nothing is sent, no round is
-  /// charged. Receiving plus local computation is free in the round model;
-  /// pipelined solvers use this to consume their final round's replies.
-  /// Runs sharded under the parallel engine with the same confinement rules
-  /// as round_fast. Throws on a single-plane lease: the next round's writes
-  /// land IN the delivered slots, so there is no stable delivered plane to
-  /// re-read — a pipelined (drain-using) protocol needs PlaneMode::kDouble.
-  template <class F>
-  void drain_fast(F&& fn) {
-    if (mode_ == PlaneMode::kSingle) throw_single_plane_drain();
-    auto visit = [&](int shard) {
-      const NodeId vend = shard_begin_[static_cast<std::size_t>(shard) + 1];
-      for (NodeId v = shard_begin_[static_cast<std::size_t>(shard)]; v < vend;
-           ++v) {
-        const std::size_t lo = offsets_[static_cast<std::size_t>(v)];
-        const std::size_t deg = offsets_[static_cast<std::size_t>(v) + 1] - lo;
-        const Inbox in(this, in_, peer_slot_ + lo, deg, epoch_);
-        fn(v, in);
-      }
-    };
-    const int num_shards = topo_->num_shards();
-    if (pool_ != nullptr && num_shards > 1) {
-      pool_->run([&](int shard) {
-        if (shard < num_shards) visit(shard);
-      });
-    } else {
-      visit(0);
-    }
-  }
-
   /// Install (or clear, with null) the cooperative cancellation token.
   /// Checked once per round at the barrier (top of begin_round, before any
   /// round state is touched): a tripped token throws SolverAborted and
@@ -396,18 +358,15 @@ class SyncNetwork {
   }
   int num_threads() const { return topo_->num_shards(); }
 
-  /// Heap bytes of this run state: the message buffer planes that exist (a
-  /// single-plane state never sizes its `b` plane, so it counts exactly
-  /// one), the mail and visit tags, and the per-shard spill arenas and
-  /// touched, receiver and visit lists. Excludes the shared plan
-  /// (NetworkTopology::memory_bytes) and the graph (Graph::memory_bytes) —
-  /// the three together are the per-node budget docs/ARCHITECTURE.md
-  /// "Graph storage & scale" tracks.
+  /// Heap bytes of this run state: the message plane, the mail and visit
+  /// tags, and the per-shard spill arenas and touched, receiver and visit
+  /// lists. Excludes the shared plan (NetworkTopology::memory_bytes) and the
+  /// graph (Graph::memory_bytes) — the three together are the per-node
+  /// budget docs/ARCHITECTURE.md "Graph storage & scale" tracks.
   std::size_t memory_bytes() const {
-    std::size_t bytes =
-        (buf_a_.capacity() + buf_b_.capacity()) * sizeof(NarrowSlot);
+    std::size_t bytes = plane_.capacity() * sizeof(NarrowSlot);
     for (const auto& sh : shards_) {
-      bytes += sh.slab_a.capacity_bytes() + sh.slab_b.capacity_bytes();
+      bytes += sh.slab[0].capacity_bytes() + sh.slab[1].capacity_bytes();
       bytes += sh.touched.capacity() * sizeof(std::uint32_t);
       bytes += (sh.recv[0].capacity() + sh.recv[1].capacity() +
                 sh.visit.capacity()) *
@@ -418,10 +377,6 @@ class SyncNetwork {
     return bytes;
   }
 
-  /// Plane mode (structural, fixed at construction): kDouble swaps a plane
-  /// pair at the barrier, kSingle owns one plane and alternates slot
-  /// ownership with round parity (drain banned).
-  PlaneMode plane_mode() const { return mode_; }
   /// Ledger component this run state charges (error-message context).
   const std::string& component() const { return component_; }
   /// Declared max per-message field count of the current lease.
@@ -435,15 +390,21 @@ class SyncNetwork {
   std::size_t peer_slot(std::size_t s) const { return peer_slot_[s]; }
 
  private:
-  friend class Inbox;       // resolve_spill, throw_single_plane_hazard
+  friend class Inbox;       // resolve_spill, throw_read_after_write
   friend class MessageRef;  // throw_width_violation
 
   void begin_round();
   void finish_round();
   void abort_round();
   void bind_ledger(RoundLedger* ledger, std::string component);
-  void bind_plan();     // (re)size buffers/shards for topo_
-  void point_planes();  // in_/out_ per mode_, parity even
+  void bind_plan();  // (re)size the plane and shards for topo_
+
+  /// Parity of the round in progress (or next to run): 0 even, 1 odd. Every
+  /// finished round flips it and reset() restarts it at even, so it is the
+  /// low bit of the round count.
+  std::uint32_t parity() const {
+    return static_cast<std::uint32_t>(rounds_ & 1);
+  }
 
   /// Actionable declared-width violation: names the protocol component,
   /// round, node, slot, and declared-vs-actual field count.
@@ -451,28 +412,23 @@ class SyncNetwork {
                                           int declared,
                                           std::int64_t actual) const;
 
-  /// Actionable drain-on-single-plane error (component, round context).
-  [[noreturn]] void throw_single_plane_drain() const;
+  /// Actionable read-after-write hazard: node v read inbox entry i after
+  /// writing the outbox slot that shares its storage.
+  [[noreturn]] void throw_read_after_write(NodeId v, std::size_t entry) const;
 
-  /// Actionable single-plane read-after-write hazard: node v read inbox
-  /// entry i after writing the outbox slot that shares its storage.
-  [[noreturn]] void throw_single_plane_hazard(NodeId v, std::size_t entry) const;
-
-  /// Resolve a slot's spilled payload in the plane currently being READ.
-  /// The owning shard comes from the slot index (shard_slot_begin_); the
-  /// read plane's slab is the one begin_round did NOT rewind, so the
-  /// previous round's blocks are intact both mid-round and during a drain.
-  /// On a single plane the writer of the previous round is the slot's peer
-  /// in even rounds (odd-round writes go through the permutation), so the
-  /// shard lookup first maps the slot to the writing side.
+  /// Resolve a slot's spilled payload written by the previous round. Its
+  /// block lives in the slab of the previous round's parity, which
+  /// begin_round did NOT rewind, owned by the shard that wrote it. In even
+  /// rounds that writer is the slot's peer (odd-round writes go through the
+  /// permutation), so the shard lookup first maps the slot to the writing
+  /// side; in odd rounds the slot index is the writer's own.
   const std::int64_t* resolve_spill(std::size_t slot,
                                     std::uint32_t spill) const {
-    if (mode_ == PlaneMode::kSingle && out_is_a_) slot = peer_slot_[slot];
+    const std::uint32_t p = parity();
+    if (p == 0) slot = peer_slot_[slot];
     std::size_t s = 0;
     while (shard_slot_begin_[s + 1] <= slot) ++s;
-    const Shard& sh = shards_[s];
-    const MessageSlab& slab = out_is_a_ ? sh.slab_b : sh.slab_a;
-    return slab.at_index(spill);
+    return shards_[s].slab[p ^ 1u].at_index(spill);
   }
 
   // Every shard over its whole node range (kActive = false) on the pool
@@ -521,40 +477,33 @@ class SyncNetwork {
   [[noreturn]] void throw_active_contract(NodeId v) const;
 #endif
 
-  // run_shard_impl's compile-time plane/parity variant: the double-plane
-  // instantiation constructs its boxes with literal kNoHazardEpoch, so after
-  // inlining the single-plane tests in the box accessors constant-fold away
-  // and the loop compiles to exactly the two-plane hot path.
-  enum class ShardMode { kDoublePlane, kSingleEven, kSingleOdd };
-
+  // run_shard_impl's compile-time parity variant: each parity folds its box
+  // addressing (direct or through the peer permutation) at compile time.
   template <bool kActive, class F>
   void run_shard_as(F& fn, int shard) {
-    if (mode_ != PlaneMode::kSingle) {
-      run_shard_impl<ShardMode::kDoublePlane, kActive>(fn, shard);
-    } else if (out_is_a_) {
-      run_shard_impl<ShardMode::kSingleEven, kActive>(fn, shard);
+    if (parity() == 0) {
+      run_shard_impl<false, kActive>(fn, shard);
     } else {
-      run_shard_impl<ShardMode::kSingleOdd, kActive>(fn, shard);
+      run_shard_impl<true, kActive>(fn, shard);
     }
   }
 
-  template <ShardMode kMode, bool kActive, class F>
+  template <bool kOdd, bool kActive, class F>
   void run_shard_impl(F& fn, int shard) {
     Shard& sh = shards_[static_cast<std::size_t>(shard)];
     const std::uint32_t write_epoch = epoch_;
     const std::uint32_t read_epoch = epoch_ - 1;
     const NodeId vbegin = shard_begin_[static_cast<std::size_t>(shard)];
     const NodeId vend = shard_begin_[static_cast<std::size_t>(shard) + 1];
-    MessageSlab* write_slab = out_is_a_ ? &sh.slab_a : &sh.slab_b;
-    // Single-plane parity mapping (docs/ARCHITECTURE.md "Plane modes"): in
-    // even rounds (out_is_a_) a node reads AND writes its own CSR slots; in
-    // odd rounds both go through the peer permutation. Either way each slot
-    // has exactly one accessing node per round, and last round's write sits
-    // exactly where this round's read looks — delivery without a swap.
-    constexpr bool single = kMode != ShardMode::kDoublePlane;
-    constexpr bool in_direct = kMode == ShardMode::kSingleEven;
-    constexpr bool out_peer = kMode == ShardMode::kSingleOdd;
-    const std::uint32_t hazard = single ? write_epoch : kNoHazardEpoch;
+    MessageSlab* write_slab = &sh.slab[kOdd ? 1 : 0];
+    NarrowSlot* const plane = plane_.data();
+    // Parity mapping (docs/ARCHITECTURE.md "Message plane"): in even rounds
+    // a node reads AND writes its own CSR slots; in odd rounds both go
+    // through the peer permutation. Either way each slot has exactly one
+    // accessing node per round, and last round's write sits exactly where
+    // this round's read looks — delivery without a copy or a swap.
+    constexpr bool in_direct = !kOdd;
+    constexpr bool out_peer = kOdd;
     // Mail summary: inboxes read last round's half of the tags (or its
     // dense-round mark); this round's half is stamped by stamp_mail below.
     const std::uint32_t* mail_r = mail_half(read_epoch);
@@ -583,9 +532,9 @@ class SyncNetwork {
       const std::size_t in_base = in_direct ? lo : 0;
       const std::uint32_t* out_map = out_peer ? peer_slot_ + lo : iota_;
       const std::size_t out_base = out_peer ? 0 : lo;
-      const Inbox in(this, in_ + in_base, in_map, deg, read_epoch,
-                     static_cast<std::uint32_t>(in_base), hazard, v, any);
-      Outbox out(out_ + out_base, out_map,
+      const Inbox in(this, plane + in_base, in_map, deg, read_epoch,
+                     static_cast<std::uint32_t>(in_base), v, any);
+      Outbox out(plane + out_base, out_map,
                  static_cast<std::uint32_t>(out_base), write_slab, this, v,
                  deg, write_epoch, &sh.touched, declared_fields_);
       fn(v, in, out);
@@ -594,7 +543,7 @@ class SyncNetwork {
     // sum, order-independent) at the barrier. The declared width was
     // already enforced in MessageRef::push, before any slab traffic.
     for (const std::uint32_t s : sh.touched) {
-      const NarrowSlot& slot = out_[s];
+      const NarrowSlot& slot = plane[s];
       const std::uint32_t c = slot.count();
       if (c <= 1) {
         sh.audit.observe(std::span<const std::int64_t>(&slot.payload_, c));
@@ -630,7 +579,10 @@ class SyncNetwork {
            (epoch & 1u) * static_cast<std::size_t>(topo_->num_nodes());
   }
   struct Shard {
-    MessageSlab slab_a, slab_b;  // spill arenas for buf_a_ / buf_b_ slots
+    // Spill arenas by write parity: slab[0] holds even rounds' spills,
+    // slab[1] odd rounds'. A round rewinds its own parity's arena and reads
+    // the other, which holds the previous round's blocks.
+    MessageSlab slab[2];
     std::vector<std::uint32_t> touched;
     CongestAudit audit;
     // Receivers this shard's sends stamped, per write-epoch parity: the
@@ -668,7 +620,7 @@ class SyncNetwork {
   // Mail summary: two parity halves of per-node epoch tags (2 × num_nodes).
   // Half (e & 1) holds "some neighbor sent to v in the round writing e"; a
   // round writes one half while its inboxes read the other, so no sender
-  // overwrites a tag its receiver has yet to read — in either plane mode.
+  // overwrites a tag its receiver has yet to read.
   // Stale tags read as no mail exactly like stale slots, so reset()/rebind()
   // need no sweep. Conservative: a slot touched and then cleared still
   // stamps its receiver.
@@ -684,23 +636,18 @@ class SyncNetwork {
   // sweep, like stale slots; abort_round zeroes the aborted round's.
   std::vector<std::uint32_t> visit_tag_;
 
-  // In PlaneMode::kSingle only the `a` plane is sized and in_/out_ both
-  // point at it; out_is_a_ then tracks round parity (true ⟺ the round in
-  // progress is even).
-  std::vector<NarrowSlot> buf_a_, buf_b_;
-  NarrowSlot* in_ = nullptr;   // delivered messages of the previous round
-  NarrowSlot* out_ = nullptr;  // slots being written this round
-  bool out_is_a_ = true;
-  // A mid-round abort on a single plane has already overwritten some of last
+  // The message plane, one slot per CSR incidence: read and written in
+  // place, with slot ownership alternating by round parity.
+  std::vector<NarrowSlot> plane_;
+  // A mid-round abort that wrote a slot has already overwritten some of last
   // round's deliveries in place, so the pre-round state is unrecoverable;
   // the network poisons itself and the next begin_round throws until
   // reset(). Barrier-point aborts (cancellation, begin_round fault points)
   // never touch a slot and never poison.
   bool poisoned_ = false;
 
-  PlaneMode mode_ = PlaneMode::kDouble;  // structural; never changes
-  int declared_fields_ = 1;              // per-lease declared max width
-  std::string component_;                // retained for error messages
+  int declared_fields_ = 1;  // per-lease declared max width
+  std::string component_;    // retained for error messages
   // Global slot index at each shard's first slot (num_shards + 1 entries);
   // lets spill resolution find the owning shard's slab.
   std::vector<std::size_t> shard_slot_begin_;
@@ -715,9 +662,9 @@ inline MessageView Inbox::operator[](std::size_t i) const {
   const std::uint32_t off = map_[i];
   const NarrowSlot& s = buf_[off];
   if (s.epoch() != epoch_) {
-    // Stale path only: on double planes hazard_ is kNoHazardEpoch (never a
-    // real tag), so the live-read cost is one never-taken compare.
-    if (s.epoch() == hazard_) net_->throw_single_plane_hazard(v_, i);
+    // Stale path only: a slot stamped with this round's write epoch was
+    // written before this read.
+    if (s.epoch() == epoch_ + 1) net_->throw_read_after_write(v_, i);
     return {};
   }
   const std::uint32_t c = s.count();

@@ -35,14 +35,11 @@ NetworkPool::Lease<Net> NetworkPool::acquire(std::vector<Slot<Net>>& slots,
                                              SlotPlan plan) {
   DEC_DASSERT(std::this_thread::get_id() == owner_,
               "a NetworkPool view is confined to its constructing thread");
-  // Only idle states of the same plane mode are candidates (it is
-  // structural; rebind re-declares the width but can never change the plane
-  // count). Among those, prefer the exact plan (O(shards) reset instead of
+  // Prefer an idle state on the exact plan (O(shards) reset instead of
   // rebind).
   std::size_t idle = slots.size();
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (slots[i].busy) continue;
-    if (slots[i].net->plane_mode() != plan.mode) continue;
     if (slots[i].net->topology().get() == topo.get()) {
       idle = i;
       break;
@@ -50,13 +47,13 @@ NetworkPool::Lease<Net> NetworkPool::acquire(std::vector<Slot<Net>>& slots,
     if (idle == slots.size()) idle = i;
   }
   if (idle == slots.size()) {
-    // Nothing idle in this view: adopt a parked same-mode run state from
-    // the shared arena before constructing fresh.
+    // Nothing idle in this view: adopt a parked run state from the shared
+    // arena before constructing fresh.
     std::unique_ptr<Net> adopted;
     if constexpr (std::is_same_v<Net, SyncNetwork>) {
-      adopted = shared_->adopt_network(topo.get(), plan.mode);
+      adopted = shared_->adopt_network(topo.get());
     } else {
-      adopted = shared_->adopt_dinetwork(topo.get(), plan.mode);
+      adopted = shared_->adopt_dinetwork(topo.get());
     }
     if (adopted == nullptr) {
       slots.push_back({std::make_unique<Net>(g, std::move(topo), ledger,

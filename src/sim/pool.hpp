@@ -150,10 +150,8 @@ class NetworkPool {
 
   /// Lease a run state bound to `g` (topology cached-or-planned), reset and
   /// charging rounds to `ledger` under `component`. `plan` is the lease's
-  /// slot plan (per-arc for dinetwork, see DiNetwork): the plane mode is
-  /// part of the run-state identity — only same-mode idle/parked states are
-  /// reused; a mode miss constructs fresh — while the declared width is
-  /// re-bound per lease.
+  /// slot plan (per-arc for dinetwork, see DiNetwork); its declared width is
+  /// re-bound per lease, so any idle or parked run state can serve it.
   NetworkLease network(const Graph& g, RoundLedger* ledger = nullptr,
                        std::string component = "network", SlotPlan plan = {});
   DiNetworkLease dinetwork(const Digraph& dg, RoundLedger* ledger = nullptr,

@@ -133,31 +133,20 @@ std::shared_ptr<const DiTopology> SharedNetworkPool::topology(
 template <class Net, class Topo>
 std::unique_ptr<Net> SharedNetworkPool::adopt(
     std::vector<std::unique_ptr<Net>> StateShard::* list,
-    const Topo* plan_key, PlaneMode mode) {
+    const Topo* plan_key) {
   const std::size_t home = shard_of_key(plan_key);
   for (std::size_t step = 0; step < kNumShards; ++step) {
     StateShard& sh = state_shards_[(home + step) % kNumShards];
     std::lock_guard<std::mutex> lock(sh.mu);
     auto& parked = sh.*list;
     if (parked.empty()) continue;
-    // The plane mode is structural: only a state matching it is a
-    // candidate (rebind can re-declare the width but never change the plane
-    // count). Newest-first keeps the historical LIFO behavior among
-    // matches.
-    std::size_t pick = parked.size();
-    for (std::size_t i = parked.size(); i-- > 0;) {
-      if (parked[i]->plane_mode() == mode) {
-        pick = i;
-        break;
-      }
-    }
-    if (pick == parked.size()) continue;  // no matching state here
-    // In the home shard, prefer a state bound to this exact plan so the
-    // caller's rebind degenerates to an O(shards) reset.
+    // Newest first (LIFO), except that in the home shard a state bound to
+    // this exact plan wins, so the caller's rebind degenerates to an
+    // O(shards) reset.
+    std::size_t pick = parked.size() - 1;
     if (step == 0) {
       for (std::size_t i = 0; i < parked.size(); ++i) {
-        if (parked[i]->topology().get() == plan_key &&
-            parked[i]->plane_mode() == mode) {
+        if (parked[i]->topology().get() == plan_key) {
           pick = i;
           break;
         }
@@ -172,13 +161,13 @@ std::unique_ptr<Net> SharedNetworkPool::adopt(
 }
 
 std::unique_ptr<SyncNetwork> SharedNetworkPool::adopt_network(
-    const NetworkTopology* plan_key, PlaneMode mode) {
-  return adopt(&StateShard::nets, plan_key, mode);
+    const NetworkTopology* plan_key) {
+  return adopt(&StateShard::nets, plan_key);
 }
 
 std::unique_ptr<DiNetwork> SharedNetworkPool::adopt_dinetwork(
-    const DiTopology* plan_key, PlaneMode mode) {
-  return adopt(&StateShard::dinets, plan_key, mode);
+    const DiTopology* plan_key) {
+  return adopt(&StateShard::dinets, plan_key);
 }
 
 template <class Net>

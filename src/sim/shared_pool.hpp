@@ -78,15 +78,9 @@ class SharedNetworkPool {
 
   /// Pop a parked run state, preferring one last bound to `plan_key`'s
   /// shard (and within it, to `plan_key` itself); null if none is parked
-  /// anywhere. Only run states whose plane mode equals `mode` are
-  /// candidates — a single-plane state is NEVER adopted for a double-plane
-  /// lease, or vice versa (the caller reconstructs instead); the mode is
-  /// fixed at construction and rebind cannot change it. The caller
-  /// rebinds/resets before use.
-  std::unique_ptr<SyncNetwork> adopt_network(const NetworkTopology* plan_key,
-                                             PlaneMode mode);
-  std::unique_ptr<DiNetwork> adopt_dinetwork(const DiTopology* plan_key,
-                                             PlaneMode mode);
+  /// anywhere. The caller rebinds/resets before use.
+  std::unique_ptr<SyncNetwork> adopt_network(const NetworkTopology* plan_key);
+  std::unique_ptr<DiNetwork> adopt_dinetwork(const DiTopology* plan_key);
 
   /// Park a run state for other tenants, in its bound plan's shard.
   void park(std::unique_ptr<SyncNetwork> net);
@@ -168,8 +162,7 @@ class SharedNetworkPool {
   template <class Net, class Topo>
   std::unique_ptr<Net> adopt(std::vector<std::unique_ptr<Net>> StateShard::*
                                  list,
-                             const Topo* plan_key,
-                             PlaneMode mode);
+                             const Topo* plan_key);
   template <class Net>
   void park_in(std::vector<std::unique_ptr<Net>> StateShard::* list,
                std::unique_ptr<Net> net, const void* plan_key);

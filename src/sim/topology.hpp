@@ -60,10 +60,9 @@ class NetworkTopology {
 
   /// Iota map (0, 1, 2, …) of max-degree length. Boxes address slots
   /// through one uniform `buf[base + map[i]]` load so their accessors carry
-  /// no plane-mode branch: direct-addressed rounds (double-plane outboxes,
-  /// even single-plane rounds) pass base = the node's first slot with this
-  /// as the map (base + i = the node's CSR slots), peer-delivered rounds
-  /// pass base = 0 with their peer_slot() slice. One max-degree-sized array
+  /// no parity branch: even rounds pass base = the node's first slot with
+  /// this as the map (base + i = the node's CSR slots), odd rounds pass
+  /// base = 0 with their peer_slot() slice. One max-degree-sized array
   /// per plan — it stays L1-resident, so the direct map load costs no
   /// memory bandwidth (unlike a per-slot global identity array would).
   std::span<const std::uint32_t> iota_map() const { return iota_map_; }

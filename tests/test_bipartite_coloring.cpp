@@ -1,8 +1,14 @@
 // Tests for the (2+ε)Δ bipartite edge coloring (Lemma 6.1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "core/bipartite_coloring.hpp"
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 
 namespace dec {
 namespace {
@@ -93,6 +99,77 @@ TEST(BipartiteColoring, MatchingIsOneColor) {
   const auto r = bipartite_edge_coloring(bg.graph, bg.parts, 1.0);
   EXPECT_LE(r.palette, 1);
   EXPECT_TRUE(is_complete_proper_edge_coloring(bg.graph, r.colors));
+}
+
+// A hub-and-leaves bipartite graph: `hubs` hubs per side, every hub joined
+// to every hub of the other side and to `leaves` random leaves (of
+// `pool_size`) of the other side. A few high-degree hubs push the max edge
+// degree past ~760, the smallest Δ̄ for which ε = 1 picks k = 2 split
+// levels, with only a few thousand edges.
+BipartiteGraph hub_graph(int hubs, int leaves, NodeId pool_size,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  const NodeId side = hubs + pool_size;  // U = [0, side), V = [side, 2·side)
+  std::set<std::pair<NodeId, NodeId>> seen;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  const auto add = [&](NodeId u, NodeId v) {
+    if (seen.emplace(u, v).second) edges.emplace_back(u, side + v);
+  };
+  const auto leaf = [&] {
+    return hubs + static_cast<NodeId>(
+                      rng.next_below(static_cast<std::uint64_t>(pool_size)));
+  };
+  for (NodeId h = 0; h < hubs; ++h) {
+    for (NodeId h2 = 0; h2 < hubs; ++h2) add(h, h2);
+  }
+  for (NodeId h = 0; h < hubs; ++h) {
+    for (int i = 0; i < leaves; ++i) {
+      add(h, leaf());
+      add(leaf(), h);
+    }
+  }
+  BipartiteGraph bg{Graph(2 * side, std::move(edges)), {}};
+  bg.parts.side.assign(static_cast<std::size_t>(2 * side), 0);
+  for (NodeId v = side; v < 2 * side; ++v) {
+    bg.parts.side[static_cast<std::size_t>(v)] = 1;
+  }
+  return bg;
+}
+
+TEST(BipartiteColoring, MultiLevelSplitPartitionsEveryParent) {
+  // With k >= 2 levels every split must partition its parent's edges into
+  // two non-empty children. A relabel-in-place bug once handed part 0's
+  // blue edges to part 1 at level 1, which split them again: leaf part 1
+  // ended empty and parts 2-3 overloaded, past the leaf-degree bound on the
+  // two-hub input. The leaf part of edge e is colors[e] / (D_k + 1); the
+  // ancestor at level l of leaf part p is p >> (k - l).
+  for (const int hubs : {1, 2}) {
+    const BipartiteGraph bg = hub_graph(hubs, 450, 5000, 5);
+    const auto r = bipartite_edge_coloring(bg.graph, bg.parts, 1.0);
+    ASSERT_GE(r.levels, 2) << "hubs " << hubs;
+    EXPECT_TRUE(is_complete_proper_edge_coloring(bg.graph, r.colors));
+    const int range = r.leaf_degree_bound + 1;
+    std::vector<std::int64_t> leaf_size(std::size_t{1} << r.levels, 0);
+    for (const Color c : r.colors) {
+      ++leaf_size[static_cast<std::size_t>(c / range)];
+    }
+    for (int level = 0; level < r.levels; ++level) {
+      // Parent q at `level` owns leaves [q << shift, (q + 1) << shift).
+      const int shift = r.levels - level;
+      for (std::size_t q = 0; q < (std::size_t{1} << level); ++q) {
+        std::int64_t children[2] = {0, 0};
+        for (std::size_t p = q << shift; p < (q + 1) << shift; ++p) {
+          children[(p >> (shift - 1)) & 1] += leaf_size[p];
+        }
+        const std::int64_t parent = children[0] + children[1];
+        if (parent == 0) continue;
+        EXPECT_GT(children[0], 0) << "hubs " << hubs << " level " << level
+                                  << " parent " << q;
+        EXPECT_GT(children[1], 0) << "hubs " << hubs << " level " << level
+                                  << " parent " << q;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -160,7 +160,7 @@ TEST_F(ChaosTest, SlabAllocFailureAbortsMidRoundAndResetsClean) {
       });
     }
     std::uint64_t fold = 0;
-    net.drain_fast([&](NodeId v, const Inbox& in) {
+    net.round_fast([&](NodeId v, const Inbox& in, Outbox&) {
       for (std::size_t i = 0; i < in.size(); ++i) {
         for (const std::int64_t f : in[i].fields()) {
           fold = fold * 31 + static_cast<std::uint64_t>(f) +

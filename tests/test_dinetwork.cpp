@@ -1,6 +1,6 @@
 // Directed-adapter tests: arc-indexed delivery in both directions, lane
-// multiplexing for anti-parallel and parallel arcs, the free drain, audit
-// accounting, and serial-vs-parallel equivalence of a directed node program.
+// multiplexing for anti-parallel and parallel arcs, audit accounting, and
+// serial-vs-parallel equivalence of a directed node program.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -126,22 +126,6 @@ TEST(DiNetwork, SingleLanePayloadsAreUnframed) {
   });
   EXPECT_EQ(net.audit().messages_sent(), 1);
   EXPECT_EQ(net.audit().max_bits(), field_bits(5));
-}
-
-TEST(DiNetwork, DrainReadsLastRoundWithoutCharging) {
-  const Digraph g(2, {{0, 1}});
-  RoundLedger ledger;
-  DiNetwork net(g, &ledger, "dtest");
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
-    if (v == 0) out.along(0, {9});
-  });
-  bool saw = false;
-  net.drain_fast([&](NodeId v, const DiInbox& in) {
-    if (v == 1 && !in.along(0).empty() && in.along(0).at(0) == 9) saw = true;
-  });
-  EXPECT_TRUE(saw);
-  EXPECT_EQ(net.rounds_executed(), 1);
-  EXPECT_EQ(ledger.component("dtest"), 1);
 }
 
 TEST(DiNetwork, ChargesLedgerPerRound) {

@@ -1,9 +1,9 @@
 // Slot tests: 16 B slot layout, delivery semantics (inline, slab-spilled
-// and count-saturated payloads of 255+ fields, epoch gating, drain),
+// and count-saturated payloads of 255+ fields, epoch gating),
 // declared-width enforcement (throws with an actionable message, never
-// truncates, network stays usable after the rollback), widths wider than a
-// slab chunk, per-lease width re-declaration, and the plane memory the
-// 16 B slot buys.
+// truncates, network usable again after reset()), widths wider than a slab
+// chunk, per-lease width re-declaration, and the plane memory the 16 B slot
+// buys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,9 +25,7 @@ namespace {
 
 static_assert(sizeof(NarrowSlot) == 16, "the slot plane is 16 B per slot");
 
-SlotPlan narrow(int max_fields, PlaneMode mode = PlaneMode::kDouble) {
-  return SlotPlan{.max_fields = max_fields, .mode = mode};
-}
+SlotPlan narrow(int max_fields) { return SlotPlan{.max_fields = max_fields}; }
 
 // ------------------------------------------------------------ delivery
 
@@ -45,8 +43,8 @@ TEST(NarrowSlots, SingleFieldRoundTrip) {
       }
       for (auto&& m : out) m.assign({v});
     });
-    // Drain: entry i is what g.neighbors(v)[i] sent.
-    net.drain_fast([&](NodeId v, const auto& in) {
+    // Reading round: entry i is what g.neighbors(v)[i] sent.
+    net.round_fast([&](NodeId v, const auto& in, auto&&) {
       const auto nb = g.neighbors(v);
       ASSERT_EQ(in.size(), nb.size());
       for (std::size_t i = 0; i < nb.size(); ++i) {
@@ -55,7 +53,7 @@ TEST(NarrowSlots, SingleFieldRoundTrip) {
         EXPECT_EQ(in[i].at(0), static_cast<std::int64_t>(nb[i].neighbor));
       }
     });
-    EXPECT_EQ(net.rounds_executed(), 1);
+    EXPECT_EQ(net.rounds_executed(), 2);
     EXPECT_EQ(net.audit().messages_sent(),
               static_cast<std::int64_t>(2 * g.num_edges()));
   }
@@ -64,7 +62,7 @@ TEST(NarrowSlots, SingleFieldRoundTrip) {
 TEST(NarrowSlots, SpilledPayloadRoundTrip) {
   // declared width 3: count 1 stays in the slot, counts 2..3 spill to the
   // shard slab. Multiple rounds exercise the per-round slab rewind and the
-  // read-plane spill resolution both mid-round and during the final drain.
+  // spill resolution of both round parities.
   for (const int threads : {1, 2, 4}) {
     Rng rng(7);
     const Graph g = gen::gnp(40, 0.2, rng);
@@ -85,7 +83,7 @@ TEST(NarrowSlots, SpilledPayloadRoundTrip) {
         for (auto&& m : out) m.assign({v, v + r, -static_cast<std::int64_t>(v)});
       });
     }
-    net.drain_fast([&](NodeId v, const auto& in) {
+    net.round_fast([&](NodeId v, const auto& in, auto&&) {
       const auto nb = g.neighbors(v);
       for (std::size_t i = 0; i < in.size(); ++i) {
         const auto w = static_cast<std::int64_t>(nb[i].neighbor);
@@ -120,67 +118,65 @@ std::int64_t long_field(NodeId v, std::size_t k, int r) {
 TEST(NarrowSlots, SaturatedPayloadRoundTrip) {
   // Declared width 300 > 254: payloads of 255+ fields saturate the 8-bit
   // count and carry their length in the spill block. Every round reads the
-  // previous one before writing (single-plane safe); on 2/4 shards the
-  // random graph's cross-shard edges read spills from the sender's slab.
+  // previous one before writing; on 2/4 shards the random graph's
+  // cross-shard edges read spills from the sender's slab.
   constexpr int kWidth = 300;
   Rng rng(17);
   const Graph g = gen::gnp(48, 0.15, rng);
-  for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
-    for (const int threads : {1, 2, 4}) {
-      SyncNetwork net(g, nullptr, "long", threads, narrow(kWidth, mode));
-      std::int64_t expect_msgs = 0;
-      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
-      for (int r = 0; r < 5; ++r) {
-        net.round_fast([&](NodeId v, const auto& in, auto&& out) {
-          const auto nb = g.neighbors(v);
-          int& b = bad[static_cast<std::size_t>(v)];
-          for (std::size_t i = 0; r > 0 && i < in.size(); ++i) {
-            const NodeId w = nb[i].neighbor;
-            const auto& wn = g.neighbors(w);
-            std::size_t back = 0;  // v's index in w's neighbor list
-            while (wn[back].neighbor != v) ++back;
-            const std::size_t len = long_len(w, back, r - 1, kWidth);
-            const auto m = in[i];
-            if (m.size() != len) {
-              ++b;
-              continue;
-            }
-            for (std::size_t k = 0; k < len; ++k) {
-              if (m.at(k) != long_field(w, k, r - 1)) ++b;
-            }
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "long", threads, narrow(kWidth));
+    std::int64_t expect_msgs = 0;
+    std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+    for (int r = 0; r < 5; ++r) {
+      net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+        const auto nb = g.neighbors(v);
+        int& b = bad[static_cast<std::size_t>(v)];
+        for (std::size_t i = 0; r > 0 && i < in.size(); ++i) {
+          const NodeId w = nb[i].neighbor;
+          const auto& wn = g.neighbors(w);
+          std::size_t back = 0;  // v's index in w's neighbor list
+          while (wn[back].neighbor != v) ++back;
+          const std::size_t len = long_len(w, back, r - 1, kWidth);
+          const auto m = in[i];
+          if (m.size() != len) {
+            ++b;
+            continue;
           }
-          for (std::size_t i = 0; i < out.size(); ++i) {
-            const std::size_t len = long_len(v, i, r, kWidth);
-            if (len == 0) continue;
-            auto m = out[i];
-            for (std::size_t k = 0; k < len; ++k) m.push(long_field(v, k, r));
-          }
-        });
-        for (NodeId v = 0; v < g.num_nodes(); ++v) {
-          for (std::size_t i = 0; i < g.neighbors(v).size(); ++i) {
-            expect_msgs += long_len(v, i, r, kWidth) > 0 ? 1 : 0;
+          for (std::size_t k = 0; k < len; ++k) {
+            if (m.at(k) != long_field(w, k, r - 1)) ++b;
           }
         }
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          const std::size_t len = long_len(v, i, r, kWidth);
+          if (len == 0) continue;
+          auto m = out[i];
+          for (std::size_t k = 0; k < len; ++k) m.push(long_field(v, k, r));
+        }
+      });
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        for (std::size_t i = 0; i < g.neighbors(v).size(); ++i) {
+          expect_msgs += long_len(v, i, r, kWidth) > 0 ? 1 : 0;
+        }
       }
-      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-      EXPECT_EQ(net.audit().messages_sent(), expect_msgs);
     }
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+        << "threads " << threads;
+    EXPECT_EQ(net.audit().messages_sent(), expect_msgs);
   }
 }
 
-TEST(NarrowSlots, SaturatedPayloadClearsAndDrains) {
-  // clear() after a saturated payload starts over in a fresh block, and a
-  // drain resolves saturated spills like a round does.
+TEST(NarrowSlots, SaturatedPayloadClearsAndDelivers) {
+  // clear() after a saturated payload starts over in a fresh block, which
+  // the next round reads whole.
   const Graph g = gen::path(2);
-  SyncNetwork net(g, nullptr, "long_drain", 2, narrow(260));
+  SyncNetwork net(g, nullptr, "long_clear", 2, narrow(260));
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
     auto m = out[0];
     for (int k = 0; k < 260; ++k) m.push(-1);
     m.clear();
     for (int k = 0; k < 258; ++k) m.push(v * 1000 + k);
   });
-  net.drain_fast([&](NodeId v, const auto& in) {
+  net.round_fast([&](NodeId v, const auto& in, auto&&) {
     const NodeId w = 1 - v;
     ASSERT_EQ(in[0].size(), 258u);
     EXPECT_EQ(in[0].at(0), w * 1000);
@@ -224,7 +220,7 @@ TEST(NarrowSlots, InboxIterationMatchesIndexing) {
       ++i;
     }
   });
-  net.drain_fast([&](NodeId v, const auto& in) {
+  net.round_fast([&](NodeId v, const auto& in, auto&&) {
     std::size_t i = 0;
     for (const auto& m : in) {  // by-value views; const auto& binds fine
       ASSERT_FALSE(m.empty());
@@ -244,7 +240,7 @@ TEST(NarrowSlots, ResetInvalidatesDeliveredPlane) {
   });
   net.reset();
   EXPECT_EQ(net.rounds_executed(), 0);
-  net.drain_fast([&](NodeId, const auto& in) {
+  net.round_fast([&](NodeId, const auto& in, auto&&) {
     for (std::size_t i = 0; i < in.size(); ++i) EXPECT_TRUE(in[i].empty());
   });
 }
@@ -272,20 +268,24 @@ TEST(NarrowSlots, WidthViolationThrowsActionably) {
     EXPECT_NE(what.find("declared max_fields=2"), std::string::npos);
     EXPECT_NE(what.find("never truncates"), std::string::npos);
   }
-  // The aborted round rolled back: no round charged, and the network is
-  // fully usable afterwards.
+  // The aborted round rolled back: no round charged. It wrote a slot before
+  // throwing, so the network refuses further rounds until reset(), and is
+  // fully usable after it.
   EXPECT_EQ(net.rounds_executed(), 0);
+  EXPECT_THROW(net.round_fast([](NodeId, const auto&, auto&&) {}),
+               CheckError);
+  net.reset();
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
     for (auto&& m : out) m.assign({v, v + 1});
   });
-  net.drain_fast([&](NodeId v, const auto& in) {
+  net.round_fast([&](NodeId v, const auto& in, auto&&) {
     const auto nb = g.neighbors(v);
     for (std::size_t i = 0; i < in.size(); ++i) {
       ASSERT_EQ(in[i].size(), 2u);
       EXPECT_EQ(in[i].at(0), static_cast<std::int64_t>(nb[i].neighbor));
     }
   });
-  EXPECT_EQ(net.rounds_executed(), 1);
+  EXPECT_EQ(net.rounds_executed(), 2);
 }
 
 TEST(NarrowSlots, SaturatedWidthViolationCountsTheTrueLength) {
@@ -316,7 +316,8 @@ TEST(NarrowSlots, SaturatedWidthViolationCountsTheTrueLength) {
 
 TEST(NarrowSlots, WidthViolationThrowsSharded) {
   // The violating node program runs on a pool worker; the throw must cross
-  // the round barrier and the round must roll back.
+  // the round barrier and the round must roll back (and, having written
+  // slots, poison the network until reset()).
   const Graph g = gen::grid(8, 8);
   SyncNetwork net(g, nullptr, "narrow_overflow_par", 4, narrow(1));
   EXPECT_THROW(net.round_fast([&](NodeId v, const auto&, auto&& out) {
@@ -328,6 +329,9 @@ TEST(NarrowSlots, WidthViolationThrowsSharded) {
                }),
                CheckError);
   EXPECT_EQ(net.rounds_executed(), 0);
+  EXPECT_THROW(net.round_fast([](NodeId, const auto&, auto&&) {}),
+               CheckError);
+  net.reset();
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
     for (auto&& m : out) m.assign({v});
   });
@@ -364,23 +368,19 @@ TEST(NarrowSlots, PlanValidation) {
   EXPECT_NO_THROW(SyncNetwork(g, nullptr, "ok", 1, narrow(256)));
 }
 
-TEST(NarrowSlots, RebindRedeclaresWidthButNotPlaneMode) {
+TEST(NarrowSlots, RebindRedeclaresWidth) {
   const Graph g = gen::cycle(5);
   auto topo = NetworkTopology::plan(g, 1);
   SyncNetwork net(g, topo, nullptr, "rebind", narrow(1));
-  // Same mode, wider declaration: the spill path must now work.
+  // Wider declaration: the spill path must now work.
   net.rebind(g, topo, nullptr, "rebind", narrow(3));
   EXPECT_EQ(net.declared_fields(), 3);
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
     for (auto&& m : out) m.assign({v, v, v});
   });
-  net.drain_fast([&](NodeId, const auto& in) {
+  net.round_fast([&](NodeId, const auto& in, auto&&) {
     for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(in[i].size(), 3u);
   });
-  // The plane mode is structural: a rebind cannot flip it.
-  EXPECT_THROW(net.rebind(g, topo, nullptr, "rebind",
-                          narrow(1, PlaneMode::kSingle)),
-               CheckError);
 }
 
 // ------------------------------------------------------------- memory

@@ -74,8 +74,8 @@ ProtocolTrace run_protocol(SyncNetwork& net, int rounds) {
       }
     });
   }
-  // Fold the final round's deliveries (free receive).
-  net.drain_fast([&](NodeId v, const Inbox& in) {
+  // Fold the final round's deliveries in one more, silent round.
+  net.round_fast([&](NodeId v, const Inbox& in, Outbox&) {
     auto& a = t.acc[static_cast<std::size_t>(v)];
     for (std::size_t i = 0; i < in.size(); ++i) {
       for (const std::int64_t f : in[i].fields()) {
@@ -159,7 +159,7 @@ void check_reset_after_abort(int num_threads) {
   const ProtocolTrace ref = run_protocol(fresh, 5);
 
   SyncNetwork dirty(g, nullptr, "net", num_threads, kPlan);
-  (void)run_protocol(dirty, 3);  // leave real traffic in both planes
+  (void)run_protocol(dirty, 3);  // leave real traffic in both parities
   const auto aborted = [&] {
     dirty.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
       // Write (and spill) into many slots before one node throws, so the

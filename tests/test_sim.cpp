@@ -435,30 +435,51 @@ TEST(ParallelNetwork, PropagatesNodeProgramExceptions) {
                CheckError);
 }
 
-// A throwing round must roll back completely: no phantom audit entries, no
-// stale slot payloads, and delivery still works on the same network.
+// A throwing round must roll back completely: no phantom audit entries or
+// round charges. A round that throws before any write leaves last round's
+// delivery intact. One that wrote has overwritten some of that delivery in
+// place, so the network refuses further rounds until reset(), after which
+// delivery works as on a fresh network.
 void check_abort_recovery(int threads) {
   const Graph g = gen::cycle(8);
   SyncNetwork net(g, nullptr, "net", threads);
   net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
     for (auto&& m : out) m.assign({v + 100});
   });
+  EXPECT_THROW(net.round_fast([](NodeId v, const Inbox&, Outbox&) {
+                 DEC_CHECK(v < 4, "boom before writing");
+               }),
+               CheckError);
+  EXPECT_EQ(net.rounds_executed(), 1);
+  EXPECT_EQ(net.audit().messages_sent(), 16);  // only the successful round
+  net.round_fast([&](NodeId v, const Inbox& inbox, Outbox& out) {
+    for (std::size_t i = 0; i < inbox.size(); ++i) {
+      ASSERT_FALSE(inbox[i].empty());
+      EXPECT_EQ(inbox[i].at(0), g.neighbors(v)[i].neighbor + 100);
+    }
+    for (auto&& m : out) m.assign({v + 300});
+  });
   EXPECT_THROW(net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
                  for (auto&& m : out) m.assign({v + 200});
                  DEC_CHECK(v < 4, "boom mid-round");
                }),
                CheckError);
-  EXPECT_EQ(net.rounds_executed(), 1);
-  EXPECT_EQ(net.audit().messages_sent(), 16);  // only the successful round
-  // The aborted round's writes are gone; the round-1 delivery is intact.
+  EXPECT_EQ(net.rounds_executed(), 2);
+  EXPECT_EQ(net.audit().messages_sent(), 32);
+  EXPECT_THROW(net.round_fast([](NodeId, const Inbox&, Outbox&) {}),
+               CheckError);
+  EXPECT_EQ(net.rounds_executed(), 2);
+  net.reset();
+  EXPECT_EQ(net.audit().messages_sent(), 0);
+  net.round_fast([](NodeId v, const Inbox& inbox, Outbox& out) {
+    for (const auto& m : inbox) EXPECT_TRUE(m.empty());
+    for (auto&& m : out) m.assign({v + 400});
+  });
   net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
     for (std::size_t i = 0; i < inbox.size(); ++i) {
       ASSERT_FALSE(inbox[i].empty());
-      EXPECT_EQ(inbox[i].at(0), g.neighbors(v)[i].neighbor + 100);
+      EXPECT_EQ(inbox[i].at(0), g.neighbors(v)[i].neighbor + 400);
     }
-  });
-  net.round_fast([](NodeId, const Inbox& inbox, Outbox&) {
-    for (const auto& m : inbox) EXPECT_TRUE(m.empty());
   });
   EXPECT_EQ(net.audit().messages_sent(), 16);
 }
@@ -471,9 +492,9 @@ TEST(ParallelNetwork, AbortedRoundRollsBackParallel) {
 
 // Stronger than per-engine recovery: after an identical scripted history —
 // including a round that throws mid-flight with multi-field (slab-spilled)
-// partial writes — the serial and parallel engines must be in
-// bit-identical states: same delivered payloads afterwards, same audit,
-// same round count.
+// partial writes, which poisons the network until reset() — the serial and
+// parallel engines must be in bit-identical states: same delivered payloads
+// afterwards, same audit, same round count.
 void run_abort_script(SyncNetwork& net, const Graph& g,
                       std::vector<std::int64_t>* delivered,
                       std::int64_t* audit_msgs, int* audit_bits) {
@@ -488,6 +509,10 @@ void run_abort_script(SyncNetwork& net, const Graph& g,
                  DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
                }),
                CheckError);
+  // The aborted round overwrote round 0's deliveries in place.
+  EXPECT_THROW(net.round_fast([](NodeId, const Inbox&, Outbox&) {}),
+               CheckError);
+  net.reset();
   net.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
     std::int64_t acc = 0;
     for (const auto& m : in) {
@@ -498,10 +523,10 @@ void run_abort_script(SyncNetwork& net, const Graph& g,
     }
   });
   // Collect into per-node slots (the network's own slot plane gives the
-  // indexing): drain programs run sharded, so each node may only write its
-  // own slice of the output.
+  // indexing): the reading round runs sharded, so each node may only write
+  // its own slice of the output.
   delivered->assign(net.num_slots(), 0);
-  net.drain_fast([&](NodeId v, const Inbox& in) {
+  net.round_fast([&](NodeId v, const Inbox& in, Outbox&) {
     for (std::size_t i = 0; i < in.size(); ++i) {
       (*delivered)[net.slot(v, i)] = in[i].empty() ? -7 : in[i].at(0);
     }
@@ -525,51 +550,19 @@ TEST(ParallelNetwork, AbortRollbackMatchesSerialEngine) {
   EXPECT_EQ(serial_msgs, parallel_msgs);
   EXPECT_EQ(serial_bits, parallel_bits);
   EXPECT_EQ(serial.rounds_executed(), parallel.rounds_executed());
-  EXPECT_EQ(serial.rounds_executed(), 2);  // the aborted round never counted
-}
-
-TEST(Network, DrainReadsLastDeliveryWithoutCharging) {
-  const Graph g = gen::path(3);
-  RoundLedger ledger;
-  SyncNetwork net(g, &ledger, "comp");
-  net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
-    for (auto&& m : out) m.assign({v + 50});
-  });
-  // The drain sees exactly what a following round's inbox would, repeatably,
-  // and costs nothing.
-  for (int pass = 0; pass < 2; ++pass) {
-    int seen = 0;
-    net.drain_fast([&](NodeId v, const Inbox& in) {
-      const auto nb = g.neighbors(v);
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        ASSERT_FALSE(in[i].empty());
-        EXPECT_EQ(in[i].at(0), nb[i].neighbor + 50);
-        ++seen;
-      }
-    });
-    EXPECT_EQ(seen, 4);  // 2 edges, both directions
-  }
-  EXPECT_EQ(net.rounds_executed(), 1);
-  EXPECT_EQ(ledger.component("comp"), 1);
-}
-
-TEST(Network, DrainBeforeAnyRoundSeesOnlyEmpty) {
-  const Graph g = gen::cycle(5);
-  SyncNetwork net(g);
-  net.drain_fast([](NodeId, const Inbox& in) {
-    for (const auto& m : in) EXPECT_TRUE(m.empty());
-  });
-  EXPECT_EQ(net.rounds_executed(), 0);
+  // Since the reset: the acc round and the reading round. The aborted and
+  // the refused rounds never counted.
+  EXPECT_EQ(serial.rounds_executed(), 2);
 }
 
 // --- Mail summary (Inbox::any()) -------------------------------------------
 
 // What node `u` does on edge `e` in round `r` of a scripted sparse history:
-// 0 nothing, 1 one field, 2 a multi-field payload (slab spill on either
-// plane), 3 write then clear() (the slot is touched but reads empty). About
-// 6% of edge directions act per round, so most nodes get no mail — and no
-// shard sends more messages than it has nodes, which keeps every round below
-// the dense mark and any() exact.
+// 0 nothing, 1 one field, 2 a multi-field payload (slab spill), 3 write
+// then clear() (the slot is touched but reads empty). About 6% of edge
+// directions act per round, so most nodes get no mail — and no shard sends
+// more messages than it has nodes, which keeps every round below the dense
+// mark and any() exact.
 int mail_action(std::uint64_t seed, int r, NodeId u, EdgeId e) {
   std::uint64_t x = seed ^ (static_cast<std::uint64_t>(r) << 40) ^
                     (static_cast<std::uint64_t>(u) << 20) ^
@@ -624,30 +617,22 @@ void mail_round(SyncNetwork& net, const Graph& g, std::uint64_t seed, int r,
   *quiet += std::count(quiet_v.begin(), quiet_v.end(), 1);
 }
 
-std::vector<SlotPlan> mail_plans() {
-  std::vector<SlotPlan> plans;
-  for (const PlaneMode m : {PlaneMode::kDouble, PlaneMode::kSingle}) {
-    plans.push_back({.max_fields = static_cast<int>(kSpillFields), .mode = m});
-  }
-  return plans;
-}
+constexpr SlotPlan kMailPlan{.max_fields = static_cast<int>(kSpillFields)};
 
 TEST(MailSummary, SoundUnderRandomSparseSends) {
   Rng rng(51);
   const Graph g = gen::random_regular(300, 8, rng);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      SyncNetwork net(g, nullptr, "mail", threads, plan);
-      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
-      std::int64_t quiet = 0;
-      // Seven rounds: both epoch parities and both single-plane parities
-      // several times over, starting from the fresh state.
-      for (int r = 0; r < 7; ++r) mail_round(net, g, 7, r, &bad, &quiet);
-      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
-      // The summary must actually gate work, not read `true` everywhere.
-      EXPECT_GT(quiet, 2 * g.num_nodes());
-    }
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "mail", threads, kMailPlan);
+    std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+    std::int64_t quiet = 0;
+    // Seven rounds: both epoch parities and both slot-ownership parities
+    // several times over, starting from the fresh state.
+    for (int r = 0; r < 7; ++r) mail_round(net, g, 7, r, &bad, &quiet);
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+        << "threads " << threads;
+    // The summary must actually gate work, not read `true` everywhere.
+    EXPECT_GT(quiet, 2 * g.num_nodes());
   }
 }
 
@@ -655,54 +640,44 @@ TEST(MailSummary, FirstRoundAfterResetAndRebindIsQuiet) {
   Rng rng(52);
   const Graph small = gen::random_regular(40, 4, rng);
   const Graph large = gen::random_regular(120, 6, rng);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 4}) {
-      SyncNetwork net(small, nullptr, "mail", threads, plan);
-      std::vector<int> bad(static_cast<std::size_t>(large.num_nodes()), 0);
-      std::int64_t quiet = 0;
-      for (int r = 0; r < 3; ++r) mail_round(net, small, 9, r, &bad, &quiet);
-      net.reset();
-      // Script round 0 expects an empty inbox everywhere.
-      for (int r = 0; r < 3; ++r) mail_round(net, small, 11, r, &bad, &quiet);
-      net.rebind(large, NetworkTopology::plan(large, threads), nullptr,
-                 "mail", plan);
-      for (int r = 0; r < 3; ++r) mail_round(net, large, 13, r, &bad, &quiet);
-      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes());
-    }
+  for (const int threads : {1, 4}) {
+    SyncNetwork net(small, nullptr, "mail", threads, kMailPlan);
+    std::vector<int> bad(static_cast<std::size_t>(large.num_nodes()), 0);
+    std::int64_t quiet = 0;
+    for (int r = 0; r < 3; ++r) mail_round(net, small, 9, r, &bad, &quiet);
+    net.reset();
+    // Script round 0 expects an empty inbox everywhere.
+    for (int r = 0; r < 3; ++r) mail_round(net, small, 11, r, &bad, &quiet);
+    net.rebind(large, NetworkTopology::plan(large, threads), nullptr,
+               "mail", kMailPlan);
+    for (int r = 0; r < 3; ++r) mail_round(net, large, 13, r, &bad, &quiet);
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes());
   }
 }
 
 TEST(MailSummary, AbortedRoundLeavesNoPhantomMail) {
   Rng rng(53);
   const Graph g = gen::random_regular(120, 6, rng);
-  {
-    for (const int threads : {1, 2, 4}) {
-      // Double planes only: a mid-round abort poisons a single plane.
-      SyncNetwork net(g, nullptr, "mail", threads,
-                      SlotPlan{.max_fields = static_cast<int>(kSpillFields)});
-      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
-      std::int64_t quiet = 0;
-      mail_round(net, g, 17, 0, &bad, &quiet);
-      // Every node writes every slot, then half the nodes throw.
-      EXPECT_THROW(net.round_fast([&](NodeId v, const auto&, auto&& out) {
-                     for (auto&& m : out) m.assign({-1});
-                     DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
-                   }),
-                   CheckError);
-      // Re-executing the script's round 1 reuses the aborted write epoch:
-      // its inboxes still see round 0, and round 2 sees only round 1's
-      // sparse sends, not the aborted all-send.
-      for (int r = 1; r < 3; ++r) mail_round(net, g, 17, r, &bad, &quiet);
-      // After an abort and a reset the first round reads quiet too.
-      EXPECT_THROW(net.round_fast([&](NodeId v, const auto&, auto&& out) {
-                     for (auto&& m : out) m.assign({-1});
-                     DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
-                   }),
-                   CheckError);
-      net.reset();
-      for (int r = 0; r < 2; ++r) mail_round(net, g, 19, r, &bad, &quiet);
-      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes());
-    }
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "mail", threads, kMailPlan);
+    std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+    std::int64_t quiet = 0;
+    mail_round(net, g, 17, 0, &bad, &quiet);
+    // Every node writes every slot, then half the nodes throw. The writes
+    // overwrote round 0's deliveries, so the network refuses to go on.
+    EXPECT_THROW(net.round_fast([&](NodeId v, const auto&, auto&& out) {
+                   for (auto&& m : out) m.assign({-1});
+                   DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
+                 }),
+                 CheckError);
+    EXPECT_THROW(net.round_fast([](NodeId, const auto&, auto&&) {}),
+                 CheckError);
+    // After the reset the first round reads quiet everywhere: the aborted
+    // all-send's mail tags were zeroed, not left to alias the new epochs.
+    net.reset();
+    for (int r = 0; r < 3; ++r) mail_round(net, g, 19, r, &bad, &quiet);
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+        << "threads " << threads;
   }
 }
 
@@ -713,24 +688,22 @@ TEST(MailSummary, DenseRoundReportsMailEverywhereThenClears) {
   // again.
   Rng rng(54);
   const Graph g = gen::random_regular(120, 6, rng);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      SyncNetwork net(g, nullptr, "mail", threads, plan);
-      std::vector<char> any(static_cast<std::size_t>(g.num_nodes()), 0);
-      const auto record = [&](bool send_all) {
-        net.round_fast([&](NodeId v, const auto& in, auto&& out) {
-          any[static_cast<std::size_t>(v)] = in.any() ? 1 : 0;
-          if (send_all) {
-            for (auto&& m : out) m.assign({v});
-          }
-        });
-      };
-      record(true);
-      record(false);
-      EXPECT_EQ(std::count(any.begin(), any.end(), 1), g.num_nodes());
-      record(false);
-      EXPECT_EQ(std::count(any.begin(), any.end(), 0), g.num_nodes());
-    }
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "mail", threads, kMailPlan);
+    std::vector<char> any(static_cast<std::size_t>(g.num_nodes()), 0);
+    const auto record = [&](bool send_all) {
+      net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+        any[static_cast<std::size_t>(v)] = in.any() ? 1 : 0;
+        if (send_all) {
+          for (auto&& m : out) m.assign({v});
+        }
+      });
+    };
+    record(true);
+    record(false);
+    EXPECT_EQ(std::count(any.begin(), any.end(), 1), g.num_nodes());
+    record(false);
+    EXPECT_EQ(std::count(any.begin(), any.end(), 0), g.num_nodes());
   }
 }
 
@@ -739,40 +712,26 @@ TEST(MailSummary, IsolatedNodesAndEmptyGraph) {
   GraphBuilder b(6);
   b.add_edge(1, 2);
   const Graph g = std::move(b).build();
-  for (const SlotPlan& plan : mail_plans()) {
-    SyncNetwork net(g, nullptr, "mail", 2, plan);
-    for (int r = 0; r < 3; ++r) {
-      std::vector<char> any(6, 0);
-      net.round_fast([&](NodeId v, const auto& in, auto&& out) {
-        any[static_cast<std::size_t>(v)] = in.any() ? 1 : 0;
-        for (auto&& m : out) m.assign({v});
-      });
-      EXPECT_EQ(any, (std::vector<char>{0, r > 0, r > 0, 0, 0, 0}));
-    }
+  SyncNetwork net(g, nullptr, "mail", 2, kMailPlan);
+  for (int r = 0; r < 3; ++r) {
+    std::vector<char> any(6, 0);
+    net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+      any[static_cast<std::size_t>(v)] = in.any() ? 1 : 0;
+      for (auto&& m : out) m.assign({v});
+    });
+    EXPECT_EQ(any, (std::vector<char>{0, r > 0, r > 0, 0, 0, 0}));
   }
   const Graph empty = gen::empty(0);
-  for (const SlotPlan& plan : mail_plans()) {
-    SyncNetwork net(empty, nullptr, "mail", 1, plan);
-    int calls = 0;
-    net.round_fast([&](NodeId, const auto&, auto&&) { ++calls; });
-    EXPECT_EQ(calls, 0);
-    EXPECT_EQ(net.rounds_executed(), 1);
-  }
-}
-
-TEST(MailSummary, DrainBoxesAreConservative) {
-  const Graph g = gen::path(3);
-  SyncNetwork net(g);
-  net.round_fast([](NodeId, const auto&, auto&&) {});
-  int quiet = 0;
-  net.drain_fast([&](NodeId, const Inbox& in) { quiet += in.any() ? 0 : 1; });
-  EXPECT_EQ(quiet, 0);
+  SyncNetwork none(empty, nullptr, "mail", 1, kMailPlan);
+  int calls = 0;
+  none.round_fast([&](NodeId, const auto&, auto&&) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(none.rounds_executed(), 1);
 }
 
 TEST(MailSummary, MemoryBytesCountsTags) {
   const Graph g = gen::cycle(100);
-  SyncNetwork net(g, nullptr, "mail", 1,
-                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
+  SyncNetwork net(g, nullptr, "mail", 1, SlotPlan{.max_fields = 1});
   // Two 4 B tags per node on top of the 16 B/slot plane (2 slots/node).
   EXPECT_GE(net.memory_bytes(),
             100 * (2 * sizeof(NarrowSlot) + 2 * sizeof(std::uint32_t)));
@@ -890,26 +849,24 @@ RunSummary summarize(const SyncNetwork& net, const RoundLedger& ledger) {
 TEST(ActiveRound, VisitsWakeUnionReceiversBitIdenticalToFullVisit) {
   Rng rng(61);
   const Graph g = gen::random_regular(300, 8, rng);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      for (const WakePolicy policy : {WakePolicy::kSenders,
-                                      WakePolicy::kMinimal,
-                                      WakePolicy::kDuplicates}) {
-        RoundLedger full_ledger, active_ledger;
-        SyncNetwork full(g, &full_ledger, "mail", threads, plan);
-        SyncNetwork active(g, &active_ledger, "mail", threads, plan);
-        std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
-        std::int64_t quiet = 0;
-        for (int r = 0; r < 7; ++r) {
-          mail_round(full, g, 23, r, &bad, &quiet);
-          active_mail_round(active, g, 23, r, policy, &bad);
-        }
-        EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-            << "mode " << static_cast<int>(plan.mode) << " threads " << threads
-            << " policy " << static_cast<int>(policy);
-        EXPECT_EQ(summarize(full, full_ledger),
-                  summarize(active, active_ledger));
+  for (const int threads : {1, 2, 4}) {
+    for (const WakePolicy policy : {WakePolicy::kSenders,
+                                    WakePolicy::kMinimal,
+                                    WakePolicy::kDuplicates}) {
+      RoundLedger full_ledger, active_ledger;
+      SyncNetwork full(g, &full_ledger, "mail", threads, kMailPlan);
+      SyncNetwork active(g, &active_ledger, "mail", threads, kMailPlan);
+      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+      std::int64_t quiet = 0;
+      for (int r = 0; r < 7; ++r) {
+        mail_round(full, g, 23, r, &bad, &quiet);
+        active_mail_round(active, g, 23, r, policy, &bad);
       }
+      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+          << "threads " << threads
+          << " policy " << static_cast<int>(policy);
+      EXPECT_EQ(summarize(full, full_ledger),
+                summarize(active, active_ledger));
     }
   }
 }
@@ -917,25 +874,23 @@ TEST(ActiveRound, VisitsWakeUnionReceiversBitIdenticalToFullVisit) {
 TEST(ActiveRound, DensePreviousRoundFallsBackToFullVisit) {
   Rng rng(62);
   const Graph g = gen::random_regular(120, 6, rng);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      SyncNetwork net(g, nullptr, "mail", threads, plan);
-      std::vector<int> visits(static_cast<std::size_t>(g.num_nodes()), 0);
-      const auto count = [&](NodeId v, const auto&, auto&&) {
-        ++visits[static_cast<std::size_t>(v)];
-      };
-      // An all-send round goes dense: no receiver lists were kept, so the
-      // next active round must visit every node even with nothing awake.
-      net.round_fast([](NodeId v, const auto&, auto&& out) {
-        for (auto&& m : out) m.assign({v});
-      });
-      net.round_fast(count, std::span<const NodeId>{});
-      EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), g.num_nodes());
-      // That round sent nothing, so the one after it visits nobody.
-      net.round_fast(count, std::span<const NodeId>{});
-      EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), g.num_nodes());
-      EXPECT_EQ(net.rounds_executed(), 3);
-    }
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "mail", threads, kMailPlan);
+    std::vector<int> visits(static_cast<std::size_t>(g.num_nodes()), 0);
+    const auto count = [&](NodeId v, const auto&, auto&&) {
+      ++visits[static_cast<std::size_t>(v)];
+    };
+    // An all-send round goes dense: no receiver lists were kept, so the
+    // next active round must visit every node even with nothing awake.
+    net.round_fast([](NodeId v, const auto&, auto&& out) {
+      for (auto&& m : out) m.assign({v});
+    });
+    net.round_fast(count, std::span<const NodeId>{});
+    EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), g.num_nodes());
+    // That round sent nothing, so the one after it visits nobody.
+    net.round_fast(count, std::span<const NodeId>{});
+    EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), g.num_nodes());
+    EXPECT_EQ(net.rounds_executed(), 3);
   }
 }
 
@@ -953,75 +908,73 @@ TEST(ActiveRound, SpilledPayloadsCrossShardsOnCallerThread) {
   const auto send_spilled = [&](NodeId v, auto&& m) {
     for (std::size_t k = 0; k < kSpillFields; ++k) m.push(payload(v, k));
   };
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      SyncNetwork net(g, nullptr, "spill", threads, plan);
-      const std::thread::id caller = std::this_thread::get_id();
-      std::vector<int> bad(n, 0);
-      std::vector<char> visited(n, 0), off_caller(n, 0), sent(n, 0);
-      // One active round with nothing woken: every visited node checks the
-      // payloads of last round's senders (`sent` on entry) and, when
-      // `reply(v)`, answers on all its edges. Returns the visit count.
-      const auto active_round = [&](const auto& from, const auto& reply) {
-        std::fill(visited.begin(), visited.end(), 0);
-        std::fill(off_caller.begin(), off_caller.end(), 0);
-        std::vector<char> next(n, 0);
-        net.round_fast(
-            [&](NodeId v, const auto& in, auto&& out) {
-              const std::size_t vi = static_cast<std::size_t>(v);
-              visited[vi] = 1;
-              off_caller[vi] = std::this_thread::get_id() != caller;
-              const auto nb = g.neighbors(v);
-              bool any = false;
-              for (std::size_t i = 0; i < nb.size(); ++i) {
-                const NodeId u = nb[i].neighbor;
-                const bool got = from(u, v);
-                any = any || got;
-                if (in[i].size() != (got ? kSpillFields : 0)) {
-                  ++bad[vi];
-                  continue;
-                }
-                for (std::size_t k = 0; k < in[i].size(); ++k) {
-                  if (in[i].at(k) != payload(u, k)) ++bad[vi];
-                }
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "spill", threads, kMailPlan);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int> bad(n, 0);
+    std::vector<char> visited(n, 0), off_caller(n, 0), sent(n, 0);
+    // One active round with nothing woken: every visited node checks the
+    // payloads of last round's senders (`sent` on entry) and, when
+    // `reply(v)`, answers on all its edges. Returns the visit count.
+    const auto active_round = [&](const auto& from, const auto& reply) {
+      std::fill(visited.begin(), visited.end(), 0);
+      std::fill(off_caller.begin(), off_caller.end(), 0);
+      std::vector<char> next(n, 0);
+      net.round_fast(
+          [&](NodeId v, const auto& in, auto&& out) {
+            const std::size_t vi = static_cast<std::size_t>(v);
+            visited[vi] = 1;
+            off_caller[vi] = std::this_thread::get_id() != caller;
+            const auto nb = g.neighbors(v);
+            bool any = false;
+            for (std::size_t i = 0; i < nb.size(); ++i) {
+              const NodeId u = nb[i].neighbor;
+              const bool got = from(u, v);
+              any = any || got;
+              if (in[i].size() != (got ? kSpillFields : 0)) {
+                ++bad[vi];
+                continue;
               }
-              if (!any) ++bad[vi];  // visited without mail or a wake
-              if (reply(v)) {
-                next[vi] = 1;
-                for (auto&& m : out) send_spilled(v, m);
+              for (std::size_t k = 0; k < in[i].size(); ++k) {
+                if (in[i].at(k) != payload(u, k)) ++bad[vi];
               }
-            },
-            std::span<const NodeId>{});
-        sent = std::move(next);
-        return std::count(visited.begin(), visited.end(), 1);
-      };
-      const auto from_sent = [&](NodeId u, NodeId) {
-        return sent[static_cast<std::size_t>(u)] != 0;
-      };
-      // Round 0 (full visit): every node sends a spilled payload to its
-      // first neighbor only — one message per node, so no shard goes dense.
-      net.round_fast([&](NodeId v, const auto&, auto&& out) {
-        send_spilled(v, out[0]);
-      });
-      // Round 1: about half of the nodes are somebody's first neighbor;
-      // every 10th receiver answers.
-      const auto n1 = active_round(
-          [&](NodeId u, NodeId v) { return g.neighbors(u)[0].neighbor == v; },
-          [](NodeId v) { return v % 10 == 0; });
-      EXPECT_GT(n1, g.num_nodes() / 3);
-      EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
-      // Round 2: the answers' receivers, and every one of them writes
-      // spilled payloads to neighbors in other shards.
-      const auto n2 = active_round(from_sent, [](NodeId) { return true; });
-      EXPECT_GT(n2, 100);
-      EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
-      // Round 3 reads what round 2's nodes wrote.
-      const auto n3 = active_round(from_sent, [](NodeId) { return false; });
-      EXPECT_GT(n3, n2);
-      EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
-      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
-    }
+            }
+            if (!any) ++bad[vi];  // visited without mail or a wake
+            if (reply(v)) {
+              next[vi] = 1;
+              for (auto&& m : out) send_spilled(v, m);
+            }
+          },
+          std::span<const NodeId>{});
+      sent = std::move(next);
+      return std::count(visited.begin(), visited.end(), 1);
+    };
+    const auto from_sent = [&](NodeId u, NodeId) {
+      return sent[static_cast<std::size_t>(u)] != 0;
+    };
+    // Round 0 (full visit): every node sends a spilled payload to its
+    // first neighbor only — one message per node, so no shard goes dense.
+    net.round_fast([&](NodeId v, const auto&, auto&& out) {
+      send_spilled(v, out[0]);
+    });
+    // Round 1: about half of the nodes are somebody's first neighbor;
+    // every 10th receiver answers.
+    const auto n1 = active_round(
+        [&](NodeId u, NodeId v) { return g.neighbors(u)[0].neighbor == v; },
+        [](NodeId v) { return v % 10 == 0; });
+    EXPECT_GT(n1, g.num_nodes() / 3);
+    EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
+    // Round 2: the answers' receivers, and every one of them writes
+    // spilled payloads to neighbors in other shards.
+    const auto n2 = active_round(from_sent, [](NodeId) { return true; });
+    EXPECT_GT(n2, 100);
+    EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
+    // Round 3 reads what round 2's nodes wrote.
+    const auto n3 = active_round(from_sent, [](NodeId) { return false; });
+    EXPECT_GT(n3, n2);
+    EXPECT_EQ(std::count(off_caller.begin(), off_caller.end(), 1), 0);
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+        << "threads " << threads;
   }
 }
 
@@ -1029,65 +982,56 @@ TEST(ActiveRound, FirstRoundAfterResetAndRebindVisitsOnlyWake) {
   Rng rng(64);
   const Graph small = gen::random_regular(40, 4, rng);
   const Graph large = gen::random_regular(120, 6, rng);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      SyncNetwork net(small, nullptr, "mail", threads, plan);
-      std::vector<int> bad(static_cast<std::size_t>(large.num_nodes()), 0);
-      for (int r = 0; r < 3; ++r) {
-        active_mail_round(net, small, 29, r, WakePolicy::kMinimal, &bad);
-      }
-      // Round 2 sent mail, but the reset discards it: script round 0
-      // expects no receivers, and the visit check catches any leftover.
-      net.reset();
-      for (int r = 0; r < 3; ++r) {
-        active_mail_round(net, small, 31, r, WakePolicy::kMinimal, &bad);
-      }
-      net.rebind(large, NetworkTopology::plan(large, threads), nullptr,
-                 "mail", plan);
-      for (int r = 0; r < 3; ++r) {
-        active_mail_round(net, large, 37, r, WakePolicy::kDuplicates, &bad);
-      }
-      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes())
-          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(small, nullptr, "mail", threads, kMailPlan);
+    std::vector<int> bad(static_cast<std::size_t>(large.num_nodes()), 0);
+    for (int r = 0; r < 3; ++r) {
+      active_mail_round(net, small, 29, r, WakePolicy::kMinimal, &bad);
     }
+    // Round 2 sent mail, but the reset discards it: script round 0
+    // expects no receivers, and the visit check catches any leftover.
+    net.reset();
+    for (int r = 0; r < 3; ++r) {
+      active_mail_round(net, small, 31, r, WakePolicy::kMinimal, &bad);
+    }
+    net.rebind(large, NetworkTopology::plan(large, threads), nullptr,
+               "mail", kMailPlan);
+    for (int r = 0; r < 3; ++r) {
+      active_mail_round(net, large, 37, r, WakePolicy::kDuplicates, &bad);
+    }
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes())
+        << "threads " << threads;
   }
 }
 
 TEST(ActiveRound, AbortedRoundReexecutesWithTheSameVisitSet) {
   Rng rng(65);
   const Graph g = gen::random_regular(120, 6, rng);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      SyncNetwork net(g, nullptr, "mail", threads, plan);
-      std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
-      active_mail_round(net, g, 41, 0, WakePolicy::kSenders, &bad);
-      // Script round 1's visit set, aborted: a double plane writes every
-      // slot first (the rollback un-stamps them); a single plane throws
-      // before writing, since a mid-round write there poisons the network.
-      const std::vector<char> senders = script_senders(g, 41, 1);
-      std::vector<NodeId> wake;
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (senders[static_cast<std::size_t>(v)]) wake.push_back(v);
-      }
-      const bool write_first = plan.mode == PlaneMode::kDouble;
-      EXPECT_THROW(net.round_fast(
-                       [&](NodeId v, const auto&, auto&& out) {
-                         if (write_first) {
-                           for (auto&& m : out) m.assign({-1});
-                         }
-                         DEC_CHECK(v < 0, "boom mid-round");
-                       },
-                       wake),
-                   CheckError);
-      EXPECT_EQ(net.rounds_executed(), 1);
-      // Re-executing round 1 must visit exactly wake ∪ round 0's receivers
-      // and deliver round 0's payloads, then round 2 runs on as usual.
-      for (int r = 1; r < 3; ++r) {
-        active_mail_round(net, g, 41, r, WakePolicy::kSenders, &bad);
-      }
-      EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
-          << "mode " << static_cast<int>(plan.mode) << " threads " << threads;
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "mail", threads, kMailPlan);
+    std::vector<int> bad(static_cast<std::size_t>(g.num_nodes()), 0);
+    active_mail_round(net, g, 41, 0, WakePolicy::kSenders, &bad);
+    // Script round 1's visit set, aborted before any node writes (a
+    // mid-round write would poison the network until reset()).
+    const std::vector<char> senders = script_senders(g, 41, 1);
+    std::vector<NodeId> wake;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (senders[static_cast<std::size_t>(v)]) wake.push_back(v);
     }
+    EXPECT_THROW(net.round_fast(
+                     [&](NodeId v, const auto&, auto&&) {
+                       DEC_CHECK(v < 0, "boom mid-round");
+                     },
+                     wake),
+                 CheckError);
+    EXPECT_EQ(net.rounds_executed(), 1);
+    // Re-executing round 1 must visit exactly wake ∪ round 0's receivers
+    // and deliver round 0's payloads, then round 2 runs on as usual.
+    for (int r = 1; r < 3; ++r) {
+      active_mail_round(net, g, 41, r, WakePolicy::kSenders, &bad);
+    }
+    EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), g.num_nodes())
+        << "threads " << threads;
   }
 }
 
@@ -1096,55 +1040,52 @@ TEST(ActiveRound, IsolatedNodesEmptyGraphAndEmptyUnion) {
   b.add_edge(1, 2);
   const Graph g = std::move(b).build();
   const Graph empty = gen::empty(0);
-  for (const SlotPlan& plan : mail_plans()) {
-    for (const int threads : {1, 2, 4}) {
-      RoundLedger ledger;
-      SyncNetwork net(g, &ledger, "active", threads, plan);
-      std::vector<int> visits(6, 0);
-      const auto send_all = [&](NodeId v, const auto&, auto&& out) {
-        ++visits[static_cast<std::size_t>(v)];
-        for (auto&& m : out) m.assign({v});
-      };
-      // Isolated node 4 and edge endpoint 1 woken: 1 sends to 2.
-      const std::vector<NodeId> wake = {4, 1, 4};
-      net.round_fast(send_all, wake);
-      EXPECT_EQ(visits, (std::vector<int>{0, 1, 0, 0, 1, 0}));
-      // Nothing woken: only 2 (1's receiver) runs, and answers.
-      net.round_fast(send_all, std::span<const NodeId>{});
-      EXPECT_EQ(visits, (std::vector<int>{0, 1, 1, 0, 1, 0}));
-      // Only 1 received; it stays silent, so the next union is empty.
-      net.round_fast([&](NodeId v, const auto&, auto&&) {
-        ++visits[static_cast<std::size_t>(v)];
-      }, std::span<const NodeId>{});
-      EXPECT_EQ(visits, (std::vector<int>{0, 2, 1, 0, 1, 0}));
-      // An empty union still charges exactly one round and sends nothing.
-      const std::int64_t msgs = net.audit().messages_sent();
-      net.round_fast(send_all, std::span<const NodeId>{});
-      EXPECT_EQ(visits, (std::vector<int>{0, 2, 1, 0, 1, 0}));
-      EXPECT_EQ(net.rounds_executed(), 4);
-      EXPECT_EQ(ledger.component("active"), 4);
-      EXPECT_EQ(net.audit().messages_sent(), msgs);
-      // Out-of-range wake entries are rejected, not dereferenced.
-      const std::vector<NodeId> bogus = {6};
-      EXPECT_THROW(net.round_fast(send_all, bogus), CheckError);
-      EXPECT_EQ(net.rounds_executed(), 4);
+  for (const int threads : {1, 2, 4}) {
+    RoundLedger ledger;
+    SyncNetwork net(g, &ledger, "active", threads, kMailPlan);
+    std::vector<int> visits(6, 0);
+    const auto send_all = [&](NodeId v, const auto&, auto&& out) {
+      ++visits[static_cast<std::size_t>(v)];
+      for (auto&& m : out) m.assign({v});
+    };
+    // Isolated node 4 and edge endpoint 1 woken: 1 sends to 2.
+    const std::vector<NodeId> wake = {4, 1, 4};
+    net.round_fast(send_all, wake);
+    EXPECT_EQ(visits, (std::vector<int>{0, 1, 0, 0, 1, 0}));
+    // Nothing woken: only 2 (1's receiver) runs, and answers.
+    net.round_fast(send_all, std::span<const NodeId>{});
+    EXPECT_EQ(visits, (std::vector<int>{0, 1, 1, 0, 1, 0}));
+    // Only 1 received; it stays silent, so the next union is empty.
+    net.round_fast([&](NodeId v, const auto&, auto&&) {
+      ++visits[static_cast<std::size_t>(v)];
+    }, std::span<const NodeId>{});
+    EXPECT_EQ(visits, (std::vector<int>{0, 2, 1, 0, 1, 0}));
+    // An empty union still charges exactly one round and sends nothing.
+    const std::int64_t msgs = net.audit().messages_sent();
+    net.round_fast(send_all, std::span<const NodeId>{});
+    EXPECT_EQ(visits, (std::vector<int>{0, 2, 1, 0, 1, 0}));
+    EXPECT_EQ(net.rounds_executed(), 4);
+    EXPECT_EQ(ledger.component("active"), 4);
+    EXPECT_EQ(net.audit().messages_sent(), msgs);
+    // Out-of-range wake entries are rejected, not dereferenced.
+    const std::vector<NodeId> bogus = {6};
+    EXPECT_THROW(net.round_fast(send_all, bogus), CheckError);
+    EXPECT_EQ(net.rounds_executed(), 4);
 
-      RoundLedger empty_ledger;
-      SyncNetwork none(empty, &empty_ledger, "active", threads, plan);
-      int calls = 0;
-      none.round_fast([&](NodeId, const auto&, auto&&) { ++calls; },
-                      std::span<const NodeId>{});
-      EXPECT_EQ(calls, 0);
-      EXPECT_EQ(none.rounds_executed(), 1);
-      EXPECT_EQ(empty_ledger.component("active"), 1);
-    }
+    RoundLedger empty_ledger;
+    SyncNetwork none(empty, &empty_ledger, "active", threads, kMailPlan);
+    int calls = 0;
+    none.round_fast([&](NodeId, const auto&, auto&&) { ++calls; },
+                    std::span<const NodeId>{});
+    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(none.rounds_executed(), 1);
+    EXPECT_EQ(empty_ledger.component("active"), 1);
   }
 }
 
 TEST(ActiveRound, MemoryBytesCountsVisitState) {
   const Graph g = gen::cycle(100);
-  SyncNetwork net(g, nullptr, "mail", 1,
-                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
+  SyncNetwork net(g, nullptr, "mail", 1, SlotPlan{.max_fields = 1});
   // Two mail tags and one visit tag per node on top of the plane.
   EXPECT_GE(net.memory_bytes(),
             100 * (2 * sizeof(NarrowSlot) + 3 * sizeof(std::uint32_t)));

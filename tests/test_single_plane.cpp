@@ -1,25 +1,21 @@
-// Single-vs-double plane bit-identity and safety at the substrate level:
-// PlaneMode::kSingle is a pure storage choice for drain-free protocols —
-// one buffer plane, parity-alternating slot ownership instead of a swap.
-// A multi-round echo of silent, single-field and spilled payloads must
-// deliver the same log under both modes — fresh and pooled, serial and
-// 2/4-shard, across random/grid/star families. The solvers that always run
-// on the single plane (Linial, defective precolor + refine) are pinned to
-// recorded golden results by tests/test_narrow_equivalence.cpp.
-// The mode's safety rails are pinned too: drain on a single plane throws an
-// actionable error, a write-before-read hazard throws instead of returning
-// the node's own message, an aborted round poisons the state until reset(),
-// and memory_bytes counts exactly the planes that exist. Pool adoption
-// never crossing plane modes, and which mode each solver leases, are
-// pinned by tests/test_pool_format.cpp.
+// The single message plane at the substrate level: one buffer plane whose
+// slot ownership alternates with round parity. A multi-round echo of
+// silent, single-field and spilled payloads must deliver exactly the log
+// recorded from the deleted two-plane swap delivery — fresh and pooled,
+// serial and 2/4-shard, across random/grid/star families. All five solvers
+// are pinned to recorded golden results by
+// tests/test_narrow_equivalence.cpp. The plane's safety rails are pinned
+// too: a write-before-read hazard throws instead of returning the node's
+// own message, an aborted round that wrote poisons the state until
+// reset(), and memory_bytes counts the one plane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "graph/generators.hpp"
-#include "sim/dinetwork.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "util/check.hpp"
@@ -39,10 +35,9 @@ Graph family_graph(int family, int seed, Rng& rng) {
 // Multi-round delivery log at the network level: round r sends a
 // deterministic mix of silent, single-field, and spilled payloads per edge,
 // and round r+1 records a hash of every inbox entry at its slot index. Any
-// divergence between plane modes — ordering, spill resolution, epoch
-// staleness — shows up as a differing log. Reads strictly precede writes in
-// the program, so it is single-plane safe; an odd round count ends on the
-// swapped parity.
+// divergence from the recorded log — ordering, spill resolution, epoch
+// staleness — shows up as a differing digest. Reads strictly precede writes in
+// the program; an odd round count ends on the odd parity.
 std::vector<std::uint64_t> echo_log(const Graph& g, SlotPlan plan, int rounds,
                                     int num_threads, NetworkPool* pool) {
   ScopedNetwork scope(pool, g, nullptr, "echo", num_threads, nullptr, plan);
@@ -81,86 +76,70 @@ std::vector<std::uint64_t> echo_log(const Graph& g, SlotPlan plan, int rounds,
   return log;
 }
 
-void expect_echo_equivalence(SlotPlan double_plan, SlotPlan single_plan) {
+// FNV-1a over the log, byte by byte.
+std::uint64_t log_digest(const std::vector<std::uint64_t>& log) {
+  Fnv f;
+  f.add_all(log);
+  return f.h;
+}
+
+// {family, seed, log length, digest}: echo_log over 7 rounds with declared
+// width 3, recorded from the former two-plane swap delivery (fresh, serial)
+// before it was deleted.
+struct EchoGolden {
+  int family, seed;
+  std::size_t size;
+  std::uint64_t digest;
+};
+constexpr EchoGolden kEchoGolden[] = {
+    {0, 0, 1526, 15887343483953123126ull},
+    {0, 1, 1330, 13315001816446512053ull},
+    {0, 2, 1484, 11254305360808010895ull},
+    {0, 3, 1736, 2399003147767971929ull},
+    {1, 0, 434, 7591463450646881333ull},
+    {1, 1, 686, 11506342364108838773ull},
+    {1, 2, 994, 13256759843259564521ull},
+    {1, 3, 1358, 15099795086600832927ull},
+    {2, 0, 280, 7572081998815837329ull},
+    {2, 1, 308, 6310200363193047189ull},
+    {2, 2, 336, 4531958800156419286ull},
+    {2, 3, 364, 17217691166341108324ull},
+};
+
+TEST(SinglePlane, EchoMatchesRecordedTwoPlaneLog) {
+  const SlotPlan plan{.max_fields = 3};
   NetworkPool pools[] = {NetworkPool(1), NetworkPool(2), NetworkPool(4)};
   const int threads[] = {1, 2, 4};
-  for (int family = 0; family < 3; ++family) {
-    for (int seed = 0; seed < 4; ++seed) {
-      Rng rng(9000 + 100 * family + static_cast<std::uint64_t>(seed));
-      const Graph g = family_graph(family, seed, rng);
-      const std::vector<std::uint64_t> baseline =
-          echo_log(g, double_plan, 7, 1, nullptr);
-      EXPECT_EQ(baseline, echo_log(g, single_plan, 7, 1, nullptr))
-          << "fresh serial, family " << family << " seed " << seed;
-      for (int ti = 0; ti < 3; ++ti) {
-        EXPECT_EQ(baseline, echo_log(g, single_plan, 7, threads[ti],
-                                     &pools[ti]))
-            << "pooled, family " << family << " seed " << seed << " threads "
-            << threads[ti];
-        // Pooled double too: both modes coexist in one arena without ever
-        // adopting each other's run states.
-        EXPECT_EQ(baseline, echo_log(g, double_plan, 7, threads[ti],
-                                     &pools[ti]));
+  for (const EchoGolden& want : kEchoGolden) {
+    Rng rng(9000 + 100 * static_cast<std::uint64_t>(want.family) +
+            static_cast<std::uint64_t>(want.seed));
+    const Graph g = family_graph(want.family, want.seed, rng);
+    const std::vector<std::uint64_t> fresh = echo_log(g, plan, 7, 1, nullptr);
+    EXPECT_EQ(fresh.size(), want.size)
+        << "family " << want.family << " seed " << want.seed;
+    EXPECT_EQ(log_digest(fresh), want.digest)
+        << "fresh serial, family " << want.family << " seed " << want.seed;
+    for (int ti = 0; ti < 3; ++ti) {
+      // Twice per pool: the second lease reuses the first's run state.
+      for (int rep = 0; rep < 2; ++rep) {
+        EXPECT_EQ(fresh, echo_log(g, plan, 7, threads[ti], &pools[ti]))
+            << "pooled, family " << want.family << " seed " << want.seed
+            << " threads " << threads[ti];
       }
     }
-  }
-}
-
-TEST(SinglePlane, EchoEquivalence) {
-  expect_echo_equivalence(
-      SlotPlan{.max_fields = 3},
-      SlotPlan{.max_fields = 3, .mode = PlaneMode::kSingle});
-}
-
-TEST(SinglePlane, DrainThrowsActionable) {
-  const Graph g = gen::cycle(8);
-  SyncNetwork net(g, nullptr, "echo", 1,
-                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
-  net.round_fast([](NodeId v, const auto&, auto&& out) {
-    for (auto&& m : out) m.assign({static_cast<std::int64_t>(v)});
-  });
-  try {
-    net.drain_fast([](NodeId, const auto&) {});
-    FAIL() << "drain on a single-plane lease must throw";
-  } catch (const CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("drain on a single-plane lease"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("component 'echo'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("after round 1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("PlaneMode::kDouble"), std::string::npos) << msg;
-  }
-}
-
-TEST(SinglePlane, DrainThrowsOnDiNetwork) {
-  const Digraph dg(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  DiNetwork din(dg, nullptr, "game", 1,
-                SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
-  EXPECT_EQ(din.plane_mode(), PlaneMode::kSingle);
-  din.round_fast([](NodeId, const auto&, auto&& out) {
-    out.along(0, {7});
-  });
-  try {
-    din.drain_fast([](NodeId, const auto&) {});
-    FAIL() << "arc drain on a single-plane lease must throw";
-  } catch (const CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("drain on a single-plane lease"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("PlaneMode::kDouble"), std::string::npos) << msg;
   }
 }
 
 TEST(SinglePlane, WriteBeforeReadHazardThrows) {
   const Graph g = gen::cycle(8);
   SyncNetwork net(g, nullptr, "echo", 1,
-                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
+                  SlotPlan{.max_fields = 1});
   try {
     net.round_fast([](NodeId, const auto& in, auto&& out) {
       out[0].assign({1});  // write the slot that backs inbox entry 0...
       (void)in[0].empty();  // ...then read it: the hazard
     });
-    FAIL() << "single-plane write-before-read must throw";
+    FAIL() << "write-before-read must throw";
   } catch (const CheckError& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("read-after-write hazard"), std::string::npos)
@@ -172,7 +151,7 @@ TEST(SinglePlane, WriteBeforeReadHazardThrows) {
 TEST(SinglePlane, AbortPoisonsUntilReset) {
   const Graph g = gen::cycle(8);
   SyncNetwork net(g, nullptr, "poisoned", 1,
-                  SlotPlan{.max_fields = 1, .mode = PlaneMode::kSingle});
+                  SlotPlan{.max_fields = 1});
   // A clean first round, so the abort below lands mid-protocol.
   net.round_fast([](NodeId v, const auto&, auto&& out) {
     for (auto&& m : out) m.assign({static_cast<std::int64_t>(v)});
@@ -190,10 +169,10 @@ TEST(SinglePlane, AbortPoisonsUntilReset) {
   // further rounds loudly instead of delivering corrupt messages.
   try {
     net.round_fast([](NodeId, const auto&, auto&&) {});
-    FAIL() << "a poisoned single-plane network must refuse the next round";
+    FAIL() << "a poisoned network must refuse the next round";
   } catch (const CheckError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("poisoned single-plane network"), std::string::npos)
+    EXPECT_NE(msg.find("poisoned network"), std::string::npos)
         << msg;
     EXPECT_NE(msg.find("component 'poisoned'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("reset()"), std::string::npos) << msg;
@@ -217,13 +196,12 @@ TEST(SinglePlane, AbortPoisonsUntilReset) {
 TEST(SinglePlane, MemoryBytesCountsExactlyOnePlane) {
   Rng rng(42);
   const Graph g = gen::gnp(200, 0.05, rng);
-  const SyncNetwork two(g, nullptr, "d", 1, SlotPlan{});
-  const SyncNetwork one(g, nullptr, "s", 1,
-                        SlotPlan{.mode = PlaneMode::kSingle});
-  // The plane pair dominates a fresh run state, so dropping one plane must
-  // show up as (well over) a 25% cut, not just "somewhat smaller".
-  EXPECT_LE(one.memory_bytes() * 4, two.memory_bytes() * 3);
-  EXPECT_GT(one.memory_bytes(), 0u);
+  const SyncNetwork net(g, nullptr, "s", 1, SlotPlan{});
+  // The plane dominates a fresh run state: it is counted once, and the
+  // rest (tags, shard tables, empty slabs) stays below a second plane.
+  const std::size_t plane = net.num_slots() * sizeof(NarrowSlot);
+  EXPECT_GE(net.memory_bytes(), plane);
+  EXPECT_LT(net.memory_bytes(), 2 * plane);
 }
 
 }  // namespace
