@@ -59,17 +59,27 @@ std::string csr_path(Family family, NodeId n) {
       .string();
 }
 
+// A CSR file in the temp directory, removed when its cache entry dies at
+// process exit (tens of MB each at n = 10^6).
+struct TempCsr {
+  explicit TempCsr(std::string p) : path(std::move(p)) {}
+  TempCsr(const TempCsr&) = delete;
+  TempCsr& operator=(const TempCsr&) = delete;
+  ~TempCsr() { std::remove(path.c_str()); }
+  std::string path;
+};
+
 // CSR file for (family, n), written on first use.
 const std::string& cached_csr(Family family, NodeId n) {
-  static std::map<std::pair<int, NodeId>, std::string> cache;
+  static std::map<std::pair<int, NodeId>, TempCsr> cache;
   auto key = std::make_pair(static_cast<int>(family), n);
   auto it = cache.find(key);
   if (it == cache.end()) {
     const std::string path = csr_path(family, n);
     write_csr(path, cached_graph(family, n));
-    it = cache.emplace(key, path).first;
+    it = cache.try_emplace(key, path).first;
   }
-  return it->second;
+  return it->second.path;
 }
 
 void set_graph_counters(benchmark::State& state, const Graph& g) {

@@ -19,6 +19,7 @@
 #include "sim/shared_pool.hpp"
 #include "sim/topology.hpp"
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -87,6 +88,34 @@ BENCHMARK(BM_LineGraphEdgeColoring)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// Defective precolor (Lemma 6.2's one-round defect/palette trade-off),
+// isolated: congest_edge_coloring's level-0 call on random_regular(n, 16) —
+// the level-0 Linial coloring as input, and the target defect
+// defective_4_coloring derives from that level's ε = 1/6 — leasing from a
+// warm arena, as the solve's stages do after Linial planned g. Times the
+// announce round and the digit-polynomial choice at every node.
+void BM_DefectivePrecolor(benchmark::State& state) {
+  Rng rng(9);
+  const Graph g =
+      gen::random_regular(static_cast<NodeId>(state.range(0)), 16, rng);
+  const LinialResult lin = linial_color(g);
+  const double eps = 1.0 / 6.0;
+  const int target = std::max(
+      1, static_cast<int>(eps * static_cast<double>(g.max_degree()) / 2.0));
+  NetworkPool pool(1);
+  int palette = 0;
+  for (auto _ : state) {
+    const DefectiveResult r = defective_precolor(g, lin.colors, lin.palette,
+                                                 target, nullptr, 1, &pool);
+    palette = r.palette;
+    benchmark::DoNotOptimize(r.max_defect);
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+  state.counters["palette"] = static_cast<double>(palette);
+  state.counters["target_defect"] = static_cast<double>(target);
+}
+BENCHMARK(BM_DefectivePrecolor)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 // Topology planning alone: what a NetworkPool cache hit saves per network.
 void BM_TopologyPlan(benchmark::State& state) {

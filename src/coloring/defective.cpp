@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <string>
 
+#include "coloring/digit_poly.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "util/prime.hpp"
@@ -14,19 +16,6 @@ namespace {
 
 // Both stages send one field per edge per round.
 constexpr SlotPlan kSingleFieldPlan{.max_fields = 1};
-
-std::int64_t eval_digit_poly(std::int64_t color, std::int64_t q, int d,
-                             std::int64_t r) {
-  std::int64_t digits[65];
-  std::int64_t c = color;
-  for (int i = 0; i <= d; ++i) {
-    digits[i] = c % q;
-    c /= q;
-  }
-  std::int64_t acc = 0;
-  for (int i = d; i >= 0; --i) acc = (acc * r + digits[i]) % q;
-  return acc;
-}
 
 int max_of(const std::vector<int>& v) {
   int best = 0;
@@ -63,17 +52,26 @@ PrecolorParams precolor_params(std::int64_t m, std::int64_t delta,
 }
 
 /// Pick the evaluation point with the fewest collisions against the
-/// neighbor colors produced by `nbr(i)`.
+/// neighbor colors produced by `nbr(i)`: the first r with no collision, else
+/// the smallest r with the fewest. Every digit block is decoded once, up
+/// front, into `digits` (own block first, then one per neighbor).
 template <class NbrFn>
-Color precolor_choose(std::int64_t mine, std::int64_t q, int d,
-                      std::size_t degree, NbrFn&& nbr) {
-  std::int64_t best_r = 0;
-  std::int64_t best_collisions = std::numeric_limits<std::int64_t>::max();
-  for (std::int64_t r = 0; r < q; ++r) {
-    const std::int64_t my_val = eval_digit_poly(mine, q, d, r);
-    std::int64_t coll = 0;
-    for (std::size_t i = 0; i < degree; ++i) {
-      if (eval_digit_poly(nbr(i), q, d, r) == my_val) ++coll;
+Color precolor_choose(const DigitPoly& poly, Color mine, std::size_t degree,
+                      NbrFn&& nbr, std::vector<std::uint32_t>& digits) {
+  const std::size_t width = static_cast<std::size_t>(poly.degree()) + 1;
+  digits.resize(width * (degree + 1));
+  poly.decode(static_cast<std::uint32_t>(mine), digits.data());
+  for (std::size_t i = 0; i < degree; ++i) {
+    poly.decode(static_cast<std::uint32_t>(nbr(i)),
+                digits.data() + (i + 1) * width);
+  }
+  std::uint32_t best_r = 0;
+  std::size_t best_collisions = std::numeric_limits<std::size_t>::max();
+  for (std::uint32_t r = 0; r < poly.q(); ++r) {
+    const std::uint32_t my_val = poly.eval(digits.data(), r);
+    std::size_t coll = 0;
+    for (std::size_t i = 1; i <= degree; ++i) {
+      if (poly.eval(digits.data() + i * width, r) == my_val) ++coll;
     }
     if (coll < best_collisions) {
       best_collisions = coll;
@@ -81,7 +79,8 @@ Color precolor_choose(std::int64_t mine, std::int64_t q, int d,
     }
     if (coll == 0) break;
   }
-  return static_cast<Color>(best_r * q + eval_digit_poly(mine, q, d, best_r));
+  return static_cast<Color>(best_r * poly.q() +
+                            poly.eval(digits.data(), best_r));
 }
 
 DefectiveResult precolor_message_passing(const Graph& g,
@@ -107,13 +106,16 @@ DefectiveResult precolor_message_passing(const Graph& g,
   // announce round delivered on edge (u, v) is input[u] verbatim, so the
   // consume step reads the input vector directly — value-identical to
   // reading the delivered messages, which no later round exists to read.
+  const DigitPoly poly(p.q, p.d);
+  std::vector<std::uint32_t> digits;
   for (NodeId v = 0; v < n; ++v) {
     const auto nb = g.neighbors(v);
     res.colors[static_cast<std::size_t>(v)] = precolor_choose(
-        input[static_cast<std::size_t>(v)], p.q, p.d, nb.size(),
+        poly, input[static_cast<std::size_t>(v)], nb.size(),
         [&](std::size_t i) {
           return input[static_cast<std::size_t>(nb[i].neighbor)];
-        });
+        },
+        digits);
   }
   res.rounds = net.rounds_executed();
   res.max_message_bits = net.audit().max_bits();
@@ -327,6 +329,14 @@ DefectiveResult defective_precolor(const Graph& g,
   const std::int64_t m = std::max(1, input_palette);
   const std::int64_t delta = std::max(1, g.max_degree());
   const PrecolorParams p = precolor_params(m, delta, target_defect);
+  // The palette q² must fit the int32 Color range (and with it the digit
+  // kernel's exactness domain).
+  DEC_REQUIRE(p.q * p.q <= std::numeric_limits<Color>::max(),
+              "defective precolor palette q² = " + std::to_string(p.q * p.q) +
+                  " overflows the int32 Color range (Δ = " +
+                  std::to_string(delta) + ", target defect = " +
+                  std::to_string(target_defect) + ", q = " +
+                  std::to_string(p.q) + ")");
 
   DefectiveResult res =
       precolor_message_passing(g, input, p, ledger, num_threads, pool, cancel);

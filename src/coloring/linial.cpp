@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "coloring/digit_poly.hpp"
 #include "graph/line_graph.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
@@ -33,24 +34,49 @@ LinialStep linial_step_params(std::int64_t m, int max_degree) {
 
 namespace {
 
-/// Write the d+1 base-q digits c_0 .. c_d of `color` to `digits`.
-void decode_digits(std::int64_t color, std::int64_t q, int d,
-                   std::int64_t* digits) {
-  for (int i = 0; i <= d; ++i) {
-    digits[i] = color % q;
-    color /= q;
+/// One reduction step at node v: the color (r, p_mine(r)) for the smallest
+/// evaluation point r at which no neighbor's polynomial agrees with v's.
+/// At r = 0 every polynomial evaluates to its constant digit (color mod q),
+/// so the common case costs one remainder per neighbor; the full digits are
+/// decoded only when r = 0 clashes. Per-worker scratch keeps the heap off
+/// the round path.
+template <class Inbox>
+std::int64_t reduce_color(const DigitPoly& poly, std::int64_t mine,
+                          const Inbox& inbox) {
+  const std::uint32_t mine0 = poly.mod(static_cast<std::uint32_t>(mine));
+  bool clash0 = false;
+  for (const auto& msg : inbox) {
+    DEC_CHECK(!msg.empty(), "Linial expects a color from every neighbor");
+    if (poly.mod(static_cast<std::uint32_t>(msg.at(0))) == mine0) {
+      clash0 = true;
+      break;
+    }
   }
-}
+  if (!clash0) return mine0;
 
-/// Evaluate the polynomial with digits c_0 .. c_d at r over GF(q) (Horner
-/// from c_d down).
-std::int64_t eval_digits(const std::int64_t* digits, std::int64_t q, int d,
-                         std::int64_t r) {
-  std::int64_t acc = 0;
-  for (int i = d; i >= 0; --i) {
-    acc = (acc * r + digits[i]) % q;
+  // Own digits first, then one block per neighbor.
+  thread_local std::vector<std::uint32_t> digits;
+  const std::size_t width = static_cast<std::size_t>(poly.degree()) + 1;
+  const std::size_t need = width * (inbox.size() + 1);
+  if (digits.size() < need) digits.resize(need);
+  poly.decode(static_cast<std::uint32_t>(mine), digits.data());
+  std::uint32_t* nbr = digits.data() + width;
+  for (const auto& msg : inbox) {
+    DEC_CHECK(!msg.empty(), "Linial expects a color from every neighbor");
+    poly.decode(static_cast<std::uint32_t>(msg.at(0)), nbr);
+    nbr += width;
   }
-  return acc;
+  for (std::uint32_t r = 1; r < poly.q(); ++r) {
+    const std::uint32_t my_val = poly.eval(digits.data(), r);
+    bool clash = false;
+    for (std::size_t i = 1; i <= inbox.size() && !clash; ++i) {
+      clash = poly.eval(digits.data() + i * width, r) == my_val;
+    }
+    if (!clash) return static_cast<std::int64_t>(r) * poly.q() + my_val;
+  }
+  DEC_CHECK(false,
+            "Linial: no collision-free evaluation point (q > Δ·d violated?)");
+  return -1;
 }
 
 }  // namespace
@@ -68,6 +94,9 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   DEC_REQUIRE(initial.size() == static_cast<std::size_t>(n),
               "initial coloring has wrong length");
   DEC_REQUIRE(id_space >= 1, "id space must be positive");
+  // Colors and the palette are int32: a larger id space could only wrap.
+  DEC_REQUIRE(id_space <= std::numeric_limits<Color>::max(),
+              "id space exceeds the int32 Color range");
   for (const Color c : initial) {
     DEC_REQUIRE(c >= 0 && c < id_space, "initial color out of id space");
   }
@@ -76,8 +105,7 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
 
   LinialResult res;
   res.colors = std::move(initial);
-  res.palette = static_cast<int>(std::min<std::int64_t>(
-      id_space, std::numeric_limits<Color>::max()));
+  res.palette = static_cast<int>(id_space);
 
   if (g.max_degree() == 0) {
     // No edges: everyone can take color 0 with zero communication.
@@ -120,40 +148,11 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   });
 
   for (const LinialStep step : schedule) {
+    const DigitPoly poly(step.q, step.d);
     std::vector<std::int64_t> next(work);
-    const std::size_t width = static_cast<std::size_t>(step.d) + 1;
     net.round_fast([&](NodeId v, const auto& inbox, auto&& outbox) {
-      // Decode every polynomial's digits once per visit: own first, then
-      // one block per neighbor. Per-worker scratch keeps the heap off the
-      // round path.
-      thread_local std::vector<std::int64_t> digits;
-      const std::size_t need = width * (inbox.size() + 1);
-      if (digits.size() < need) digits.resize(need);
-      decode_digits(work[static_cast<std::size_t>(v)], step.q, step.d,
-                    digits.data());
-      std::int64_t* nbr = digits.data() + width;
-      for (const auto& msg : inbox) {
-        DEC_CHECK(!msg.empty(), "Linial expects a color from every neighbor");
-        decode_digits(msg.at(0), step.q, step.d, nbr);
-        nbr += width;
-      }
-      // Find r with no collision against any neighbor polynomial.
-      std::int64_t chosen_r = -1;
-      for (std::int64_t r = 0; r < step.q && chosen_r < 0; ++r) {
-        const std::int64_t my_val =
-            eval_digits(digits.data(), step.q, step.d, r);
-        bool clash = false;
-        for (std::size_t i = 1; i <= inbox.size() && !clash; ++i) {
-          clash = eval_digits(digits.data() + i * width, step.q, step.d, r) ==
-                  my_val;
-        }
-        if (!clash) chosen_r = r;
-      }
-      DEC_CHECK(chosen_r >= 0,
-                "Linial: no collision-free evaluation point (q > Δ·d violated?)");
-      const std::int64_t val =
-          eval_digits(digits.data(), step.q, step.d, chosen_r);
-      next[static_cast<std::size_t>(v)] = chosen_r * step.q + val;
+      next[static_cast<std::size_t>(v)] =
+          reduce_color(poly, work[static_cast<std::size_t>(v)], inbox);
       for (auto&& msg : outbox) {
         msg.assign({next[static_cast<std::size_t>(v)]});
       }

@@ -57,8 +57,9 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
   const double dbar = std::max(1, 2 * g.max_degree() - 2);
   const double dbar_log = std::log(std::max(2.0, dbar));
 
-  BalancedOrientationResult res{Orientation(g)};
-  res.leftover_edge.assign(static_cast<std::size_t>(m), 0);
+  BalancedOrientationResult res{
+      .orientation = Orientation(g),
+      .leftover_edge = std::vector<std::uint8_t>(static_cast<std::size_t>(m))};
 
   // One arena for the whole run: the solver's own network plus every
   // per-phase token dropping game lease from it, so phase φ+1's game reuses

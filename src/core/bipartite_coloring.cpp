@@ -149,16 +149,21 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
   const int range = static_cast<int>(bound_d) + 1;
   std::int64_t leaf_rounds = 0;
   for (int p = 0; p < num_parts; ++p) {
+    // With no split level the one leaf is g itself: color it in place.
     std::vector<EdgeId> members;
-    std::vector<std::pair<NodeId, NodeId>> sub_edges;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (part[static_cast<std::size_t>(e)] == p) {
-        members.push_back(e);
-        sub_edges.push_back(g.endpoints(e));
+    Graph part_graph;
+    if (k > 0) {
+      std::vector<std::pair<NodeId, NodeId>> sub_edges;
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        if (part[static_cast<std::size_t>(e)] == p) {
+          members.push_back(e);
+          sub_edges.push_back(g.endpoints(e));
+        }
       }
+      if (members.empty()) continue;
+      part_graph = Graph(g.num_nodes(), std::move(sub_edges));
     }
-    if (members.empty()) continue;
-    const Graph sub(g.num_nodes(), std::move(sub_edges));
+    const Graph& sub = k > 0 ? part_graph : g;
     const int leaf_degree = sub.max_edge_degree();
     DEC_CHECK(leaf_degree <= res.leaf_degree_bound,
               leaf_bound_message(p, num_parts, k, leaf_degree,
@@ -168,9 +173,10 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
     const EdgeColoringResult leaf =
         edge_color_fast_2delta(sub, &local, num_threads, pool, cancel);
     leaf_rounds = std::max({leaf_rounds, leaf.rounds, local.total()});
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      res.colors[static_cast<std::size_t>(members[i])] =
-          p * range + leaf.colors[i];
+    for (EdgeId i = 0; i < sub.num_edges(); ++i) {
+      const EdgeId e = k > 0 ? members[static_cast<std::size_t>(i)] : i;
+      res.colors[static_cast<std::size_t>(e)] =
+          p * range + leaf.colors[static_cast<std::size_t>(i)];
     }
   }
   res.rounds += leaf_rounds;

@@ -54,9 +54,12 @@ CongestColoringResult congest_edge_coloring(const Graph& g, double eps,
   std::vector<bool> uncolored(static_cast<std::size_t>(g.num_edges()), true);
 
   for (int level = 0; level <= k_levels; ++level) {
-    EdgeSubgraph cur = edge_subgraph(g, uncolored);
-    if (cur.graph.num_edges() == 0) break;
-    const int dcur = cur.graph.max_degree();
+    // Level 0 has colored nothing yet: its subgraph is g itself.
+    Graph rest;
+    if (level > 0) rest = edge_subgraph(g, uncolored).graph;
+    const Graph& cur = level > 0 ? rest : g;
+    if (cur.num_edges() == 0) break;
+    const int dcur = cur.max_degree();
     // Constant-degree tail: below this the Lemma 6.2 additive terms do not
     // fit under its target and the O(Δ_tail) baseline is cheaper anyway.
     if (dcur <= 8) break;
@@ -67,7 +70,7 @@ CongestColoringResult congest_edge_coloring(const Graph& g, double eps,
     // programs on the substrate, sharded when num_threads > 1.
     RoundLedger local;
     const DefectiveResult def4 =
-        defective_4_coloring(cur.graph, lin.colors, lin.palette, eps1, &local,
+        defective_4_coloring(cur, lin.colors, lin.palette, eps1, &local,
                              num_threads, pool, cancel);
     res.rounds += def4.rounds;
     if (ledger != nullptr) ledger->charge("defective4", def4.rounds);
@@ -89,7 +92,7 @@ CongestColoringResult congest_edge_coloring(const Graph& g, double eps,
         parts.side[static_cast<std::size_t>(v)] = side1 ? 1 : 0;
       }
       bool any = false;
-      for (const EdgeId e : cur.members) {
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
         if (!uncolored[static_cast<std::size_t>(e)]) continue;
         const auto [a, b] = g.endpoints(e);
         if (parts.side[static_cast<std::size_t>(a)] !=

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 
 #include "coloring/defective.hpp"
 #include "coloring/linial.hpp"
@@ -45,6 +47,23 @@ TEST(DefectivePrecolor, RejectsBadInput) {
   const Graph g = gen::path(4);
   EXPECT_THROW(defective_precolor(g, {0, 0, 1, 2}, 3, 1), CheckError);
   EXPECT_THROW(defective_precolor(g, {0, 1, 0, 1}, 2, 0), CheckError);
+}
+
+// A palette q² past the int32 Color range used to wrap silently: this star
+// (q = 60013) returned palette -693,407,127.
+TEST(DefectivePrecolor, RejectsPaletteBeyondColorRange) {
+  const Graph g = gen::star(60000);
+  std::vector<Color> ids(static_cast<std::size_t>(g.num_nodes()));
+  std::iota(ids.begin(), ids.end(), 0);
+  try {
+    defective_precolor(g, ids, 60001, 1);
+    FAIL() << "expected a CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("Δ = 60000"), std::string::npos) << what;
+    EXPECT_NE(what.find("target defect = 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("q = 60013"), std::string::npos) << what;
+  }
 }
 
 TEST(DefectiveRefine, ConvergesAndMeetsThreshold) {

@@ -47,6 +47,24 @@ TEST(TokenDropping, ConservesTokensAndRespectsCapacity) {
   }
 }
 
+// A token granted in the last phase has no later announce round to arrive
+// in; the head must still be credited. Path 0 -> 1 -> 2, k = 3, δ = α = 1,
+// so two phases: phase 1 moves a token 0 -> 1, which makes node 1 a sender
+// that ships one on to node 2 in phase 2, the last.
+TEST(TokenDropping, FinalPhaseGrantIsCredited) {
+  const Digraph g(3, {{0, 1}, {1, 2}});
+  TokenDroppingParams p;
+  p.k = 3;
+  p.delta = 1;
+  const auto r = run_token_dropping(g, {3, 1, 0}, p);
+  EXPECT_EQ(r.phases, 2);
+  EXPECT_EQ(r.rounds, 6);
+  EXPECT_EQ(r.tokens_moved, 2);
+  EXPECT_EQ(r.edge_passive, (std::vector<bool>{true, true}));
+  EXPECT_EQ(r.tokens, (std::vector<int>{2, 1, 1}));
+  EXPECT_EQ(std::accumulate(r.tokens.begin(), r.tokens.end(), 0), 4);
+}
+
 TEST(TokenDropping, Theorem43BoundOnActiveEdges) {
   Rng rng(62);
   for (const int seed : {1, 2, 3, 4, 5}) {
