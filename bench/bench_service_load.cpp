@@ -404,10 +404,10 @@ int write_json(const Config& cfg, const DriveResult& r,
                static_cast<long long>(stats.submit_timeouts));
   std::fprintf(f,
                "  \"cache\": {\"plans_built\": %lld, \"plans_shared\": %lld, "
-               "\"hit_rate\": %.6f, \"parked_run_states\": %zu},\n",
+               "\"hit_rate\": %.6f},\n",
                static_cast<long long>(stats.plans_built),
                static_cast<long long>(stats.plans_shared),
-               stats.cache_hit_rate, stats.parked_run_states);
+               stats.cache_hit_rate);
   std::fprintf(f, "  \"verified_jobs\": %lld,\n",
                static_cast<long long>(r.verified));
   std::fprintf(f, "  \"mismatches\": %lld\n",
@@ -458,10 +458,10 @@ int run(const Config& cfg) {
               latency.p50, latency.p95, latency.p99, latency.max);
   std::printf("  queue_wait_ms p50=%.3f p95=%.3f p99=%.3f max=%.3f\n",
               queue_wait.p50, queue_wait.p95, queue_wait.p99, queue_wait.max);
-  std::printf("  cache: built=%lld shared=%lld hit_rate=%.3f parked=%zu\n",
+  std::printf("  cache: built=%lld shared=%lld hit_rate=%.3f\n",
               static_cast<long long>(stats.plans_built),
               static_cast<long long>(stats.plans_shared),
-              stats.cache_hit_rate, stats.parked_run_states);
+              stats.cache_hit_rate);
   if (cfg.verify != 0) {
     std::printf("  verify: %lld kOk results checked, %lld mismatches\n",
                 static_cast<long long>(r.verified),

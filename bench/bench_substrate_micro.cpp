@@ -481,10 +481,12 @@ BENCHMARK(BM_RandomRegularGenerator)->Arg(1000)->Arg(10000);
 
 // Shared-arena contention: N tenant threads, each with its own NetworkPool
 // view over one SharedNetworkPool, lease-run-release in a tight loop.
-// range(0) = tenant threads; range(1) = 1 for all tenants on one shape
-// (every lookup after warmup rides the lock-free snapshot fast path and
-// run states ping-pong through one cache shard) vs 0 for per-tenant shapes
-// (lookups spread across shards, no run-state contention). Items = leases.
+// Views do not recycle run states across each other: every iteration's
+// fresh views each build their own run state on the first lease and reuse
+// it for the rest. range(0) = tenant threads; range(1) = 1 for all tenants
+// on one shape (every lookup after warmup rides the lock-free fast path of
+// one cache shard) vs 0 for per-tenant shapes (lookups spread across
+// shards). Items = leases.
 void BM_SharedPoolContention(benchmark::State& state) {
   const int tenants = static_cast<int>(state.range(0));
   const bool same_shape = state.range(1) == 1;

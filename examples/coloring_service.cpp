@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
   std::printf("  plans shared     : %lld (hit rate %.0f%%)\n",
               static_cast<long long>(stats.plans_shared),
               100.0 * stats.cache_hit_rate);
-  std::printf("  parked run states: %zu\n", stats.parked_run_states);
   std::printf("  queue wait       : avg %.2f ms, max %.2f ms\n",
               stats.avg_queue_wait_ms, stats.max_queue_wait_ms);
   std::printf("  simulated rounds : %lld across all jobs\n",

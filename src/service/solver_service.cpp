@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/pool.hpp"
-#include "sim/thread_pool.hpp"
 #include "testing/fault_injection.hpp"
 #include "util/check.hpp"
 
@@ -51,8 +50,6 @@ JobTicket SolverService::admit(SolverRequest req, SubmitOptions opts,
                                bool blocking) {
   DEC_REQUIRE(solver_registered(req.solver),
               "submit: unknown solver id: " + req.solver);
-  DEC_REQUIRE(opts.engine_threads >= 0,
-              "submit: engine_threads override must be non-negative");
   auto job = std::make_shared<JobState>();
   job->req = std::move(req);
   job->opts = opts;
@@ -254,7 +251,6 @@ ServiceStats SolverService::stats() const {
       lookups > 0
           ? static_cast<double>(counters.hits) / static_cast<double>(lookups)
           : 0.0;
-  s.parked_run_states = shared_pool_.parked_run_states();
   return s;
 }
 
@@ -291,15 +287,7 @@ void SolverService::count_status(const SolverResult& result) {
   if (result.attempts > 1) retried_ += result.attempts - 1;
 }
 
-SharedNetworkPool& SolverService::pool_for_threads(int engine_threads) {
-  std::lock_guard<std::mutex> lock(override_mu_);
-  std::unique_ptr<SharedNetworkPool>& pool = override_pools_[engine_threads];
-  if (!pool) pool = std::make_unique<SharedNetworkPool>(engine_threads);
-  return *pool;
-}
-
-SolverResult SolverService::run_job(JobState& job, NetworkPool& view,
-                                    int engine_threads) {
+SolverResult SolverService::run_job(JobState& job, NetworkPool& view) {
   int attempts = 0;
   for (;;) {
     // Pre-flight: a job cancelled or expired while it sat in the queue (or
@@ -316,7 +304,7 @@ SolverResult SolverService::run_job(JobState& job, NetworkPool& view,
     try {
       DEC_FAULT_POINT_CTX("service.worker", &job.token);
       SolverResult result =
-          execute_request(job.req, engine_threads, &view, &job.token);
+          execute_request(job.req, view.num_threads(), &view, &job.token);
       result.attempts = attempts;
       return result;
     } catch (const SolverAborted& aborted) {
@@ -342,13 +330,9 @@ SolverResult SolverService::run_job(JobState& job, NetworkPool& view,
 }
 
 void SolverService::worker_main() {
-  // The worker's thread-confined view over the shared arena: run states it
-  // acquires stay warm across this worker's jobs and park for other tenants
-  // when the service shuts down. Jobs with an engine_threads override get a
-  // lazily created view over the matching per-shard-count arena (kept for
-  // the worker's lifetime, so override jobs reuse run states too).
+  // The worker's thread-confined view over the shared arena: the run states
+  // it builds stay warm across this worker's jobs and die with the worker.
   NetworkPool view(shared_pool_);
-  std::map<int, std::unique_ptr<NetworkPool>> override_views;
   for (;;) {
     std::shared_ptr<JobState> job;
     {
@@ -370,19 +354,7 @@ void SolverService::worker_main() {
     }
     cv_not_full_.notify_one();
 
-    const int engine_threads = resolve_num_threads(
-        job->opts.engine_threads > 0 ? job->opts.engine_threads
-                                     : cfg_.engine_threads);
-    NetworkPool* job_view = &view;
-    if (engine_threads != shared_pool_.num_threads()) {
-      std::unique_ptr<NetworkPool>& slot = override_views[engine_threads];
-      if (!slot) {
-        slot = std::make_unique<NetworkPool>(pool_for_threads(engine_threads));
-      }
-      job_view = slot.get();
-    }
-
-    SolverResult result = run_job(*job, *job_view, engine_threads);
+    SolverResult result = run_job(*job, view);
     result.queue_wait_ns = job->queue_wait_ns;
     result.e2e_latency_ns =
         ns_between(job->enqueued, std::chrono::steady_clock::now());

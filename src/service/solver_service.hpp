@@ -5,17 +5,18 @@
 // workers pop jobs and execute them through the registry. What makes this
 // more than a generic thread pool is what the workers share:
 //
-//  * One SharedNetworkPool across all tenants. Each worker holds its own
-//    thread-confined NetworkPool view over it, so topology plans are shared
-//    process-wide — two tenants submitting the same graph shape plan once,
-//    even concurrently (the shard mutex serializes the planners; the loser
-//    counts a cache hit) — and run states recycle across jobs.
+//  * One SharedNetworkPool across all tenants. Each worker holds one
+//    thread-confined NetworkPool view over it for its whole life. Plans are
+//    shared process-wide — two tenants submitting the same graph shape plan
+//    once, even concurrently (the shard mutex serializes the planners; the
+//    loser counts a cache hit) — and run states are owned by the worker's
+//    view, recycled across that worker's jobs.
 //
 //  * One persistent set of engine threads. The workers themselves are the
-//    service's concurrency: each job runs its solver with
-//    `engine_threads` round-engine shards (default 1 — jobs are the unit of
-//    parallelism, and recycled run states keep their engine thread pools
-//    across jobs, so nothing is respawned per job).
+//    service's concurrency: every job runs its solver with
+//    ServiceConfig::engine_threads round-engine shards (default 1 — jobs
+//    are the unit of parallelism, and recycled run states keep their engine
+//    thread pools across jobs, so nothing is respawned per job).
 //
 // Execution through the service is bit-identical to calling the solver
 // directly with a fresh pool — outputs, audited rounds, and per-component
@@ -28,7 +29,7 @@
 //  * kOk: the solver's result, bit-identical to a direct call (even when
 //    the run was retried: each attempt starts on a freshly reset lease).
 //  * kCancelled: cancel(id) — or the job's CancelToken — tripped; the
-//    solver unwound at the next round barrier and its leases parked clean.
+//    solver unwound at the next round barrier and its leases returned clean.
 //  * kDeadlineExceeded: SubmitOptions::deadline (wall clock, enforced both
 //    at round barriers and by the service watchdog) or ::round_budget (a
 //    deterministic barrier-count deadline) expired. Cooperative: a job is
@@ -55,9 +56,6 @@
 //
 // The order is deterministic given the admitted set (queued_order()
 // exposes it; tests/test_service_sched.cpp pins it with workers = 0).
-// Jobs may also carry a per-request engine_threads override: big jobs run
-// sharded, small jobs serial, on separate per-shard-count arenas — still
-// bit-identical to direct calls (the engine contract).
 //
 // Lifecycle: submit() blocks while the queue is full (backpressure) — but
 // never past the job's own deadline: a deadlined submit against a full
@@ -73,7 +71,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -95,9 +92,9 @@ struct ServiceConfig {
   /// Jobs the queue holds before submit() blocks (>= 1).
   std::size_t queue_capacity = 64;
   /// Round-engine shards per job (the solvers' num_threads; 1 = serial
-  /// engine, 0 = hardware concurrency). Results are bit-identical across
-  /// engine shard counts; the default keeps jobs the unit of parallelism.
-  /// Individual jobs may override it (SubmitOptions::engine_threads).
+  /// engine, 0 = hardware concurrency), the same for every job. Results are
+  /// bit-identical across engine shard counts; the default keeps jobs the
+  /// unit of parallelism.
   int engine_threads = 1;
   /// How often the watchdog sweeps live jobs for expired deadlines. The
   /// round barrier usually notices first; the watchdog covers jobs
@@ -123,6 +120,9 @@ struct ServiceStats {
   std::int64_t plans_built = 0;   // topology cache misses
   std::int64_t plans_shared = 0;  // topology cache hits
   double cache_hit_rate = 0.0;    // shared / (built + shared), 0 when idle
+  /// Always 0: run states belong to the worker views and are never parked
+  /// in the shared arena. Kept because the repository benchmark reads it
+  /// (perfbench/service_workload.cpp reports pool.parked_run_states).
   std::size_t parked_run_states = 0;
   // Queue-wait times (submit to worker pickup), averaged over the jobs a
   // worker has picked up so far.
@@ -147,8 +147,7 @@ enum class Priority : int {
 const char* to_string(Priority p);
 
 /// Per-job scheduling and failure-handling knobs. Everything defaults to
-/// off/neutral: normal priority, no deadline, no round budget, no retries,
-/// the service's engine shard count.
+/// off/neutral: normal priority, no deadline, no round budget, no retries.
 struct SubmitOptions {
   /// Wall-clock deadline, measured from entry into submit()/try_submit()
   /// — time spent blocked on a full queue counts against it; zero = none.
@@ -163,13 +162,6 @@ struct SubmitOptions {
   std::chrono::nanoseconds retry_backoff{std::chrono::milliseconds(1)};
   /// Scheduling class (see Priority).
   Priority priority = Priority::kNormal;
-  /// Per-request round-engine shard count: big jobs sharded, small jobs
-  /// serial. 0 = the service default (ServiceConfig::engine_threads);
-  /// results are bit-identical across shard counts (the engine contract,
-  /// pinned by tests/test_service_sched.cpp). Override jobs lease from a
-  /// per-shard-count arena, so they still share plans and run states with
-  /// jobs of the same override.
-  int engine_threads = 0;
 };
 
 /// What a tenant holds after submit()/try_submit(). The future is always
@@ -230,8 +222,6 @@ class SolverService {
   std::vector<JobId> queued_order() const;
 
   /// The arena shared by every worker (e.g. to pre-warm topology plans).
-  /// Jobs with an engine_threads override lease from separate
-  /// per-shard-count arenas instead (plans depend on the shard count).
   SharedNetworkPool& shared_pool() { return shared_pool_; }
 
   const ServiceConfig& config() const { return cfg_; }
@@ -284,15 +274,9 @@ class SolverService {
   JobTicket admit(SolverRequest req, SubmitOptions opts, bool blocking);
 
   /// Run one job to a terminal SolverResult (never throws): cancel/deadline
-  /// checks, the solver itself, and the bounded transient-retry loop.
-  /// `engine_threads` is the job's resolved shard count; `view` leases from
-  /// the matching arena.
-  SolverResult run_job(JobState& job, NetworkPool& view, int engine_threads);
-
-  /// The arena for a resolved engine_threads override (created on first
-  /// use, kept for the service lifetime). The default count maps to
-  /// shared_pool_.
-  SharedNetworkPool& pool_for_threads(int engine_threads);
+  /// checks, the solver itself, and the bounded transient-retry loop, on
+  /// the worker's `view` with its shard count.
+  SolverResult run_job(JobState& job, NetworkPool& view);
 
   /// Terminal result for a tripped token / SolverAborted unwind.
   SolverResult aborted_result(const JobState& job, AbortReason reason,
@@ -303,10 +287,6 @@ class SolverService {
 
   ServiceConfig cfg_;
   SharedNetworkPool shared_pool_;
-  /// Arenas for engine_threads overrides, keyed by resolved shard count
-  /// (plans depend on it, so overrides cannot share shared_pool_'s).
-  std::mutex override_mu_;
-  std::map<int, std::unique_ptr<SharedNetworkPool>> override_pools_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_not_empty_;

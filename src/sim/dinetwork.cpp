@@ -65,26 +65,6 @@ void DiNetwork::bind_plan() {
 
 void DiNetwork::reset() { net_.reset(); }
 
-void DiNetwork::reset(RoundLedger* ledger, std::string component) {
-  net_.reset(ledger, std::move(component));
-}
-
-void DiNetwork::rebind(const Digraph& dg,
-                       std::shared_ptr<const DiTopology> topo,
-                       RoundLedger* ledger, std::string component) {
-  DEC_REQUIRE(topo != nullptr, "null topology");
-  DEC_REQUIRE(topo->matches(dg), "topology does not fit the digraph");
-  dg_ = &dg;
-  if (topo.get() == topo_.get()) {
-    net_.reset(ledger, std::move(component));
-    return;
-  }
-  topo_ = std::move(topo);
-  net_.rebind(topo_->support(), topo_->support_topology(), ledger,
-              std::move(component));
-  bind_plan();
-}
-
 void DiNetwork::rebind(const Digraph& dg,
                        std::shared_ptr<const DiTopology> topo,
                        RoundLedger* ledger, std::string component,
@@ -94,17 +74,13 @@ void DiNetwork::rebind(const Digraph& dg,
   dg_ = &dg;
   arc_declared_ = arc_plan.max_fields;
   const SlotPlan sp = support_plan(*topo, arc_plan);
-  if (topo.get() == topo_.get()) {
-    // Same plan shape, but the declared width may differ between leases —
-    // the support rebind (same-topology fast path) updates it and resets.
-    net_.rebind(topo_->support(), topo_->support_topology(), ledger,
-                std::move(component), sp);
-    return;
-  }
+  // On the bound plan the support rebind takes its same-topology fast path
+  // (the declared width may still differ between leases) and resets.
+  const bool same_plan = topo.get() == topo_.get();
   topo_ = std::move(topo);
   net_.rebind(topo_->support(), topo_->support_topology(), ledger,
               std::move(component), sp);
-  bind_plan();
+  if (!same_plan) bind_plan();
 }
 
 void DiNetwork::clear_scratch(NodeId v) {

@@ -128,20 +128,14 @@ class DiNetwork {
             SlotPlan arc_plan = {.max_fields = kMaxArcFields});
 
   /// O(num_shards) return to the just-constructed state (epoch-based; see
-  /// SyncNetwork::reset). The no-arg form keeps the current ledger binding;
-  /// the two-arg form re-points the charge line (same split as SyncNetwork,
-  /// so reusing a DiNetwork can never silently detach its ledger).
+  /// SyncNetwork::reset), keeping the current ledger binding.
   void reset();
-  void reset(RoundLedger* ledger, std::string component = "dinetwork");
 
-  /// Re-target this run state at a different digraph/plan in place, reusing
-  /// support buffers, slabs, scratch, and thread pool (no allocation when
-  /// the new plan fits within what this state ever held). This is how one
-  /// pooled arena serves a fresh arc set every phase.
-  void rebind(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
-              RoundLedger* ledger = nullptr, std::string component = "dinetwork");
-
-  /// rebind() that also re-declares the per-arc slot plan.
+  /// Re-target this run state at a different digraph/plan, ledger charge
+  /// line and per-arc slot plan in place, reusing support buffers, slabs,
+  /// scratch, and thread pool (no allocation when the new plan fits within
+  /// what this state ever held). This is how one pooled arena serves a
+  /// fresh arc set every phase.
   void rebind(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
               RoundLedger* ledger, std::string component, SlotPlan arc_plan);
 

@@ -114,16 +114,14 @@ void SyncNetwork::reset() {
   }
 }
 
-void SyncNetwork::reset(RoundLedger* ledger, std::string component) {
-  bind_ledger(ledger, std::move(component));
-  reset();
-}
-
 void SyncNetwork::rebind(const Graph& g,
                          std::shared_ptr<const NetworkTopology> topo,
-                         RoundLedger* ledger, std::string component) {
+                         RoundLedger* ledger, std::string component,
+                         SlotPlan plan) {
+  validate_plan(plan);
   DEC_REQUIRE(topo != nullptr, "null topology");
   DEC_REQUIRE(topo->matches(g), "topology does not fit the graph");
+  declared_fields_ = plan.max_fields;
   g_ = &g;
   bind_ledger(ledger, std::move(component));
   if (topo.get() == topo_.get()) {
@@ -132,15 +130,6 @@ void SyncNetwork::rebind(const Graph& g,
   }
   topo_ = std::move(topo);
   bind_plan();
-}
-
-void SyncNetwork::rebind(const Graph& g,
-                         std::shared_ptr<const NetworkTopology> topo,
-                         RoundLedger* ledger, std::string component,
-                         SlotPlan plan) {
-  validate_plan(plan);
-  declared_fields_ = plan.max_fields;
-  rebind(g, std::move(topo), ledger, std::move(component));
 }
 
 void SyncNetwork::begin_round() {

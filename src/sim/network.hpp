@@ -263,19 +263,12 @@ class SyncNetwork {
   /// allocation.
   void reset();
 
-  /// reset() plus re-pointing the ledger charge line (pooled networks are
-  /// reused across solvers with different ledgers/components).
-  void reset(RoundLedger* ledger, std::string component);
-
-  /// Re-target this run state at a different graph/plan, reusing buffer and
-  /// shard storage (no allocation when the new plan needs no more slots or
-  /// shards than this state ever had). O(num_shards) when `topo` is the plan
-  /// already bound (degenerates to reset()).
-  void rebind(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
-              RoundLedger* ledger = nullptr, std::string component = "network");
-
-  /// rebind() that also re-declares the per-lease slot plan (the declared
-  /// max field count may change between leases).
+  /// Re-target this run state at a different graph/plan, ledger charge
+  /// line and per-lease slot plan (the declared max field count may change
+  /// between leases), reusing buffer and shard storage (no allocation when
+  /// the new plan needs no more slots or shards than this state ever had).
+  /// O(num_shards) when `topo` is the plan already bound (degenerates to
+  /// reset()).
   void rebind(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
               RoundLedger* ledger, std::string component, SlotPlan plan);
 

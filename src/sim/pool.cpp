@@ -1,7 +1,5 @@
 #include "sim/pool.hpp"
 
-#include <type_traits>
-
 namespace dec {
 
 NetworkPool::NetworkPool(int num_threads)
@@ -20,10 +18,6 @@ NetworkPool::~NetworkPool() {
   for (const auto& slot : dinets_) {
     DEC_DASSERT(!slot.busy, "a dinetwork lease outlived its pool");
   }
-  if (owned_ != nullptr) return;  // private arena dies with the view
-  // Park this view's run states in the shared arena for other tenants.
-  for (auto& slot : nets_) shared_->park(std::move(slot.net));
-  for (auto& slot : dinets_) shared_->park(std::move(slot.net));
 }
 
 template <class Net, class G, class Topo>
@@ -47,21 +41,11 @@ NetworkPool::Lease<Net> NetworkPool::acquire(std::vector<Slot<Net>>& slots,
     if (idle == slots.size()) idle = i;
   }
   if (idle == slots.size()) {
-    // Nothing idle in this view: adopt a parked run state from the shared
-    // arena before constructing fresh.
-    std::unique_ptr<Net> adopted;
-    if constexpr (std::is_same_v<Net, SyncNetwork>) {
-      adopted = shared_->adopt_network(topo.get());
-    } else {
-      adopted = shared_->adopt_dinetwork(topo.get());
-    }
-    if (adopted == nullptr) {
-      slots.push_back({std::make_unique<Net>(g, std::move(topo), ledger,
-                                             std::move(component), plan),
-                       true});
-      return Lease<Net>(this, idle, slots.back().net.get());
-    }
-    slots.push_back({std::move(adopted), false});
+    // Nothing idle in this view: build a run state of its own.
+    slots.push_back({std::make_unique<Net>(g, std::move(topo), ledger,
+                                           std::move(component), plan),
+                     true});
+    return Lease<Net>(this, idle, slots.back().net.get());
   }
   slots[idle].net->rebind(g, std::move(topo), ledger, std::move(component),
                           plan);

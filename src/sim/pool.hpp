@@ -1,27 +1,26 @@
-// NetworkPool: a thread-confined view of a shared arena of topology plans
-// and network run states.
+// NetworkPool: a thread-confined view of a shared cache of topology plans,
+// owning the network run states it builds.
 //
 // Solvers that build many networks — one per phase game, one per recursion
 // level, one per pipeline stage — pay planning (CSR offsets, peer
 // permutation, shard partition, lane plan) and run-state allocation (message
 // planes, slabs, thread pool) for every single one. The arena amortizes
-// both; since PR 5 the arena itself is SharedNetworkPool
-// (sim/shared_pool.hpp), a concurrent, multi-tenant store, and NetworkPool
-// is the thin single-threaded view solvers hold on it:
+// both under one rule: plans are shared, run states are owned by the view
+// that built them.
 //
-//  * Topology cache (shared, thread-safe). topology() forwards to the shared
-//    pool's fingerprint-sharded cache: repeat shapes — across phases of one
-//    solver or across concurrent tenants — plan exactly once and share the
-//    plan by shared_ptr. Fingerprint hits are verified against the full
-//    stored edge list, so bit-identity is unconditional.
+//  * Topology cache (shared, thread-safe). topology() forwards to the
+//    SharedNetworkPool's (sim/shared_pool.hpp) fingerprint-sharded cache:
+//    repeat shapes — across phases of one solver or across concurrent
+//    tenants — plan exactly once and share the plan by shared_ptr.
+//    Fingerprint hits are verified against the full stored edge list, so
+//    bit-identity is unconditional.
 //
-//  * Run-state arena (view-local, thread-confined). network()/dinetwork()
-//    lease a SyncNetwork/DiNetwork whose buffers, slabs, scratch, and thread
-//    pool are reused across leases: a returning shape degenerates to an
-//    O(shards) epoch reset, a new shape to an in-place rebind. Run states
-//    acquired by this view stay with it for its lifetime (no per-lease
-//    locking); on destruction they park in the shared pool for other
-//    tenants to adopt.
+//  * Run states (view-owned, thread-confined). network()/dinetwork() lease
+//    a SyncNetwork/DiNetwork whose buffers, slabs, scratch, and thread pool
+//    are reused across leases: a returning shape degenerates to an
+//    O(shards) epoch reset, a new shape to an in-place rebind. A view
+//    builds a run state only when none of its own is idle, keeps it for its
+//    lifetime (no per-lease locking), and frees it on destruction.
 //
 // A leased network starts indistinguishable from a freshly constructed one
 // (epoch-gated slots, cleared rounds/audit/slabs), so pooled runs are
@@ -69,11 +68,11 @@ class NetworkPool {
   /// see resolve_num_threads).
   explicit NetworkPool(int num_threads = 1);
 
-  /// Tenant view over a shared arena: topology plans and parked run states
-  /// are shared with every other view of `shared`; leases and the view
-  /// itself stay confined to the constructing thread. The view leases
+  /// Tenant view over a shared arena: topology plans are shared with every
+  /// other view of `shared`, run states are this view's own; leases and the
+  /// view itself stay confined to the constructing thread. The view leases
   /// networks with the shared pool's shard count and must not outlive
-  /// `shared` (it parks its run states there on destruction).
+  /// `shared`.
   explicit NetworkPool(SharedNetworkPool& shared);
 
   ~NetworkPool();
@@ -82,10 +81,6 @@ class NetworkPool {
   NetworkPool& operator=(const NetworkPool&) = delete;
 
   int num_threads() const { return shared_->num_threads(); }
-
-  /// The arena this view is over (its own when constructed with a thread
-  /// count).
-  SharedNetworkPool& shared() { return *shared_; }
 
   /// Plan-or-fetch the topology for a graph shape (thread-safe, forwarded
   /// to the shared arena).
@@ -151,7 +146,7 @@ class NetworkPool {
   /// Lease a run state bound to `g` (topology cached-or-planned), reset and
   /// charging rounds to `ledger` under `component`. `plan` is the lease's
   /// slot plan (per-arc for dinetwork, see DiNetwork); its declared width is
-  /// re-bound per lease, so any idle or parked run state can serve it.
+  /// re-bound per lease, so any idle run state of the view can serve it.
   NetworkLease network(const Graph& g, RoundLedger* ledger = nullptr,
                        std::string component = "network", SlotPlan plan = {});
   DiNetworkLease dinetwork(const Digraph& dg, RoundLedger* ledger = nullptr,
@@ -176,8 +171,7 @@ class NetworkPool {
   };
 
   /// Shared lease selection: prefer an idle run state on this exact plan
-  /// (O(shards) reset), else any idle one (in-place rebind), else adopt a
-  /// parked state from the shared arena, else grow.
+  /// (O(shards) reset), else any idle one (in-place rebind), else build one.
   template <class Net, class G, class Topo>
   Lease<Net> acquire(std::vector<Slot<Net>>& slots, const G& g,
                      std::shared_ptr<const Topo> topo, RoundLedger* ledger,

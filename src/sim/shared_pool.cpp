@@ -130,68 +130,6 @@ std::shared_ptr<const DiTopology> SharedNetworkPool::topology(
                       [&] { return DiTopology::plan(dg, num_threads_); });
 }
 
-template <class Net, class Topo>
-std::unique_ptr<Net> SharedNetworkPool::adopt(
-    std::vector<std::unique_ptr<Net>> StateShard::* list,
-    const Topo* plan_key) {
-  const std::size_t home = shard_of_key(plan_key);
-  for (std::size_t step = 0; step < kNumShards; ++step) {
-    StateShard& sh = state_shards_[(home + step) % kNumShards];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto& parked = sh.*list;
-    if (parked.empty()) continue;
-    // Newest first (LIFO), except that in the home shard a state bound to
-    // this exact plan wins, so the caller's rebind degenerates to an
-    // O(shards) reset.
-    std::size_t pick = parked.size() - 1;
-    if (step == 0) {
-      for (std::size_t i = 0; i < parked.size(); ++i) {
-        if (parked[i]->topology().get() == plan_key) {
-          pick = i;
-          break;
-        }
-      }
-    }
-    std::unique_ptr<Net> net = std::move(parked[pick]);
-    parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(pick));
-    parked_.fetch_sub(1, std::memory_order_relaxed);
-    return net;
-  }
-  return nullptr;
-}
-
-std::unique_ptr<SyncNetwork> SharedNetworkPool::adopt_network(
-    const NetworkTopology* plan_key) {
-  return adopt(&StateShard::nets, plan_key);
-}
-
-std::unique_ptr<DiNetwork> SharedNetworkPool::adopt_dinetwork(
-    const DiTopology* plan_key) {
-  return adopt(&StateShard::dinets, plan_key);
-}
-
-template <class Net>
-void SharedNetworkPool::park_in(
-    std::vector<std::unique_ptr<Net>> StateShard::* list,
-    std::unique_ptr<Net> net, const void* plan_key) {
-  StateShard& sh = state_shards_[shard_of_key(plan_key)];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto& parked = sh.*list;
-  if (parked.size() >= kMaxParkedPerShard) return;  // drop: arena is full
-  parked.push_back(std::move(net));
-  parked_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void SharedNetworkPool::park(std::unique_ptr<SyncNetwork> net) {
-  const void* key = net->topology().get();
-  park_in(&StateShard::nets, std::move(net), key);
-}
-
-void SharedNetworkPool::park(std::unique_ptr<DiNetwork> net) {
-  const void* key = net->topology().get();
-  park_in(&StateShard::dinets, std::move(net), key);
-}
-
 std::size_t SharedNetworkPool::cached_topologies() const {
   std::size_t total = 0;
   for (const auto& sh : net_shards_) {

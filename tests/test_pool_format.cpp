@@ -1,25 +1,22 @@
 // Pool run-state identity: a run state's only identity is the plan it was
-// last bound to, and that only steers preference. Every parked or idle
-// state can serve every lease — the declared width is re-bound per lease —
-// so the arena never constructs a second state where one is free. Pinned
-// directly on SharedNetworkPool's park/adopt for both network kinds,
-// through the NetworkPool view (idle-slot reuse across widths and across
-// views), and under a multi-threaded same-shape lease/park/adopt stress
-// that TSan checks for races on the adopt scan.
+// last bound to, and that only steers preference. Every idle state of a
+// view can serve every lease of that view — the declared width is re-bound
+// per lease — so a view never constructs a second state where one of its
+// own is free. Plans are shared across views, run states are not: each
+// view builds its own. Pinned through the NetworkPool view (idle-slot
+// reuse across widths, plan sharing across views) and under a
+// multi-threaded same-shape lease stress that TSan checks for races on the
+// shared plan cache.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "sim/dinetwork.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
-#include "sim/topology.hpp"
 
 namespace dec {
 namespace {
@@ -38,42 +35,6 @@ void echo_round(SyncNetwork& net) {
       ASSERT_EQ(in[i].at(0), static_cast<std::int64_t>(nb[i].neighbor));
     }
   });
-}
-
-TEST(PoolFormat, SharedParkAdoptReturnsTheParkedState) {
-  SharedNetworkPool shared(1);
-  const Graph g = gen::cycle(8);
-  const auto topo = shared.topology(g);
-  auto net = std::make_unique<SyncNetwork>(g, topo, nullptr, "s",
-                                           SlotPlan{.max_fields = 3});
-  SyncNetwork* raw = net.get();
-  shared.park(std::move(net));
-  EXPECT_EQ(shared.parked_run_states(), 1u);
-  auto adopted = shared.adopt_network(topo.get());
-  ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(adopted.get(), raw);
-  EXPECT_EQ(shared.parked_run_states(), 0u);
-  EXPECT_EQ(shared.adopt_network(topo.get()), nullptr);
-  // A lease of another width re-binds the adopted state in place.
-  adopted->rebind(g, topo, nullptr, "s1", SlotPlan{});
-  EXPECT_EQ(adopted->declared_fields(), 1);
-  echo_round(*adopted);
-}
-
-TEST(PoolFormat, SharedParkAdoptReturnsTheParkedDiNetwork) {
-  SharedNetworkPool shared(1);
-  const Digraph dg(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  const auto topo = shared.topology(dg);
-  auto di = std::make_unique<DiNetwork>(dg, topo, nullptr, "sd",
-                                        SlotPlan{.max_fields = 2});
-  DiNetwork* raw = di.get();
-  shared.park(std::move(di));
-  auto adopted = shared.adopt_dinetwork(topo.get());
-  ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(adopted.get(), raw);
-  EXPECT_EQ(shared.adopt_dinetwork(topo.get()), nullptr);
-  // Network and dinetwork states park in separate lists.
-  EXPECT_EQ(shared.adopt_network(nullptr), nullptr);
 }
 
 TEST(PoolFormat, ViewReusesOneRunStateAcrossWidths) {
@@ -102,31 +63,33 @@ TEST(PoolFormat, ViewReusesOneRunStateAcrossWidths) {
   EXPECT_EQ(pool.run_states(), 2u);
 }
 
-TEST(PoolFormat, CrossViewLeaseAdoptsTheParkedState) {
-  // View 1 parks its state on destruction; view 2 adopts it instead of
-  // constructing, whatever width it declares.
+TEST(PoolFormat, CrossViewLeaseSharesThePlanNotTheState) {
+  // View 2 reuses the plan view 1 built, but builds its own run state (at
+  // whatever width it declares) while view 1 still holds its idle one.
   SharedNetworkPool shared(1);
   const Graph g = gen::star(12);
+  NetworkPool first(shared);
   {
-    NetworkPool view(shared);
-    auto lease = view.network(g, nullptr, "s", SlotPlan{.max_fields = 2});
+    auto lease = first.network(g, nullptr, "s", SlotPlan{.max_fields = 2});
     echo_round(*lease);
   }
-  EXPECT_EQ(shared.parked_run_states(), 1u);
+  NetworkPool second(shared);
   {
-    NetworkPool view(shared);
-    auto lease = view.network(g, nullptr, "d");
+    auto lease = second.network(g, nullptr, "d");
+    EXPECT_EQ(lease->declared_fields(), 1);
     echo_round(*lease);
-    EXPECT_EQ(view.run_states(), 1u);
-    EXPECT_EQ(shared.parked_run_states(), 0u);  // adopted, not constructed
   }
-  EXPECT_EQ(shared.parked_run_states(), 1u);
+  EXPECT_EQ(first.run_states(), 1u);
+  EXPECT_EQ(second.run_states(), 1u);
+  EXPECT_EQ(shared.topology_misses(), 1);
+  EXPECT_EQ(shared.topology_hits(), 1);
 }
 
 TEST(PoolFormat, ConcurrentSameShapeLeaseStress) {
   // Tenants on their own threads lease the same two shapes, at varying
-  // widths, over one shared arena, so adopt scans race with parks on the
-  // same home shard. TSan watches the arena; the asserts watch delivery.
+  // widths, over one shared arena, so first lookups of a shape race with
+  // repeat ones in the same cache shard while every view builds and frees
+  // its own run states. TSan watches the arena; the asserts watch delivery.
   SharedNetworkPool shared(1);
   constexpr int kThreads = 4;
   constexpr int kIters = 40;

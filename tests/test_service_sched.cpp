@@ -1,11 +1,11 @@
 // Scheduler contract for SolverService (PR 8): deterministic pop order
 // (priority class, then EDF within a class, then arrival order), the
 // deadline-bounded blocking submit (a full queue never hangs a deadlined
-// tenant), the shutdown sweep's deadline/reject distinction, per-request
-// engine_threads overrides staying bit-identical to direct serial calls
-// for all five solvers, and the coherent cache-counter snapshot. Order
-// tests run with workers = 0, so the queue is a pure data structure and
-// queued_order() is exact. CI runs this file under TSan.
+// tenant), the shutdown sweep's deadline/reject distinction, services at
+// every ServiceConfig::engine_threads staying bit-identical to direct
+// serial calls for all five solvers, and the coherent cache-counter
+// snapshot. Order tests run with workers = 0, so the queue is a pure data
+// structure and queued_order() is exact. CI runs this file under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -307,11 +307,11 @@ std::vector<SolverRequest> one_of_each_solver() {
   return reqs;
 }
 
-TEST(ServiceScheduler, EngineThreadsOverrideBitIdenticalAcrossSolvers) {
-  // Per-request engine_threads: the same job run serial (service default),
-  // 2-sharded, and 4-sharded must be bit-identical to the direct serial
-  // call, for every registered solver. Overrides lease from their own
-  // per-shard-count arena.
+TEST(ServiceScheduler, EngineThreadsBitIdenticalAcrossSolvers) {
+  // A service run serial, 2-sharded, and 4-sharded
+  // (ServiceConfig::engine_threads) must be bit-identical to the direct
+  // serial call, for every registered solver, on the cold batch and on a
+  // warm re-run over the worker views' recycled run states.
   const std::vector<SolverRequest> reqs = one_of_each_solver();
   std::vector<SolverResult> refs;
   refs.reserve(reqs.size());
@@ -319,26 +319,27 @@ TEST(ServiceScheduler, EngineThreadsOverrideBitIdenticalAcrossSolvers) {
     refs.push_back(execute_request(req, 1, nullptr));
   }
 
-  SolverService service({.workers = 2, .queue_capacity = 16});
   for (const int threads : {1, 2, 4}) {
-    std::vector<JobTicket> tickets;
-    for (const SolverRequest& req : reqs) {
-      tickets.push_back(service.submit(req, {.engine_threads = threads}));
+    SolverService service(
+        {.workers = 2, .queue_capacity = 16, .engine_threads = threads});
+    std::int64_t shared_after_cold = 0;
+    for (const bool warm : {false, true}) {
+      if (warm) shared_after_cold = service.stats().plans_shared;
+      const char* pass = warm ? "warm" : "cold";
+      std::vector<JobTicket> tickets;
+      for (const SolverRequest& req : reqs) {
+        tickets.push_back(service.submit(req));
+      }
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        const SolverResult got = tickets[i].result.get();
+        ASSERT_EQ(got.status, SolverStatus::kOk)
+            << "threads " << threads << " " << pass << " job " << i;
+        expect_same_result(refs[i], got, static_cast<int>(i));
+      }
     }
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      const SolverResult got = tickets[i].result.get();
-      ASSERT_EQ(got.status, SolverStatus::kOk)
-          << "threads " << threads << " job " << i;
-      expect_same_result(refs[i], got, static_cast<int>(i));
-    }
-  }
-  // Re-running the 2-shard batch hits the override arena's warm plans.
-  std::vector<JobTicket> warm;
-  for (const SolverRequest& req : reqs) {
-    warm.push_back(service.submit(req, {.engine_threads = 2}));
-  }
-  for (std::size_t i = 0; i < warm.size(); ++i) {
-    expect_same_result(refs[i], warm[i].result.get(), static_cast<int>(i));
+    // The warm pass leased the cold pass's cached plans.
+    EXPECT_GT(service.stats().plans_shared, shared_after_cold)
+        << "threads " << threads;
   }
 }
 

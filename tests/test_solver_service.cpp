@@ -518,8 +518,9 @@ TEST(SolverService, RoundBudgetIsADeterministicDeadline) {
 }
 
 TEST(SolverService, AbortedJobsLeaveTheArenaCleanForLaterTenants) {
-  // Jobs aborted mid-run park their leases; the next job adopting those run
-  // states must produce bit-identical results to a fresh-pool direct call.
+  // Jobs aborted mid-run return their leases to the worker's view; the next
+  // job reusing those run states must produce bit-identical results to a
+  // fresh-pool direct call.
   Rng rng(56);
   auto g = std::make_shared<const Graph>(gen::gnp(60, 0.15, rng));
   const SolverResult ref = execute_request(make_congest_request(g, {1.0}));
@@ -590,46 +591,25 @@ TEST(SharedNetworkPool, ConcurrentLookupsCountEveryHitAndMiss) {
   EXPECT_EQ(pool.cached_topologies(), static_cast<std::size_t>(kShapes));
 }
 
-TEST(SharedNetworkPool, ViewsParkAndAdoptRunStates) {
-  Rng rng(48);
-  const Graph g = gen::gnp(40, 0.15, rng);
-  SharedNetworkPool shared(1);
-  {
-    NetworkPool view(shared);
-    auto lease = view.network(g);
-    lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-      for (auto&& m : out) m.assign({v});
-    });
-  }  // view destroyed: its run state parks in the shared arena
-  EXPECT_EQ(shared.parked_run_states(), 1u);
-  {
-    NetworkPool view(shared);
-    auto lease = view.network(g);  // adopts the parked state
-    EXPECT_EQ(shared.parked_run_states(), 0u);
-    EXPECT_EQ(lease->rounds_executed(), 0);  // handed out reset
-    EXPECT_EQ(view.run_states(), 1u);
-  }
-  EXPECT_EQ(shared.parked_run_states(), 1u);
-}
-
-TEST(SharedNetworkPool, TenantsOnDistinctThreadsShareWarmStates) {
-  // Serial tenants on different threads: the second tenant's view adopts
-  // the state the first tenant's view parked (thread migration through the
-  // free list is legal; only *leases* are thread-confined).
-  Rng rng(49);
+TEST(SharedNetworkPool, TenantsOnDistinctThreadsSharePlans) {
+  // Serial tenants on different threads: the second tenant's view reuses
+  // the plan the first tenant's view built, but not its run state — each
+  // view builds its own and frees it on destruction.
   const Graph g = gen::grid(5, 6);
   SharedNetworkPool shared(1);
   auto run_tenant = [&] {
     NetworkPool view(shared);
-    auto lease = view.network(g);
-    lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-      for (auto&& m : out) m.assign({v});
-    });
+    {
+      auto lease = view.network(g);
+      EXPECT_EQ(lease->rounds_executed(), 0);
+      lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
+        for (auto&& m : out) m.assign({v});
+      });
+    }
+    EXPECT_EQ(view.run_states(), 1u);
   };
   std::thread(run_tenant).join();
-  EXPECT_EQ(shared.parked_run_states(), 1u);
   std::thread(run_tenant).join();
-  EXPECT_EQ(shared.parked_run_states(), 1u);  // adopted, reused, re-parked
   EXPECT_EQ(shared.topology_misses(), 1);
   EXPECT_EQ(shared.topology_hits(), 1);
 }
