@@ -18,6 +18,7 @@
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
 #include "sim/topology.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <thread>
@@ -40,16 +41,27 @@ void BM_GraphConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphConstruction)->Arg(1000)->Arg(10000);
 
+// L(G) construction; Args are {n, executor threads}. At n = 4000 L(G) has
+// 112k edges, below two fill chunks, so /4000/4 runs the serial fill; at
+// n = 16000 (448k edges) the fill splits into one chunk per thread.
 void BM_LineGraph(benchmark::State& state) {
   Rng rng(2);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
+  ThreadPool executor(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    const Graph lg = line_graph(g);
+    const Graph lg = line_graph(g, &executor);
     benchmark::DoNotOptimize(lg.num_edges());
   }
+  state.counters["engine_threads"] = static_cast<double>(state.range(1));
 }
-BENCHMARK(BM_LineGraph)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_LineGraph)
+    ->Args({1000, 1})
+    ->Args({4000, 1})
+    ->Args({4000, 4})
+    ->Args({16000, 1})
+    ->Args({16000, 4})
+    ->UseRealTime();
 
 // The (Δ̄+1)-edge coloring of one bipartite leaf, isolated: the split-0
 // bipartite subgraph of random_regular(10^4, 16) exactly as
@@ -304,6 +316,23 @@ void BM_NetworkRoundCancelToken(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
 }
 BENCHMARK(BM_NetworkRoundCancelToken)->Arg(1000)->Arg(10000);
+
+// The sharded round's fixed cost: an empty node program, so a round is
+// the executor's dispatch and join (the caller runs shard 0) plus the
+// epoch, audit and per-node visit bookkeeping. Args are {n, shards}; wall
+// time, as for the parallel rows below.
+void BM_RoundBarrier(benchmark::State& state) {
+  Rng rng(3);
+  const Graph g = gen::random_regular(
+      static_cast<NodeId>(state.range(0)), 8, rng);
+  SyncNetwork net(g, nullptr, "network", static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    net.round_fast([](NodeId, const auto&, auto&&) {});
+  }
+  benchmark::DoNotOptimize(net.rounds_executed());
+  state.counters["engine_threads"] = static_cast<double>(state.range(1));
+}
+BENCHMARK(BM_RoundBarrier)->Args({10000, 2})->Args({10000, 4})->UseRealTime();
 
 // Parallel round engine; Args are {n, threads}. Wall time: the main thread
 // sleeps in the pool barrier, so its CPU time would overstate items/s.

@@ -7,6 +7,7 @@
 #include "coloring/linial.hpp"
 #include "coloring/list_instance.hpp"
 #include "graph/line_graph.hpp"
+#include "sim/pool.hpp"
 #include "util/logstar.hpp"
 #include "util/prime.hpp"
 
@@ -21,7 +22,10 @@ EdgeColoringResult edge_color_fast_2delta(const Graph& g, RoundLedger* ledger,
     return res;
   }
   const int target = g.max_edge_degree() + 1;  // = 2Δ-1 on Δ-regular graphs
-  const Graph lg = line_graph(g);
+  // Stages outside the rounds (L(G), the final check) run their chunks on
+  // the pool's executor, idle between the Linial rounds.
+  ThreadPool* const executor = pool != nullptr ? &pool->executor() : nullptr;
+  const Graph lg = line_graph(g, executor);
   const LinialResult lin =
       linial_color(lg, ledger, {}, 0, num_threads, pool, cancel);
   res.rounds += lin.rounds;
@@ -44,7 +48,7 @@ EdgeColoringResult edge_color_fast_2delta(const Graph& g, RoundLedger* ledger,
 
   res.colors = fin.colors;
   res.palette = fin.palette;
-  DEC_CHECK(is_complete_proper_edge_coloring(g, res.colors),
+  DEC_CHECK(is_complete_proper_edge_coloring(g, res.colors, executor),
             "fast 2Δ-1 baseline produced an improper edge coloring");
   return res;
 }

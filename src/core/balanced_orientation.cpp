@@ -63,7 +63,7 @@ BalancedOrientationResult balanced_orientation(const Graph& g,
 
   // One arena for the whole run: the solver's own network plus every
   // per-phase token dropping game lease from it, so phase φ+1's game reuses
-  // phase φ's buffers instead of rebuilding planes, slabs, and thread pools.
+  // phase φ's buffers instead of rebuilding planes and slabs.
   std::optional<NetworkPool> own_pool;
   if (pool == nullptr) {
     own_pool.emplace(num_threads);

@@ -43,8 +43,8 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
   validate_bipartition(g, parts);
 
   // One arena across every level, part, and leaf stage: the per-part
-  // subgraphs change shape, but their run states (buffers, slabs, thread
-  // pools) are reused in place instead of rebuilt per part.
+  // subgraphs change shape, but their run states (buffers, slabs) and the
+  // view's executor are reused in place instead of rebuilt per part.
   std::optional<NetworkPool> own_pool;
   if (pool == nullptr) {
     own_pool.emplace(num_threads);
@@ -183,7 +183,7 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
   if (ledger != nullptr) ledger->charge("bipartite_leaf", leaf_rounds);
 
   res.palette = num_parts * range;
-  DEC_CHECK(is_complete_proper_edge_coloring(g, res.colors),
+  DEC_CHECK(is_complete_proper_edge_coloring(g, res.colors, &pool->executor()),
             "bipartite coloring is improper");
   return res;
 }

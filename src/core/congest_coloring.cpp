@@ -135,7 +135,7 @@ CongestColoringResult congest_edge_coloring(const Graph& g, double eps,
   }
 
   res.palette = next_color;
-  DEC_CHECK(is_complete_proper_edge_coloring(g, res.colors),
+  DEC_CHECK(is_complete_proper_edge_coloring(g, res.colors, &pool->executor()),
             "CONGEST coloring is improper");
   return res;
 }

@@ -59,7 +59,7 @@ struct TokenDroppingResult {
 /// each arc; token count conserved.
 /// `pool` (optional) leases the game's DiNetwork from an arena instead of
 /// building it — callers running many games (balanced orientation's phases)
-/// pass one pool so buffers and thread pools are reused; results are
+/// pass one pool so buffers and the executor are reused; results are
 /// bit-identical with or without it.
 TokenDroppingResult run_token_dropping(const Digraph& game,
                                        std::vector<int> initial_tokens,

@@ -1,8 +1,20 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace dec {
+
+namespace {
+
+// Edge ids are int32: a list past INT32_MAX edges would wrap num_edges().
+void require_edge_ids(std::size_t m) {
+  DEC_REQUIRE(m <= static_cast<std::size_t>(INT32_MAX),
+              "edge count " + std::to_string(m) +
+                  " exceeds 32-bit edge ids (at most 2147483647)");
+}
+
+}  // namespace
 
 void Graph::finish_construction(bool adjacency_sorted) {
   adj_.resize(edges_.size() * 2);
@@ -40,6 +52,7 @@ void Graph::finish_construction(bool adjacency_sorted) {
 Graph::Graph(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges)
     : n_(n), edges_(std::move(edges)) {
   DEC_REQUIRE(n >= 0, "negative node count");
+  require_edge_ids(edges_.size());
   offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges_) {
     DEC_REQUIRE(u >= 0 && u < n && v >= 0 && v < n, "edge endpoint out of range");
@@ -56,6 +69,7 @@ Graph::Graph(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges)
 Graph Graph::from_sorted_unique(NodeId n,
                                 std::vector<std::pair<NodeId, NodeId>> edges) {
   DEC_REQUIRE(n >= 0, "negative node count");
+  require_edge_ids(edges.size());
   Graph g;
   g.n_ = n;
   g.edges_ = std::move(edges);
@@ -91,8 +105,7 @@ Graph Graph::from_csr(NodeId n, std::span<const std::uint64_t> offsets,
   DEC_REQUIRE(endpoints.size() % 2 == 0,
               "CSR endpoint section has odd length");
   const std::size_t m = endpoints.size() / 2;
-  DEC_REQUIRE(m <= static_cast<std::size_t>(INT32_MAX),
-              "edge count exceeds 32-bit edge ids");
+  require_edge_ids(m);
   DEC_REQUIRE(offsets.front() == 0 && offsets.back() == 2 * m,
               "CSR offsets do not span the endpoint section");
   Graph g;

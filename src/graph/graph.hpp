@@ -22,6 +22,8 @@ namespace dec {
 using NodeId = std::int32_t;
 using EdgeId = std::int32_t;
 
+class ThreadPool;
+
 constexpr NodeId kInvalidNode = -1;
 constexpr EdgeId kInvalidEdge = -1;
 
@@ -38,7 +40,8 @@ struct Incidence {
 class Graph {
  public:
   /// Build from an explicit edge list over nodes 0..n-1. The edge list must
-  /// be simple; use GraphBuilder for validation and deduplication.
+  /// be simple; use GraphBuilder for validation and deduplication. Every
+  /// constructor rejects more than INT32_MAX edges (32-bit edge ids).
   Graph(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges);
 
   Graph() = default;
@@ -128,6 +131,9 @@ class Graph {
   }
 
  private:
+  // Fills L(G)'s CSR directly (graph/line_graph.cpp).
+  friend Graph line_graph(const Graph& g, ThreadPool* executor);
+
   /// Shared tail of all constructors: edges_ and offsets_ are final and
   /// validated; fills adj_ (cursor counting sort), degree maxima, and the
   /// edge-degree cache. `adjacency_sorted` says the fill produces

@@ -13,9 +13,12 @@ namespace dec {
 
 /// L(G): one node per edge of g; two nodes adjacent iff the edges share an
 /// endpoint. Node i of the result corresponds to edge id i of g. Built in
-/// O(n + m + |E(L(G))|) with no sort: L(G)'s edge list comes out canonical
-/// ((a, b) with a < b, ascending), so every adjacency is neighbor-sorted by
-/// construction.
-Graph line_graph(const Graph& g);
+/// O(n + m + |E(L(G))|) with no sort and no intermediate edge list: L(G)'s
+/// edge list comes out canonical ((a, b) with a < b, ascending) and its
+/// CSR adjacency, neighbor-sorted, is filled in the same pass. Large line
+/// graphs are filled in chunks on `executor` (null: serially); the result
+/// is bit-identical for every executor. Throws before allocating if L(G)
+/// would have more edges than 32-bit edge ids hold.
+Graph line_graph(const Graph& g, ThreadPool* executor = nullptr);
 
 }  // namespace dec

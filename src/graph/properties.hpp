@@ -22,12 +22,17 @@ bool is_proper_vertex_coloring(const Graph& g, const std::vector<Color>& color);
 bool is_complete_proper_vertex_coloring(const Graph& g,
                                         const std::vector<Color>& color);
 
-/// True iff no two incident colored edges share a color.
-bool is_proper_edge_coloring(const Graph& g, const std::vector<Color>& color);
+/// True iff no two incident colored edges share a color. One per-node loop;
+/// large graphs run it in chunks on `executor` (null: serially), with the
+/// same answer.
+bool is_proper_edge_coloring(const Graph& g, const std::vector<Color>& color,
+                             ThreadPool* executor = nullptr);
 
-/// True iff every edge is colored and no two incident edges share a color.
+/// True iff every edge is colored and no two incident edges share a color
+/// (the same chunked per-node loop).
 bool is_complete_proper_edge_coloring(const Graph& g,
-                                      const std::vector<Color>& color);
+                                      const std::vector<Color>& color,
+                                      ThreadPool* executor = nullptr);
 
 /// Defect of each node under a (possibly improper) vertex coloring: the
 /// number of neighbors sharing the node's color. Uncolored nodes get 0.

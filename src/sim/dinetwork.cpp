@@ -40,11 +40,11 @@ DiNetwork::DiNetwork(const Digraph& dg, RoundLedger* ledger,
 
 DiNetwork::DiNetwork(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
                      RoundLedger* ledger, std::string component,
-                     SlotPlan arc_plan)
+                     SlotPlan arc_plan, ThreadPool* executor)
     : dg_(&dg),
       topo_(require_topo(std::move(topo))),
       net_(topo_->support(), topo_->support_topology(), ledger,
-           std::move(component), support_plan(*topo_, arc_plan)),
+           std::move(component), support_plan(*topo_, arc_plan), executor),
       arc_declared_(arc_plan.max_fields) {
   DEC_REQUIRE(topo_->matches(dg), "topology does not fit the digraph");
   bind_plan();

@@ -25,7 +25,8 @@
 //    DiTopology, resettable in O(shards), and rebindable in place to a new
 //    arc set on the same (or a different) node set — NetworkPool leases do
 //    this so per-phase token-dropping games reuse one arena instead of
-//    rebuilding buffers, slabs, and thread pools per phase.
+//    rebuilding buffers and slabs per phase. Its sharded rounds run on the
+//    leasing view's executor.
 //
 //  * Arc-indexed node programs. A node program addresses channels by its
 //    digraph incidence lists: it sends along its j-th out-arc / against its
@@ -122,18 +123,20 @@ class DiNetwork {
                      SlotPlan arc_plan = {.max_fields = kMaxArcFields});
 
   /// Build run state on an existing (typically cached) plan. `topo` must fit
-  /// `dg` (see DiTopology::matches).
+  /// `dg` (see DiTopology::matches). `executor` is lent to the support
+  /// network (see SyncNetwork's constructor; null: a private one).
   DiNetwork(const Digraph& dg, std::shared_ptr<const DiTopology> topo,
             RoundLedger* ledger = nullptr, std::string component = "dinetwork",
-            SlotPlan arc_plan = {.max_fields = kMaxArcFields});
+            SlotPlan arc_plan = {.max_fields = kMaxArcFields},
+            ThreadPool* executor = nullptr);
 
   /// O(num_shards) return to the just-constructed state (epoch-based; see
   /// SyncNetwork::reset), keeping the current ledger binding.
   void reset();
 
   /// Re-target this run state at a different digraph/plan, ledger charge
-  /// line and per-arc slot plan in place, reusing support buffers, slabs,
-  /// scratch, and thread pool (no allocation when the new plan fits within
+  /// line and per-arc slot plan in place, reusing support buffers, slabs
+  /// and scratch (no allocation when the new plan fits within
   /// what this state ever held). This is how one pooled arena serves a
   /// fresh arc set every phase.
   void rebind(const Digraph& dg, std::shared_ptr<const DiTopology> topo,

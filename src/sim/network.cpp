@@ -30,11 +30,15 @@ SyncNetwork::SyncNetwork(const Graph& g, RoundLedger* ledger,
 SyncNetwork::SyncNetwork(const Graph& g,
                          std::shared_ptr<const NetworkTopology> topo,
                          RoundLedger* ledger, std::string component,
-                         SlotPlan plan)
-    : g_(&g), topo_(std::move(topo)) {
+                         SlotPlan plan, ThreadPool* executor)
+    : g_(&g), topo_(std::move(topo)), exec_(executor) {
   DEC_REQUIRE(topo_ != nullptr, "null topology");
   DEC_REQUIRE(topo_->matches(g), "topology does not fit the graph");
   validate_plan(plan);
+  if (exec_ == nullptr) {
+    own_exec_ = std::make_unique<ThreadPool>(topo_->num_shards());
+    exec_ = own_exec_.get();
+  }
   declared_fields_ = plan.max_fields;
   bind_ledger(ledger, std::move(component));
   bind_plan();
@@ -68,17 +72,13 @@ void SyncNetwork::bind_plan() {
   visit_tag_.resize(static_cast<std::size_t>(topo_->num_nodes()));
 
   const int num_shards = topo_->num_shards();
+  DEC_REQUIRE(num_shards <= exec_->num_threads(),
+              "plan has " + std::to_string(num_shards) +
+                  " shards but the network's executor runs " +
+                  std::to_string(exec_->num_threads()) +
+                  " threads — plan with the executor's shard count");
   if (static_cast<int>(shards_.size()) != num_shards) {
     shards_.resize(static_cast<std::size_t>(num_shards));
-  }
-  // The thread pool only ever grows: a rebind to a plan with fewer shards
-  // (e.g. a tiny per-phase game clamped to n + 1) keeps the existing
-  // workers parked and dispatches fewer shard tasks, instead of tearing OS
-  // threads down and respawning them on the next large plan — respawn churn
-  // is exactly the construction cost the arena exists to amortize.
-  if (num_shards > 1 &&
-      (pool_ == nullptr || pool_->num_threads() < num_shards)) {
-    pool_ = std::make_unique<ThreadPool>(num_shards);
   }
   // Slot -> shard boundaries, used by spill resolution. Slots carry slab
   // indices, not bindings; the outbox hands each write the executing

@@ -15,10 +15,14 @@
 //    offsets, peer-slot permutation, shard partition — planned once per
 //    graph shape and shared by shared_ptr.
 //
-//  * Run state: this class — the message buffer planes, slab arenas, epoch
-//    counter, round count, audit, and thread pool. Constructible from a
-//    cached plan, O(1)-resettable (reset()) and rebindable to a new graph
-//    (rebind()) without replanning; NetworkPool (sim/pool.hpp) arenas both.
+//  * Run state: this class — the message plane, slab arenas, epoch
+//    counter, round count and audit. Constructible from a cached plan,
+//    O(1)-resettable (reset()) and rebindable to a new graph (rebind())
+//    without replanning; NetworkPool (sim/pool.hpp) arenas both.
+//
+// Sharded rounds run on a borrowed executor (util/thread_pool.hpp): a
+// network a NetworkPool view builds uses the view's, and one built outside
+// any view owns a private one.
 //
 // The round hot path is allocation-free: every slot is a 16 B NarrowSlot
 // (one inline field; wider payloads spill to a per-shard MessageSlab, sized
@@ -45,7 +49,7 @@
 #include "sim/ledger.hpp"
 #include "sim/message.hpp"
 #include "sim/slab.hpp"
-#include "sim/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 #include "sim/topology.hpp"
 #include "testing/fault_injection.hpp"
 
@@ -244,17 +248,21 @@ class SyncNetwork {
   /// (rounds still counted locally). `num_threads` > 1 shards the nodes over
   /// the parallel round engine (0 = hardware concurrency is resolved by the
   /// callers that accept it, see resolve_num_threads). `plan` declares the
-  /// protocol's max per-message field count.
+  /// protocol's max per-message field count. The network owns a private
+  /// executor of the plan's shard count.
   explicit SyncNetwork(const Graph& g, RoundLedger* ledger = nullptr,
                        std::string component = "network", int num_threads = 1,
                        SlotPlan plan = {});
 
   /// Build run state on an existing (typically cached) plan. `topo` must fit
   /// `g` (same shape — see NetworkTopology::matches); the shard count is the
-  /// plan's.
+  /// plan's. Sharded rounds run on `executor`, which must outlive the
+  /// network and have at least as many threads as any plan the network is
+  /// bound to; null gives the network a private one of the plan's shard
+  /// count.
   SyncNetwork(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
               RoundLedger* ledger = nullptr, std::string component = "network",
-              SlotPlan plan = {});
+              SlotPlan plan = {}, ThreadPool* executor = nullptr);
 
   /// Return to the just-constructed state in O(num_shards): one epoch bump
   /// invalidates every slot of the plane (including the last delivered
@@ -268,14 +276,15 @@ class SyncNetwork {
   /// between leases), reusing buffer and shard storage (no allocation when
   /// the new plan needs no more slots or shards than this state ever had).
   /// O(num_shards) when `topo` is the plan already bound (degenerates to
-  /// reset()).
+  /// reset()). The new plan may not have more shards than the executor has
+  /// threads.
   void rebind(const Graph& g, std::shared_ptr<const NetworkTopology> topo,
               RoundLedger* ledger, std::string component, SlotPlan plan);
 
   /// Execute one synchronous round and charge it to the ledger:
   /// `fn(v, const Inbox&, Outbox&)` runs once per node. `fn` stays a
   /// concrete callable — no type erasure on the per-node call. With
-  /// num_threads > 1, `fn` is invoked concurrently from pool workers and
+  /// num_threads > 1, `fn` is invoked concurrently from executor threads and
   /// must confine writes to its own node's state and outbox. Each inbox
   /// entry shares its storage with one outbox slot, so a program must read
   /// every entry it needs before writing the outbox (a read after the write
@@ -424,21 +433,18 @@ class SyncNetwork {
     return shards_[s].slab[p ^ 1u].at_index(spill);
   }
 
-  // Every shard over its whole node range (kActive = false) on the pool
-  // when there is one, or over its collected visit list (kActive = true)
-  // on the caller thread — each shard under its own touched list, write
-  // slab and audit either way (spill resolution finds a payload's slab
-  // from the slot's owning shard). Active sets are a handful of nodes per
-  // round, far below what repays a pool barrier. The retained pool may
-  // carry more workers than the current plan has shards (it only ever
-  // grows across rebinds); surplus workers no-op.
+  // Every shard over its whole node range (kActive = false) on the
+  // executor, shard 0 on the caller, or over its collected visit list
+  // (kActive = true) on the caller thread — each shard under its own
+  // touched list, write slab and audit either way (spill resolution finds a
+  // payload's slab from the slot's owning shard). Active sets are a handful
+  // of nodes per round, far below what repays a barrier.
   template <bool kActive, class F>
   void run_all_shards(F& fn) {
     const int num_shards = topo_->num_shards();
-    if (!kActive && pool_ != nullptr && num_shards > 1) {
-      pool_->run([&](int shard) {
-        if (shard < num_shards) run_shard_as<kActive>(fn, shard);
-      });
+    if (!kActive && num_shards > 1) {
+      exec_->run(num_shards,
+                 [&](int shard) { run_shard_as<kActive>(fn, shard); });
     } else {
       for (int s = 0; s < num_shards; ++s) run_shard_as<kActive>(fn, s);
     }
@@ -646,7 +652,8 @@ class SyncNetwork {
   std::vector<std::size_t> shard_slot_begin_;
 
   std::vector<Shard> shards_;
-  std::unique_ptr<ThreadPool> pool_;  // null in serial mode
+  std::unique_ptr<ThreadPool> own_exec_;  // set when none was lent
+  ThreadPool* exec_ = nullptr;            // the executor sharded rounds use
 };
 
 // Defined here (not in-class) because they need the complete SyncNetwork.

@@ -4,12 +4,14 @@ namespace dec {
 
 NetworkPool::NetworkPool(int num_threads)
     : owned_(std::make_unique<SharedNetworkPool>(num_threads)),
-      owner_(std::this_thread::get_id()) {
-  shared_ = owned_.get();
-}
+      shared_(owned_.get()),
+      owner_(std::this_thread::get_id()),
+      executor_(shared_->num_threads()) {}
 
 NetworkPool::NetworkPool(SharedNetworkPool& shared)
-    : shared_(&shared), owner_(std::this_thread::get_id()) {}
+    : shared_(&shared),
+      owner_(std::this_thread::get_id()),
+      executor_(shared_->num_threads()) {}
 
 NetworkPool::~NetworkPool() {
   for (const auto& slot : nets_) {
@@ -43,7 +45,8 @@ NetworkPool::Lease<Net> NetworkPool::acquire(std::vector<Slot<Net>>& slots,
   if (idle == slots.size()) {
     // Nothing idle in this view: build a run state of its own.
     slots.push_back({std::make_unique<Net>(g, std::move(topo), ledger,
-                                           std::move(component), plan),
+                                           std::move(component), plan,
+                                           &executor_),
                      true});
     return Lease<Net>(this, idle, slots.back().net.get());
   }

@@ -4,9 +4,8 @@
 // Solvers that build many networks — one per phase game, one per recursion
 // level, one per pipeline stage — pay planning (CSR offsets, peer
 // permutation, shard partition, lane plan) and run-state allocation (message
-// planes, slabs, thread pool) for every single one. The arena amortizes
-// both under one rule: plans are shared, run states are owned by the view
-// that built them.
+// plane, slabs) for every single one. The arena amortizes both under one
+// rule: plans are shared, run states are owned by the view that built them.
 //
 //  * Topology cache (shared, thread-safe). topology() forwards to the
 //    SharedNetworkPool's (sim/shared_pool.hpp) fingerprint-sharded cache:
@@ -16,8 +15,8 @@
 //    bit-identity is unconditional.
 //
 //  * Run states (view-owned, thread-confined). network()/dinetwork() lease
-//    a SyncNetwork/DiNetwork whose buffers, slabs, scratch, and thread pool
-//    are reused across leases: a returning shape degenerates to an
+//    a SyncNetwork/DiNetwork whose buffers, slabs and scratch are reused
+//    across leases: a returning shape degenerates to an
 //    O(shards) epoch reset, a new shape to an in-place rebind. A view
 //    builds a run state only when none of its own is idle, keeps it for its
 //    lifetime (no per-lease locking), and frees it on destruction.
@@ -38,9 +37,14 @@
 //    must outlive the lease (the run state references it); the pool itself
 //    may outlive every graph it has seen (topologies hold no graph
 //    pointers).
-//  * The networks a view hands out still run their own parallel round
-//    engine with the pool's shard count; that internal sharding is invisible
-//    to the confinement rules above.
+//  * Executor (view-owned). Each view owns one fork-join executor
+//    (util/thread_pool.hpp) with the pool's shard count: shards − 1 helper
+//    threads, started on the first sharded run, so a 1-shard view starts
+//    none. Every network the view builds borrows it for its sharded rounds,
+//    and solve stages outside rounds (line-graph construction, the coloring
+//    checks) run their chunks on it through executor(). Only the view's
+//    thread runs it, one loop at a time; the helpers are invisible to the
+//    confinement rules above.
 //
 // NetworkPool(int) keeps the historical single-threaded behavior: the view
 // privately owns its SharedNetworkPool, so existing solver signatures (an
@@ -81,6 +85,10 @@ class NetworkPool {
   NetworkPool& operator=(const NetworkPool&) = delete;
 
   int num_threads() const { return shared_->num_threads(); }
+
+  /// The view's fork-join executor (num_threads() threads, the caller
+  /// included). Confined to the view's thread like the leases.
+  ThreadPool& executor() { return executor_; }
 
   /// Plan-or-fetch the topology for a graph shape (thread-safe, forwarded
   /// to the shared arena).
@@ -189,9 +197,11 @@ class NetworkPool {
     dinets_[index].busy = false;
   }
 
-  SharedNetworkPool* shared_;
   std::unique_ptr<SharedNetworkPool> owned_;  // set by NetworkPool(int)
-  std::thread::id owner_;                     // constructing thread
+  SharedNetworkPool* shared_;
+  std::thread::id owner_;  // constructing thread
+  // Declared before the run states that borrow it, so it outlives them.
+  ThreadPool executor_;
   std::vector<Slot<SyncNetwork>> nets_;
   std::vector<Slot<DiNetwork>> dinets_;
 };

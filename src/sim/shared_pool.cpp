@@ -1,6 +1,6 @@
 #include "sim/shared_pool.hpp"
 
-#include "sim/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dec {
 

@@ -25,23 +25,26 @@ std::shared_ptr<const NetworkTopology> NetworkTopology::plan(const Graph& g,
               "slot plane too large for 32-bit slot indices");
 
   // Where does the message written at slot (v, i) arrive? At the slot of the
-  // same edge in the neighbor's adjacency. Pair up the two slots per edge.
+  // same edge in the neighbor's adjacency. Adjacencies are neighbor-sorted
+  // and simple, so visiting nodes v in ascending order and, for each, its
+  // neighbors w > v meets every w's lower neighbors in w's own order: a
+  // cursor per node walks w's adjacency from its start and lands on v's
+  // edge each time. When v's turn comes, its own cursor has passed all its
+  // lower neighbors and sits on its first upper one.
   topo->peer_slot_.assign(slots, 0);
-  std::vector<std::uint32_t> first_slot_of_edge(
-      static_cast<std::size_t>(g.num_edges()),
-      static_cast<std::uint32_t>(-1));
+  std::vector<std::size_t> cursor(topo->offsets_.begin(),
+                                  topo->offsets_.end() - 1);
+  // The graph's adjacency shares the plan's CSR slot indexing.
+  const Incidence* const adj =
+      g.num_nodes() > 0 ? g.neighbors(0).data() : nullptr;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto nb = g.neighbors(v);
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const std::uint32_t slot = static_cast<std::uint32_t>(
-          topo->offsets_[static_cast<std::size_t>(v)] + i);
-      auto& first = first_slot_of_edge[static_cast<std::size_t>(nb[i].edge)];
-      if (first == static_cast<std::uint32_t>(-1)) {
-        first = slot;
-      } else {
-        topo->peer_slot_[slot] = first;
-        topo->peer_slot_[first] = slot;
-      }
+    const auto vz = static_cast<std::size_t>(v);
+    for (std::size_t slot = cursor[vz]; slot < topo->offsets_[vz + 1];
+         ++slot) {
+      const std::size_t peer =
+          cursor[static_cast<std::size_t>(adj[slot].neighbor)]++;
+      topo->peer_slot_[slot] = static_cast<std::uint32_t>(peer);
+      topo->peer_slot_[peer] = static_cast<std::uint32_t>(slot);
     }
   }
 

@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 
+#include "coloring/defective.hpp"
+#include "coloring/linial.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/builder.hpp"
 #include "graph/digraph.hpp"
@@ -14,6 +16,8 @@
 #include "graph/line_graph.hpp"
 #include "graph/orientation.hpp"
 #include "graph/properties.hpp"
+#include "graph/subgraph.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dec {
 namespace {
@@ -342,6 +346,40 @@ TEST(Properties, ProperEdgeColoringMatchesAllPairsCheck) {
   EXPECT_GT(partial, 100);
 }
 
+// Past the chunking threshold (2^14 adjacency entries per chunk;
+// random_regular(10^4, 16) has 160,000), one conflict at node 0 lands in
+// the first chunk and one at node n - 1 in the last; each must fail the
+// check on its own, at every executor width.
+TEST(Properties, ChunkedEdgeColoringCheckCatchesFirstAndLastChunkConflicts) {
+  Rng rng(29);
+  const Graph g = gen::random_regular(10000, 16, rng);
+  const std::vector<Color> base = first_fit_edge_coloring(g);
+  const auto clash_at = [&](NodeId v) {
+    std::vector<Color> c = base;
+    const auto nb = g.neighbors(v);
+    c[static_cast<std::size_t>(nb[0].edge)] =
+        c[static_cast<std::size_t>(nb[1].edge)];
+    return c;
+  };
+  const std::vector<Color> first = clash_at(0);
+  const std::vector<Color> last = clash_at(g.num_nodes() - 1);
+  std::vector<Color> hole = base;
+  hole[static_cast<std::size_t>(g.neighbors(g.num_nodes() - 1)[0].edge)] =
+      kUncolored;
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool executor(threads);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_TRUE(is_proper_edge_coloring(g, base, &executor));
+    EXPECT_TRUE(is_complete_proper_edge_coloring(g, base, &executor));
+    EXPECT_FALSE(is_proper_edge_coloring(g, first, &executor));
+    EXPECT_FALSE(is_complete_proper_edge_coloring(g, first, &executor));
+    EXPECT_FALSE(is_proper_edge_coloring(g, last, &executor));
+    EXPECT_FALSE(is_complete_proper_edge_coloring(g, last, &executor));
+    EXPECT_TRUE(is_proper_edge_coloring(g, hole, &executor));
+    EXPECT_FALSE(is_complete_proper_edge_coloring(g, hole, &executor));
+  }
+}
+
 TEST(Properties, Defects) {
   const Graph g = gen::star(3);
   const auto vd = vertex_defects(g, {0, 0, 0, 1});
@@ -444,48 +482,134 @@ std::set<std::pair<NodeId, NodeId>> all_pairs_line_edges(const Graph& g) {
   return out;
 }
 
-void expect_line_graph_matches_all_pairs(const Graph& g, const char* name) {
-  const Graph lg = line_graph(g);
-  ASSERT_EQ(lg.num_nodes(), g.num_edges()) << name;
+// Reference L(G) built the pre-direct-fill way: every pair of edges at each
+// node, sorted, through Graph::from_sorted_unique. Near-linear, so it also
+// serves the inputs too large for the all-pairs set.
+Graph sorted_pairs_line_graph(const Graph& g) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nb = g.neighbors(v);
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      for (std::size_t j = i + 1; j < nb.size(); ++j) {
+        pairs.emplace_back(std::min(nb[i].edge, nb[j].edge),
+                           std::max(nb[i].edge, nb[j].edge));
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return Graph::from_sorted_unique(g.num_edges(), std::move(pairs));
+}
+
+// L(G) at `threads` executor threads against the sorted-pairs reference:
+// the same edge list, the same adjacency (order and edge ids), the same
+// degree caches; the all-pairs set as well when g is small.
+void expect_line_graph_matches_reference(const Graph& g, const char* name,
+                                         int threads) {
+  ThreadPool executor(threads);
+  const Graph lg = line_graph(g, &executor);
+  SCOPED_TRACE(std::string(name) + " at " + std::to_string(threads) +
+               " threads");
+  ASSERT_EQ(lg.num_nodes(), g.num_edges());
   const auto& edges = lg.edge_list();
   // Canonical: (a, b) with a < b, strictly increasing, hence unique.
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    EXPECT_LT(edges[i].first, edges[i].second) << name << " edge " << i;
-    if (i > 0) {
-      EXPECT_LT(edges[i - 1], edges[i]) << name << " edge " << i;
-    }
+    ASSERT_LT(edges[i].first, edges[i].second) << "edge " << i;
+    if (i > 0) ASSERT_LT(edges[i - 1], edges[i]) << "edge " << i;
   }
-  const std::set<std::pair<NodeId, NodeId>> got(edges.begin(), edges.end());
-  EXPECT_EQ(got, all_pairs_line_edges(g)) << name;
-  EXPECT_EQ(got.size(), edges.size()) << name;
+  if (g.num_edges() <= 1000) {
+    const std::set<std::pair<NodeId, NodeId>> got(edges.begin(), edges.end());
+    EXPECT_EQ(got, all_pairs_line_edges(g));
+  }
+  const Graph ref = sorted_pairs_line_graph(g);
+  ASSERT_EQ(edges, ref.edge_list());
+  EXPECT_EQ(lg.max_degree(), ref.max_degree());
+  EXPECT_EQ(lg.max_edge_degree(), ref.max_edge_degree());
   for (NodeId a = 0; a < lg.num_nodes(); ++a) {
-    EXPECT_EQ(lg.degree(a), g.edge_degree(a)) << name << " node " << a;
+    ASSERT_EQ(lg.degree(a), g.edge_degree(a)) << "node " << a;
     const auto nb = lg.neighbors(a);
-    EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end(),
-                               [](const Incidence& x, const Incidence& y) {
-                                 return x.neighbor < y.neighbor;
-                               }))
-        << name << " node " << a;
-    for (const Incidence& inc : nb) {
-      const std::pair<NodeId, NodeId> pair{std::min(a, inc.neighbor),
-                                           std::max(a, inc.neighbor)};
-      EXPECT_EQ(lg.endpoints(inc.edge), pair) << name << " node " << a;
+    const auto want = ref.neighbors(a);
+    ASSERT_EQ(nb.size(), want.size()) << "node " << a;
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      ASSERT_EQ(nb[i].neighbor, want[i].neighbor) << "node " << a;
+      ASSERT_EQ(nb[i].edge, want[i].edge) << "node " << a;
     }
   }
+  for (EdgeId e = 0; e < lg.num_edges(); ++e) {
+    ASSERT_EQ(lg.edge_degree(e), ref.edge_degree(e)) << "edge " << e;
+  }
+}
+
+// The split-0 bipartite leaf congest_edge_coloring colors on
+// random_regular(10^4, 16): its L(G) (~0.58M edges) spans several chunks.
+Graph leaf_sized_bipartite_subgraph() {
+  Rng rng(9);
+  const Graph g = gen::random_regular(10000, 16, rng);
+  const LinialResult lin = linial_color(g);
+  const DefectiveResult classes =
+      defective_4_coloring(g, lin.colors, lin.palette, 1.0 / 6.0);
+  std::vector<bool> take(static_cast<std::size_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    take[static_cast<std::size_t>(e)] =
+        (classes.colors[static_cast<std::size_t>(u)] >= 2) !=
+        (classes.colors[static_cast<std::size_t>(v)] >= 2);
+  }
+  return edge_subgraph(g, take).graph;
+}
+
+// random_regular(2000, 16) spread over 2,500 node ids (every fifth id
+// isolated), plus three disjoint edges whose L(G) nodes are isolated.
+Graph graph_with_isolated_nodes() {
+  Rng rng(23);
+  const Graph g = gen::random_regular(2000, 16, rng);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const auto& [u, v] : g.edge_list()) {
+    edges.emplace_back(u + u / 4, v + v / 4);
+  }
+  for (NodeId i = 0; i < 3; ++i) edges.emplace_back(2500 + 2 * i, 2501 + 2 * i);
+  return Graph(2510, std::move(edges));
 }
 
 TEST(LineGraph, MatchesAllPairsReferenceAndIsCanonical) {
   Rng rng(19);
-  expect_line_graph_matches_all_pairs(gen::gnp(40, 0.15, rng), "gnp");
-  expect_line_graph_matches_all_pairs(gen::gnp(25, 0.5, rng), "dense gnp");
-  expect_line_graph_matches_all_pairs(gen::star(7), "star");
-  expect_line_graph_matches_all_pairs(gen::random_regular(30, 5, rng),
-                                      "regular");
-  expect_line_graph_matches_all_pairs(gen::empty(4), "empty");
-  expect_line_graph_matches_all_pairs(Graph(2, {{0, 1}}), "single edge");
-  // Edge ids not in canonical order: L(G) node ids follow g's edge ids.
-  expect_line_graph_matches_all_pairs(
-      Graph(5, {{3, 4}, {0, 2}, {2, 3}, {1, 2}, {0, 4}}), "unsorted ids");
+  const std::vector<std::pair<const char*, Graph>> inputs = [&] {
+    std::vector<std::pair<const char*, Graph>> v;
+    v.emplace_back("gnp", gen::gnp(40, 0.15, rng));
+    v.emplace_back("dense gnp", gen::gnp(25, 0.5, rng));
+    v.emplace_back("star", gen::star(7));
+    v.emplace_back("regular", gen::random_regular(30, 5, rng));
+    v.emplace_back("empty", gen::empty(4));
+    v.emplace_back("single edge", Graph(2, {{0, 1}}));
+    // Edge ids not in canonical order: L(G) node ids follow g's edge ids.
+    v.emplace_back("unsorted ids",
+                   Graph(5, {{3, 4}, {0, 2}, {2, 3}, {1, 2}, {0, 4}}));
+    // Past the chunking threshold (2^16 L(G) edges per chunk): the real
+    // leaf, a star with Δ = n - 1 whose L(G) = K_800 (edge a emits 799 - a
+    // edges, so balanced chunks hold very different edge counts), and
+    // isolated nodes in g and in L(G).
+    v.emplace_back("leaf-sized bipartite", leaf_sized_bipartite_subgraph());
+    v.emplace_back("star 800", gen::star(800));
+    v.emplace_back("isolated nodes", graph_with_isolated_nodes());
+    return v;
+  }();
+  for (const auto& [name, g] : inputs) {
+    for (const int threads : {1, 2, 4}) {
+      expect_line_graph_matches_reference(g, name, threads);
+    }
+  }
+}
+
+TEST(LineGraph, EdgeCountPastEdgeIdsThrowsBeforeAllocating) {
+  // L(star(65537)) = K_65537 has C(65537, 2) = 2,147,516,416 edges, more
+  // than INT32_MAX: refused from the counting pass, before the ~17 GB fill.
+  const Graph star = gen::star(65537);
+  try {
+    (void)line_graph(star);
+    FAIL() << "expected a CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("2147516416"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(LineGraph, EmptyAndSingleEdge) {

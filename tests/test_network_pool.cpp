@@ -121,6 +121,42 @@ TEST(NetworkPool, TopologyMatchesGraphShape) {
   EXPECT_FALSE(topo->matches(other));
 }
 
+// The peer permutation against the pairing by edge id it replaced (each
+// edge's two slots, found through an m-sized first-slot table): the same
+// permutation on every shape, shard counts included.
+TEST(NetworkPool, PeerPermutationMatchesEdgeIdPairing) {
+  Rng rng(7);
+  const std::vector<Graph> graphs = {
+      gen::random_regular(200, 7, rng), gen::gnp(80, 0.05, rng),
+      gen::star(33),                    gen::grid(6, 9),
+      gen::empty(5),
+      Graph(6, {{3, 4}, {0, 2}, {2, 3}, {1, 2}, {0, 4}, {4, 5}, {1, 3}})};
+  for (const Graph& g : graphs) {
+    std::vector<std::uint32_t> want(2 * static_cast<std::size_t>(g.num_edges()));
+    std::vector<std::uint32_t> first_slot_of_edge(
+        static_cast<std::size_t>(g.num_edges()), UINT32_MAX);
+    std::uint32_t slot = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (const Incidence& inc : g.neighbors(v)) {
+        auto& first = first_slot_of_edge[static_cast<std::size_t>(inc.edge)];
+        if (first == UINT32_MAX) {
+          first = slot;
+        } else {
+          want[slot] = first;
+          want[first] = slot;
+        }
+        ++slot;
+      }
+    }
+    for (const int shards : {1, 3}) {
+      const auto topo = NetworkTopology::plan(g, shards);
+      const std::vector<std::uint32_t> got(topo->peer_slot().begin(),
+                                           topo->peer_slot().end());
+      EXPECT_EQ(got, want) << "n " << g.num_nodes() << " shards " << shards;
+    }
+  }
+}
+
 void check_reset_identity(int num_threads) {
   Rng rng(3);
   const Graph g = gen::gnp(70, 0.12, rng);

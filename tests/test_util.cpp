@@ -1,7 +1,14 @@
-// Unit tests for dec_util: checks, rng, primes, log*, stats, tables.
+// Unit tests for dec_util: checks, rng, primes, log*, stats, tables, the
+// fork-join executor.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/logstar.hpp"
@@ -9,6 +16,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dec {
 namespace {
@@ -191,6 +199,84 @@ TEST(Table, Formatters) {
   EXPECT_EQ(fmt_ratio(1.0, 0.0), "n/a");
   EXPECT_EQ(fmt_ratio(3.0, 2.0, 1), "1.5");
   EXPECT_EQ(fmt_bool(true), "yes");
+}
+
+TEST(ThreadPool, RunsEveryChunkOnceCallerTakingChunkZero) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int chunks = 1; chunks <= 4; ++chunks) {
+    for (int rep = 0; rep < 50; ++rep) {
+      std::vector<int> hits(4, 0);
+      std::vector<std::thread::id> who(4);
+      pool.run(chunks, [&](int i) {
+        ++hits[static_cast<std::size_t>(i)];
+        who[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      });
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)], i < chunks ? 1 : 0);
+      }
+      EXPECT_EQ(who[0], caller);
+      for (int i = 1; i < chunks; ++i) {
+        EXPECT_NE(who[static_cast<std::size_t>(i)], caller);
+      }
+    }
+  }
+  EXPECT_THROW(pool.run(5, [](int) {}), CheckError);
+}
+
+TEST(ThreadPool, RethrowsOnlyAfterEveryChunkFinished) {
+  ThreadPool pool(4);
+  for (const int thrower : {0, 1, 3}) {
+    std::atomic<int> finished{0};
+    try {
+      pool.run(4, [&](int i) {
+        if (i == thrower) throw std::runtime_error("chunk " + std::to_string(i));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished.fetch_add(1);
+      });
+      FAIL() << "expected the chunk's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "chunk " + std::to_string(thrower));
+    }
+    // Every other chunk ran to completion before the rethrow.
+    EXPECT_EQ(finished.load(), 3) << "thrower " << thrower;
+  }
+  // The pool is still usable after a failed run.
+  std::atomic<int> ran{0};
+  pool.run(4, [&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(ThreadPool, OneThreadPoolRunsInline) {
+  ThreadPool pool(1);
+  int ran = 0;
+  pool.run(1, [&](int i) { ran += i + 1; });
+  EXPECT_EQ(ran, 1);
+  EXPECT_THROW(pool.run(2, [](int) {}), CheckError);
+}
+
+TEST(ThreadPool, ChunkCountFollowsWorkAndThreads) {
+  ThreadPool pool(4);
+  EXPECT_EQ(chunk_count(nullptr, 1 << 20, 100), 1);
+  EXPECT_EQ(chunk_count(&pool, 199, 100), 1);  // below two chunks' worth
+  EXPECT_EQ(chunk_count(&pool, 200, 100), 2);
+  EXPECT_EQ(chunk_count(&pool, 399, 100), 3);
+  EXPECT_EQ(chunk_count(&pool, 1 << 20, 100), 4);  // capped by threads
+}
+
+TEST(ThreadPool, BalancedBoundsSplitByPrefixWeight) {
+  // Weight 10 at index 0, then 1 each: the first chunk holds index 0 alone.
+  const std::vector<std::size_t> prefix = {0, 10, 11, 12, 13, 14, 15, 16,
+                                           17, 18, 19, 20};
+  const auto at = [&](std::size_t i) { return prefix[i]; };
+  EXPECT_EQ(balanced_bounds(11, 2, at),
+            (std::vector<std::size_t>{0, 1, 11}));
+  EXPECT_EQ(balanced_bounds(11, 1, at), (std::vector<std::size_t>{0, 11}));
+  const auto unit = [](std::size_t i) { return i; };
+  EXPECT_EQ(balanced_bounds(8, 4, unit),
+            (std::vector<std::size_t>{0, 2, 4, 6, 8}));
+  EXPECT_EQ(balanced_bounds(0, 3, unit),
+            (std::vector<std::size_t>{0, 0, 0, 0}));
 }
 
 }  // namespace
