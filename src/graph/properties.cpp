@@ -37,9 +37,32 @@ namespace {
 constexpr std::size_t kMinEntriesPerChunk = std::size_t{1} << 14;
 
 // Two edges are adjacent iff they share a node, so the check runs per node:
-// sort the node's incident colors in a buffer reused across the chunk's
+// sort the node's incident colors in a buffer reused across the range's
 // nodes and look for a repeat. An uncolored entry is skipped, or fails the
 // check when `complete` (every edge is some node's entry).
+bool nodes_ok(const Graph& g, const Color* color, std::size_t begin,
+              std::size_t end, bool complete) {
+  std::vector<Color> seen;
+  seen.reserve(static_cast<std::size_t>(g.max_degree()));
+  for (std::size_t v = begin; v < end; ++v) {
+    seen.clear();
+    for (const Incidence& inc : g.neighbors(static_cast<NodeId>(v))) {
+      const Color c = color[static_cast<std::size_t>(inc.edge)];
+      if (c != kUncolored) {
+        seen.push_back(c);
+      } else if (complete) {
+        return false;
+      }
+    }
+    std::sort(seen.begin(), seen.end());
+    if (std::adjacent_find(seen.begin(), seen.end()) != seen.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// nodes_ok over all nodes, in chunks balanced by adjacency entries.
 bool edge_coloring_ok(const Graph& g, const std::vector<Color>& color,
                       bool complete, ThreadPool* executor) {
   DEC_REQUIRE(color.size() == static_cast<std::size_t>(g.num_edges()),
@@ -47,41 +70,19 @@ bool edge_coloring_ok(const Graph& g, const std::vector<Color>& color,
   const auto n = static_cast<std::size_t>(g.num_nodes());
   const std::size_t entries = 2 * static_cast<std::size_t>(g.num_edges());
   const int chunks = chunk_count(executor, entries, kMinEntriesPerChunk);
-  const Incidence* const first = n > 0 ? g.neighbors(0).data() : nullptr;
+  if (chunks == 1) return nodes_ok(g, color.data(), 0, n, complete);
+  const Incidence* const first = g.neighbors(0).data();
   const std::vector<std::size_t> bound =
       balanced_bounds(n, chunks, [&](std::size_t v) {
         return v == n ? entries
                       : static_cast<std::size_t>(
                             g.neighbors(static_cast<NodeId>(v)).data() - first);
       });
-  std::vector<char> ok(static_cast<std::size_t>(chunks), 1);
-  const auto check = [&](int c) {
-    std::vector<Color> seen;
-    seen.reserve(static_cast<std::size_t>(g.max_degree()));
-    for (std::size_t v = bound[static_cast<std::size_t>(c)];
-         v < bound[static_cast<std::size_t>(c) + 1]; ++v) {
-      seen.clear();
-      for (const Incidence& inc : g.neighbors(static_cast<NodeId>(v))) {
-        const Color col = color[static_cast<std::size_t>(inc.edge)];
-        if (col != kUncolored) {
-          seen.push_back(col);
-        } else if (complete) {
-          ok[static_cast<std::size_t>(c)] = 0;
-          return;
-        }
-      }
-      std::sort(seen.begin(), seen.end());
-      if (std::adjacent_find(seen.begin(), seen.end()) != seen.end()) {
-        ok[static_cast<std::size_t>(c)] = 0;
-        return;
-      }
-    }
-  };
-  if (chunks == 1) {
-    check(0);
-  } else {
-    executor->run(chunks, check);
-  }
+  std::vector<char> ok(static_cast<std::size_t>(chunks), 0);
+  executor->run(chunks, [&](int c) {
+    const auto cz = static_cast<std::size_t>(c);
+    ok[cz] = nodes_ok(g, color.data(), bound[cz], bound[cz + 1], complete);
+  });
   return std::all_of(ok.begin(), ok.end(), [](char x) { return x != 0; });
 }
 

@@ -49,9 +49,9 @@
 #include "sim/ledger.hpp"
 #include "sim/message.hpp"
 #include "sim/slab.hpp"
-#include "util/thread_pool.hpp"
 #include "sim/topology.hpp"
 #include "testing/fault_injection.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dec {
 

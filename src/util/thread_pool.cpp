@@ -34,8 +34,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_erased(int chunks, void* ctx, Call call) {
-  DEC_REQUIRE(chunks <= num_threads_,
+  DEC_REQUIRE(chunks >= 1 && chunks <= num_threads_,
               "executor run asks for more chunks than the pool has threads");
+  if (chunks == 1) {
+    call(ctx, 0);
+    return;
+  }
   DEC_DASSERT(!running_, "ThreadPool::run is not reentrant");
   if (helpers_.empty()) {
     helpers_.reserve(static_cast<std::size_t>(num_threads_) - 1);

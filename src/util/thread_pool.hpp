@@ -56,10 +56,6 @@ class ThreadPool {
   /// must not run this pool again.
   template <class F>
   void run(int chunks, F&& job) {
-    if (chunks <= 1) {
-      job(0);
-      return;
-    }
     using Job = std::remove_reference_t<F>;
     run_erased(chunks, const_cast<void*>(static_cast<const void*>(&job)),
                [](void* ctx, int i) { (*static_cast<Job*>(ctx))(i); });
