@@ -84,8 +84,8 @@ class ThreadPool {
 };
 
 /// Chunk count for a loop of `work` units: one chunk per `min_per_chunk`
-/// units, capped by the executor's threads; 1 without an executor. Loops
-/// below min_per_chunk therefore take the plain serial call.
+/// units, capped by the executor's threads; 1 without an executor or below
+/// two chunks' worth, where the loop takes the plain serial call.
 inline int chunk_count(const ThreadPool* executor, std::size_t work,
                        std::size_t min_per_chunk) {
   if (executor == nullptr || work < 2 * min_per_chunk) return 1;
