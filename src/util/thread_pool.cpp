@@ -41,11 +41,13 @@ void ThreadPool::run_erased(int chunks, void* ctx, Call call) {
     return;
   }
   DEC_DASSERT(!running_, "ThreadPool::run is not reentrant");
-  if (helpers_.empty()) {
-    helpers_.reserve(static_cast<std::size_t>(num_threads_) - 1);
-    for (int i = 1; i < num_threads_; ++i) {
-      helpers_.emplace_back([this, i] { helper(i); });
-    }
+  // Start the missing helpers; if a thread fails to start, the error
+  // leaves before anything is published and the next run retries. The
+  // reserve keeps emplace_back from reallocating around a started thread.
+  helpers_.reserve(static_cast<std::size_t>(num_threads_) - 1);
+  while (static_cast<int>(helpers_.size()) + 1 < num_threads_) {
+    const int index = static_cast<int>(helpers_.size()) + 1;
+    helpers_.emplace_back([this, index] { helper(index); });
   }
   running_ = true;
   {
