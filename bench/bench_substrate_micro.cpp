@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "coloring/baselines.hpp"
+#include "coloring/color_reduction.hpp"
 #include "coloring/defective.hpp"
 #include "coloring/linial.hpp"
 #include "core/defective2ec.hpp"
@@ -18,6 +19,7 @@
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
 #include "sim/topology.hpp"
+#include "util/prime.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -63,13 +65,10 @@ BENCHMARK(BM_LineGraph)
     ->Args({16000, 4})
     ->UseRealTime();
 
-// The (Δ̄+1)-edge coloring of one bipartite leaf, isolated: the split-0
-// bipartite subgraph of random_regular(10^4, 16) exactly as
+// The split-0 bipartite subgraph of random_regular(10^4, 16) exactly as
 // congest_edge_coloring's level 0 cuts it (defective 4-coloring classes
-// {0,1} vs {2,3}), colored by edge_color_fast_2delta on a fresh arena per
-// run, as each solve's leaf is — L(G) construction, the Linial lease and
-// rounds, both reductions and the checks (Arg is the shard count).
-void BM_LineGraphEdgeColoring(benchmark::State& state) {
+// {0,1} vs {2,3}).
+Graph split0_leaf() {
   Rng rng(9);
   const Graph g = gen::random_regular(10000, 16, rng);
   const LinialResult lin = linial_color(g);
@@ -83,19 +82,54 @@ void BM_LineGraphEdgeColoring(benchmark::State& state) {
         (classes.colors[static_cast<std::size_t>(u)] >= 2) !=
         (classes.colors[static_cast<std::size_t>(v)] >= 2);
   }
-  const EdgeSubgraph leaf = edge_subgraph(g, take);
+  return edge_subgraph(g, take).graph;
+}
+
+// The (Δ̄+1)-edge coloring of one bipartite leaf, isolated: the split-0
+// leaf colored by edge_color_fast_2delta on a fresh arena per run, as each
+// solve's leaf is — L(G) construction, the Linial lease and rounds, both
+// reductions and the checks (Arg is the shard count).
+void BM_LineGraphEdgeColoring(benchmark::State& state) {
+  const Graph leaf = split0_leaf();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     NetworkPool pool(threads);
     const EdgeColoringResult r =
-        edge_color_fast_2delta(leaf.graph, nullptr, threads, &pool);
+        edge_color_fast_2delta(leaf, nullptr, threads, &pool);
     benchmark::DoNotOptimize(r.palette);
   }
-  state.SetItemsProcessed(state.iterations() * leaf.graph.num_edges());
-  state.counters["edges"] = static_cast<double>(leaf.graph.num_edges());
+  state.SetItemsProcessed(state.iterations() * leaf.num_edges());
+  state.counters["edges"] = static_cast<double>(leaf.num_edges());
   state.counters["engine_threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_LineGraphEdgeColoring)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The leaf coloring's two color reductions alone, on the split-0 leaf's
+// L(G) (42,736 nodes, Δ = 26) from its Linial coloring: ap_reduce to q = 59
+// colors, then greedy_reduce to Δ + 1 (Arg is the executor's threads; the
+// executor stays warm across runs, as after the Linial rounds).
+void BM_LeafColorReduction(benchmark::State& state) {
+  const Graph lg = line_graph(split0_leaf());
+  const LinialResult lin = linial_color(lg);
+  const auto q = static_cast<std::int64_t>(
+      next_prime(static_cast<std::uint64_t>(2 * lg.max_degree() + 2)));
+  const int threads = static_cast<int>(state.range(0));
+  ThreadPool executor(threads);
+  for (auto _ : state) {
+    const ReductionResult ap =
+        ap_reduce(lg, lin.colors, q, nullptr, &executor);
+    const ReductionResult fin = greedy_reduce(
+        lg, ap.colors, ap.palette, lg.max_degree() + 1, nullptr, &executor);
+    benchmark::DoNotOptimize(fin.palette);
+  }
+  state.SetItemsProcessed(state.iterations() * lg.num_nodes());
+  state.counters["engine_threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_LeafColorReduction)
     ->Arg(1)
     ->Arg(4)
     ->UseRealTime()

@@ -22,8 +22,8 @@ EdgeColoringResult edge_color_fast_2delta(const Graph& g, RoundLedger* ledger,
     return res;
   }
   const int target = g.max_edge_degree() + 1;  // = 2Δ-1 on Δ-regular graphs
-  // Stages outside the rounds (L(G), the final check) run their chunks on
-  // the pool's executor, idle between the Linial rounds.
+  // Stages outside the rounds (L(G), the reductions and every check) run
+  // their chunks on the pool's executor, idle between the Linial rounds.
   ThreadPool* const executor = pool != nullptr ? &pool->executor() : nullptr;
   const Graph lg = line_graph(g, executor);
   const LinialResult lin =
@@ -40,10 +40,10 @@ EdgeColoringResult edge_color_fast_2delta(const Graph& g, RoundLedger* ledger,
   const std::int64_t q = static_cast<std::int64_t>(
       next_prime(static_cast<std::uint64_t>(2 * lg.max_degree() + 2)));
   DEC_CHECK(lin.palette <= q * q, "Linial palette exceeds ap_reduce domain");
-  const ReductionResult ap = ap_reduce(lg, lin.colors, q, ledger);
+  const ReductionResult ap = ap_reduce(lg, lin.colors, q, ledger, executor);
   res.rounds += ap.rounds;
   const ReductionResult fin =
-      greedy_reduce(lg, ap.colors, ap.palette, target, ledger);
+      greedy_reduce(lg, ap.colors, ap.palette, target, ledger, executor);
   res.rounds += fin.rounds;
 
   res.colors = fin.colors;

@@ -15,7 +15,9 @@
 //    set, so this is safe). Requires target >= Δ+1. palette − target rounds.
 //
 // Both are expressed as explicit synchronous sweeps where each step uses only
-// previous-round neighbor information, and charge one round per sweep.
+// previous-round neighbor information, and charge one round per sweep. A
+// sweep over many adjacency entries runs in chunks on `executor` (null:
+// serially); the colors and rounds are identical for every executor.
 #pragma once
 
 #include <vector>
@@ -35,13 +37,15 @@ struct ReductionResult {
 /// q² → q colors in ≤ q rounds. Requires: q prime, q >= 2Δ+2, input proper
 /// with palette <= q².
 ReductionResult ap_reduce(const Graph& g, const std::vector<Color>& input,
-                          std::int64_t q, RoundLedger* ledger = nullptr);
+                          std::int64_t q, RoundLedger* ledger = nullptr,
+                          ThreadPool* executor = nullptr);
 
 /// palette → target colors in palette − target rounds. Requires input proper
 /// and target >= Δ+1.
 ReductionResult greedy_reduce(const Graph& g, const std::vector<Color>& input,
                               int input_palette, int target,
-                              RoundLedger* ledger = nullptr);
+                              RoundLedger* ledger = nullptr,
+                              ThreadPool* executor = nullptr);
 
 /// Full pipeline: Linial + ap_reduce + greedy_reduce to a (Δ+1)-vertex
 /// coloring in O(Δ + log* n) rounds.

@@ -100,7 +100,9 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   for (const Color c : initial) {
     DEC_REQUIRE(c >= 0 && c < id_space, "initial color out of id space");
   }
-  DEC_REQUIRE(is_proper_vertex_coloring(g, initial),
+  // Stages outside the rounds run their chunks on the pool's executor.
+  ThreadPool* const executor = pool != nullptr ? &pool->executor() : nullptr;
+  DEC_REQUIRE(is_proper_vertex_coloring(g, initial, executor),
               "initial coloring must be proper");
 
   LinialResult res;
@@ -169,7 +171,7 @@ LinialResult linial_color(const Graph& g, RoundLedger* ledger,
   res.palette = static_cast<int>(m);
   res.rounds = net.rounds_executed();
   res.max_message_bits = net.audit().max_bits();
-  DEC_CHECK(is_proper_vertex_coloring(g, res.colors),
+  DEC_CHECK(is_proper_vertex_coloring(g, res.colors, executor),
             "Linial produced an improper coloring");
   return res;
 }

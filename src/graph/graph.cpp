@@ -17,7 +17,9 @@ void require_edge_ids(std::size_t m) {
 }  // namespace
 
 void Graph::finish_construction(bool adjacency_sorted) {
-  adj_.resize(edges_.size() * 2);
+  // A serial scatter fill: zeroed first, not left default-init
+  // (docs/ARCHITECTURE.md "Executor", first-touch rule).
+  adj_.assign(edges_.size() * 2, Incidence{});
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (EdgeId e = 0; e < num_edges(); ++e) {
     const auto [u, v] = edges_[static_cast<std::size_t>(e)];
@@ -41,7 +43,7 @@ void Graph::finish_construction(bool adjacency_sorted) {
     }
     max_degree_ = std::max(max_degree_, degree(v));
   }
-  edge_degrees_.resize(edges_.size());
+  edge_degrees_.assign(edges_.size(), 0);
   for (EdgeId e = 0; e < num_edges(); ++e) {
     const auto [u, v] = edges_[static_cast<std::size_t>(e)];
     edge_degrees_[static_cast<std::size_t>(e)] = degree(u) + degree(v) - 2;

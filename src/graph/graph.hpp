@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/default_init.hpp"
 
 namespace dec {
 
@@ -143,8 +144,10 @@ class Graph {
   NodeId n_ = 0;
   std::vector<std::pair<NodeId, NodeId>> edges_;
   std::vector<std::size_t> offsets_;  // n+1 entries
-  std::vector<Incidence> adj_;        // 2m entries
-  std::vector<int> edge_degrees_;     // m entries, deg(u)+deg(v)-2 per edge
+  // Default-init so line_graph's chunked fill is their first touch; the
+  // serial constructors zero them first (finish_construction).
+  DefaultInitVector<Incidence> adj_;  // 2m entries
+  DefaultInitVector<int> edge_degrees_;  // m entries, deg(u)+deg(v)-2 per edge
   int max_degree_ = 0;
   int max_edge_degree_ = 0;
 };

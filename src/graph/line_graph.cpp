@@ -62,6 +62,8 @@ Graph line_graph(const Graph& g, ThreadPool* executor) {
   lg.n_ = static_cast<NodeId>(m);
   lg.offsets_ = std::move(lg_off);
   lg.edges_.resize(lg_edges);
+  // Left unwritten (default-init): the fill below writes every adjacency
+  // entry and edge degree, so its chunks take these pages' first touch.
   lg.adj_.resize(2 * lg_edges);
   lg.edge_degrees_.resize(lg_edges);
   lg.max_degree_ = g.max_edge_degree();

@@ -7,27 +7,14 @@
 
 namespace dec {
 
-bool is_proper_vertex_coloring(const Graph& g, const std::vector<Color>& color) {
-  DEC_REQUIRE(color.size() == static_cast<std::size_t>(g.num_nodes()),
-              "color vector has wrong length");
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    const Color cu = color[static_cast<std::size_t>(u)];
-    const Color cv = color[static_cast<std::size_t>(v)];
-    if (cu != kUncolored && cu == cv) return false;
-  }
-  return true;
-}
-
-bool is_complete_proper_vertex_coloring(const Graph& g,
-                                        const std::vector<Color>& color) {
-  for (const Color c : color) {
-    if (c == kUncolored) return false;
-  }
-  return is_proper_vertex_coloring(g, color);
-}
-
 namespace {
+
+// Edges per chunk below which the vertex-coloring check stays one serial
+// loop. An edge costs ~1 ns to check, so 2^14 edges (~15 µs) repay a
+// dispatch to helpers still spinning from the stage before: on
+// random_regular(10^4, 16) (80k edges) the check reads 0.03 ms at 4
+// threads against 0.10 ms serially.
+constexpr std::size_t kMinEdgesPerVertexChunk = std::size_t{1} << 14;
 
 // Adjacency entries per chunk below which the edge-coloring check stays one
 // serial loop. A sharded check pays a dispatch to the executor's helpers:
@@ -35,6 +22,17 @@ namespace {
 // follow serial stages). 2^14 entries take ~0.13 ms to check on a 4-core
 // x86 host, so a chunk repays either; service-sized jobs never dispatch.
 constexpr std::size_t kMinEntriesPerChunk = std::size_t{1} << 14;
+
+// Edges [begin, end) have no two equal-colored (and colored) endpoints.
+bool edges_ok(const std::pair<NodeId, NodeId>* edges, const Color* color,
+              std::size_t begin, std::size_t end) {
+  for (std::size_t e = begin; e < end; ++e) {
+    const Color cu = color[static_cast<std::size_t>(edges[e].first)];
+    const Color cv = color[static_cast<std::size_t>(edges[e].second)];
+    if (cu != kUncolored && cu == cv) return false;
+  }
+  return true;
+}
 
 // Two edges are adjacent iff they share a node, so the check runs per node:
 // sort the node's incident colors in a buffer reused across the range's
@@ -87,6 +85,31 @@ bool edge_coloring_ok(const Graph& g, const std::vector<Color>& color,
 }
 
 }  // namespace
+
+bool is_proper_vertex_coloring(const Graph& g, const std::vector<Color>& color,
+                               ThreadPool* executor) {
+  DEC_REQUIRE(color.size() == static_cast<std::size_t>(g.num_nodes()),
+              "color vector has wrong length");
+  const std::pair<NodeId, NodeId>* const edges = g.edge_list().data();
+  const auto m = static_cast<std::size_t>(g.num_edges());
+  const int chunks = chunk_count(executor, m, kMinEdgesPerVertexChunk);
+  if (chunks == 1) return edges_ok(edges, color.data(), 0, m);
+  const auto cz = static_cast<std::size_t>(chunks);
+  std::vector<char> ok(cz, 0);
+  executor->run(chunks, [&](int c) {
+    const auto i = static_cast<std::size_t>(c);
+    ok[i] = edges_ok(edges, color.data(), m * i / cz, m * (i + 1) / cz);
+  });
+  return std::all_of(ok.begin(), ok.end(), [](char x) { return x != 0; });
+}
+
+bool is_complete_proper_vertex_coloring(const Graph& g,
+                                        const std::vector<Color>& color) {
+  for (const Color c : color) {
+    if (c == kUncolored) return false;
+  }
+  return is_proper_vertex_coloring(g, color);
+}
 
 bool is_proper_edge_coloring(const Graph& g, const std::vector<Color>& color,
                              ThreadPool* executor) {

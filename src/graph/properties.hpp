@@ -15,8 +15,11 @@ namespace dec {
 using Color = std::int32_t;
 constexpr Color kUncolored = -1;
 
-/// True iff no edge has two equal-colored (and colored) endpoints.
-bool is_proper_vertex_coloring(const Graph& g, const std::vector<Color>& color);
+/// True iff no edge has two equal-colored (and colored) endpoints. One
+/// per-edge loop; large graphs run it in chunks on `executor` (null:
+/// serially), with the same answer.
+bool is_proper_vertex_coloring(const Graph& g, const std::vector<Color>& color,
+                               ThreadPool* executor = nullptr);
 
 /// True iff every node is colored and the coloring is proper.
 bool is_complete_proper_vertex_coloring(const Graph& g,

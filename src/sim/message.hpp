@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 namespace dec {
 
@@ -64,8 +65,10 @@ struct NarrowSlot {
   static constexpr std::uint32_t kMaxSpillIndex = (1u << 24) - 1;
   static constexpr std::uint32_t kSaturated = 255;
 
-  std::int64_t payload_ = 0;
-  std::uint64_t header_ = 0;
+  // No default member initializers: the plane is a default-init buffer
+  // that SyncNetwork::bind_plan zeroes in chunks (util/default_init.hpp).
+  std::int64_t payload_;
+  std::uint64_t header_;
 
   std::uint32_t epoch() const {
     return static_cast<std::uint32_t>(header_ >> 32);
@@ -103,6 +106,8 @@ struct NarrowSlot {
   }
 };
 static_assert(sizeof(NarrowSlot) == 16, "NarrowSlot must stay 16 bytes");
+static_assert(std::is_trivially_default_constructible_v<NarrowSlot>,
+              "a grown plane is left unwritten until bind_plan zeroes it");
 
 /// Minimal bit width of one signed field (sign bit + magnitude bits).
 /// Branch-free: for v >= 0 the magnitude is v, for v < 0 it is |v| - 1

@@ -51,6 +51,7 @@
 #include "sim/slab.hpp"
 #include "sim/topology.hpp"
 #include "testing/fault_injection.hpp"
+#include "util/default_init.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dec {
@@ -400,6 +401,7 @@ class SyncNetwork {
   void abort_round();
   void bind_ledger(RoundLedger* ledger, std::string component);
   void bind_plan();  // (re)size the plane and shards for topo_
+  void grow_plane(std::size_t slots);  // plane of at least `slots` slots
 
   /// Parity of the round in progress (or next to run): 0 even, 1 odd. Every
   /// finished round flips it and reset() restarts it at even, so it is the
@@ -636,8 +638,9 @@ class SyncNetwork {
   std::vector<std::uint32_t> visit_tag_;
 
   // The message plane, one slot per CSR incidence: read and written in
-  // place, with slot ownership alternating by round parity.
-  std::vector<NarrowSlot> plane_;
+  // place, with slot ownership alternating by round parity. Its size only
+  // grows (bind_plan); slots past the plan's num_slots() sit unused.
+  DefaultInitVector<NarrowSlot> plane_;
   // A mid-round abort that wrote a slot has already overwritten some of last
   // round's deliveries in place, so the pre-round state is unrecoverable;
   // the network poisons itself and the next begin_round throws until

@@ -1,11 +1,17 @@
 // Tests for the arithmetic-progression and greedy color reductions.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "coloring/color_reduction.hpp"
+#include "coloring/defective.hpp"
 #include "coloring/linial.hpp"
 #include "golden_digest.hpp"
 #include "graph/generators.hpp"
+#include "graph/line_graph.hpp"
+#include "graph/subgraph.hpp"
 #include "util/prime.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dec {
 namespace {
@@ -40,10 +46,31 @@ std::uint64_t colors_digest(const std::vector<Color>& colors) {
   return f.h;
 }
 
+// L(G) of the split-0 bipartite leaf congest_edge_coloring colors on
+// random_regular(10^4, 16) (BM_LineGraphEdgeColoring's input): 42,736
+// nodes, 342,043 edges, Δ = 26 — every reduction sweep and check on it
+// spans several chunks at 2 and 4 executor threads.
+Graph leaf_line_graph() {
+  Rng rng(9);
+  const Graph g = gen::random_regular(10000, 16, rng);
+  const LinialResult lin = linial_color(g);
+  const DefectiveResult classes =
+      defective_4_coloring(g, lin.colors, lin.palette, 1.0 / 6.0);
+  std::vector<bool> take(static_cast<std::size_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    take[static_cast<std::size_t>(e)] =
+        (classes.colors[static_cast<std::size_t>(u)] >= 2) !=
+        (classes.colors[static_cast<std::size_t>(v)] >= 2);
+  }
+  return line_graph(edge_subgraph(g, take).graph);
+}
+
 // Golden pins: colors and charged rounds recorded from the round sweeps
-// that re-scanned every node each round. The reductions must reproduce
-// them exactly, including the one round charged when every node starts
-// settled.
+// that re-scanned every node each round (the leaf L(G) rows from the
+// serial sweeps before the chunked ones). The reductions must reproduce
+// them exactly at every executor width, including the one round charged
+// when every node starts settled.
 TEST(ApReduce, MatchesRecordedColorsAndRounds) {
   struct Case {
     const char* name;
@@ -80,19 +107,30 @@ TEST(ApReduce, MatchesRecordedColorsAndRounds) {
     std::vector<Color> in = vertex_color_delta_plus_one(g).colors;
     cases.push_back({"all_settled", std::move(g), std::move(in)});
   }
-  const std::int64_t want_rounds[] = {3, 1, 5, 6, 1};
+  {
+    Graph g = leaf_line_graph();
+    std::vector<Color> in = linial_color(g).colors;
+    cases.push_back({"leaf_line_graph", std::move(g), std::move(in)});
+  }
+  const std::int64_t want_rounds[] = {3, 1, 5, 6, 1, 7};
   const std::uint64_t want_digest[] = {
-      1612655347906437248ull, 1478710850635942255ull, 12708147986929628725ull,
-      5540143411772614111ull, 10578131764067605550ull};
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
-    RoundLedger ledger;
-    const ReductionResult r =
-        ap_reduce(c.g, c.input, reduction_prime(c.g), &ledger);
-    EXPECT_EQ(r.rounds, want_rounds[i]) << c.name;
-    EXPECT_EQ(colors_digest(r.colors), want_digest[i]) << c.name;
-    EXPECT_EQ(ledger.component("ap_reduce"), r.rounds) << c.name;
-    EXPECT_EQ(r.palette, reduction_prime(c.g)) << c.name;
+      1612655347906437248ull,  1478710850635942255ull,
+      12708147986929628725ull, 5540143411772614111ull,
+      10578131764067605550ull, 11767994649841664355ull};
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool executor(threads);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
+      SCOPED_TRACE(std::string(c.name) + " at " + std::to_string(threads) +
+                   " threads");
+      RoundLedger ledger;
+      const ReductionResult r =
+          ap_reduce(c.g, c.input, reduction_prime(c.g), &ledger, &executor);
+      EXPECT_EQ(r.rounds, want_rounds[i]);
+      EXPECT_EQ(colors_digest(r.colors), want_digest[i]);
+      EXPECT_EQ(ledger.component("ap_reduce"), r.rounds);
+      EXPECT_EQ(r.palette, reduction_prime(c.g));
+    }
   }
 }
 
@@ -163,19 +201,34 @@ TEST(GreedyReduce, MatchesRecordedColorsAndRounds) {
     cases.push_back(
         {"regular500x6_wide", std::move(g), lin.colors, lin.palette, target});
   }
-  const std::int64_t want_rounds[] = {99, 12, 158};
-  const std::uint64_t want_digest[] = {12903779887152718027ull,
-                                       17461876392855498441ull,
-                                       12734630930707775511ull};
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
-    RoundLedger ledger;
-    const ReductionResult r =
-        greedy_reduce(c.g, c.input, c.palette, c.target, &ledger);
-    EXPECT_EQ(r.rounds, want_rounds[i]) << c.name;
-    EXPECT_EQ(colors_digest(r.colors), want_digest[i]) << c.name;
-    EXPECT_EQ(ledger.component("greedy_reduce"), r.rounds) << c.name;
-    EXPECT_EQ(r.palette, std::min(c.palette, c.target)) << c.name;
+  {
+    // The edge coloring's last step on the leaf: ap_reduce's q = 59 colors
+    // down to Δ(L(G)) + 1 = 27.
+    Graph g = leaf_line_graph();
+    const LinialResult lin = linial_color(g);
+    const ReductionResult ap = ap_reduce(g, lin.colors, reduction_prime(g));
+    const int target = g.max_degree() + 1;
+    cases.push_back(
+        {"leaf_line_graph", std::move(g), ap.colors, ap.palette, target});
+  }
+  const std::int64_t want_rounds[] = {99, 12, 158, 32};
+  const std::uint64_t want_digest[] = {
+      12903779887152718027ull, 17461876392855498441ull,
+      12734630930707775511ull, 9732328099319584384ull};
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool executor(threads);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
+      SCOPED_TRACE(std::string(c.name) + " at " + std::to_string(threads) +
+                   " threads");
+      RoundLedger ledger;
+      const ReductionResult r = greedy_reduce(c.g, c.input, c.palette,
+                                              c.target, &ledger, &executor);
+      EXPECT_EQ(r.rounds, want_rounds[i]);
+      EXPECT_EQ(colors_digest(r.colors), want_digest[i]);
+      EXPECT_EQ(ledger.component("greedy_reduce"), r.rounds);
+      EXPECT_EQ(r.palette, std::min(c.palette, c.target));
+    }
   }
 }
 

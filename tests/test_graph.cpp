@@ -380,6 +380,37 @@ TEST(Properties, ChunkedEdgeColoringCheckCatchesFirstAndLastChunkConflicts) {
   }
 }
 
+// The vertex-coloring check splits its edge loop the same way (2^14 edges
+// per chunk; random_regular(10^4, 16) has 80,000): a conflict on edge 0
+// lands in the first chunk and one on edge m - 1 in the last, and each
+// must fail the check on its own, at every executor width. Two uncolored
+// endpoints are no conflict.
+TEST(Properties, ChunkedVertexColoringCheckCatchesFirstAndLastChunkConflicts) {
+  Rng rng(31);
+  const Graph g = gen::random_regular(10000, 16, rng);
+  const std::vector<Color> base = linial_color(g).colors;
+  const auto clash_at = [&](EdgeId e) {
+    std::vector<Color> c = base;
+    const auto [u, v] = g.endpoints(e);
+    c[static_cast<std::size_t>(v)] = c[static_cast<std::size_t>(u)];
+    return c;
+  };
+  const std::vector<Color> first = clash_at(0);
+  const std::vector<Color> last = clash_at(g.num_edges() - 1);
+  std::vector<Color> hole = base;
+  const auto [hu, hv] = g.endpoints(g.num_edges() - 1);
+  hole[static_cast<std::size_t>(hu)] = kUncolored;
+  hole[static_cast<std::size_t>(hv)] = kUncolored;
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool executor(threads);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_TRUE(is_proper_vertex_coloring(g, base, &executor));
+    EXPECT_FALSE(is_proper_vertex_coloring(g, first, &executor));
+    EXPECT_FALSE(is_proper_vertex_coloring(g, last, &executor));
+    EXPECT_TRUE(is_proper_vertex_coloring(g, hole, &executor));
+  }
+}
+
 TEST(Properties, Defects) {
   const Graph g = gen::star(3);
   const auto vd = vertex_defects(g, {0, 0, 0, 1});

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -652,6 +653,44 @@ TEST(MailSummary, FirstRoundAfterResetAndRebindIsQuiet) {
                "mail", kMailPlan);
     for (int r = 0; r < 3; ++r) mail_round(net, large, 13, r, &bad, &quiet);
     EXPECT_EQ(std::count(bad.begin(), bad.end(), 0), large.num_nodes());
+  }
+}
+
+// A rebind to a plan with more slots than the plane holds gets a fresh
+// plane, zeroed in chunks on the network's executor (random_regular(10^4,
+// 16) has 160,000 slots: two chunks at 2 threads, four at 4). Its first
+// round must read only empty inboxes, and the next one exactly what the
+// first sent.
+TEST(Network, GrownPlaneReadsEmptyInboxesThenDelivers) {
+  Rng rng(54);
+  const Graph small = gen::random_regular(100, 4, rng);
+  const Graph large = gen::random_regular(10000, 16, rng);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SyncNetwork net(small, nullptr, "grow", threads, SlotPlan{});
+    net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
+      for (auto&& m : out) m.assign({v + 1});
+    });
+    net.rebind(large, NetworkTopology::plan(large, threads), nullptr, "grow",
+               SlotPlan{});
+    std::atomic<std::int64_t> nonempty{0};
+    net.round_fast([&](NodeId v, const Inbox& inbox, Outbox& out) {
+      for (const MessageView& m : inbox) {
+        if (!m.empty()) nonempty.fetch_add(1, std::memory_order_relaxed);
+      }
+      for (auto&& m : out) m.assign({v});
+    });
+    EXPECT_EQ(nonempty.load(), 0);
+    std::atomic<std::int64_t> wrong{0};
+    net.round_fast([&](NodeId v, const Inbox& inbox, Outbox&) {
+      const auto nb = large.neighbors(v);
+      for (std::size_t i = 0; i < nb.size(); ++i) {
+        if (inbox[i].empty() || inbox[i].at(0) != nb[i].neighbor) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+    EXPECT_EQ(wrong.load(), 0);
   }
 }
 
