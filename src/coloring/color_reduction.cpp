@@ -24,9 +24,9 @@ constexpr std::size_t kMinRecolorEntriesPerChunk = std::size_t{1} << 10;
 
 // Chunk boundaries over the node list nodes[lo, hi), balanced by the
 // adjacency entries `entries_before` prefixes over the list.
-std::vector<std::size_t> entry_bounds(const std::vector<std::size_t>& entries_before,
-                                      std::size_t lo, std::size_t hi,
-                                      int chunks) {
+std::vector<std::size_t> entry_bounds(
+    const std::vector<std::size_t>& entries_before, std::size_t lo,
+    std::size_t hi, int chunks) {
   std::vector<std::size_t> bound =
       balanced_bounds(hi - lo, chunks, [&](std::size_t i) {
         return entries_before[lo + i] - entries_before[lo];
@@ -184,7 +184,9 @@ ReductionResult greedy_reduce(const Graph& g, const std::vector<Color>& input,
     std::vector<std::size_t> cursor(begin.begin(), begin.end() - 1);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       const Color c = input[static_cast<std::size_t>(v)];
-      if (c >= target) order[cursor[static_cast<std::size_t>(c - target)]++] = v;
+      if (c >= target) {
+        order[cursor[static_cast<std::size_t>(c - target)]++] = v;
+      }
     }
     for (std::size_t k = 0; k < order.size(); ++k) {
       entries_before[k + 1] = entries_before[k] + degree_of(g, order[k]);

@@ -186,8 +186,9 @@ BipartiteColoringResult bipartite_edge_coloring(const Graph& g,
   // With no split level the colors are the one leaf's, which
   // edge_color_fast_2delta has just checked on g itself.
   if (k > 0) {
-    DEC_CHECK(is_complete_proper_edge_coloring(g, res.colors, &pool->executor()),
-              "bipartite coloring is improper");
+    DEC_CHECK(
+        is_complete_proper_edge_coloring(g, res.colors, &pool->executor()),
+        "bipartite coloring is improper");
   }
   return res;
 }
